@@ -39,7 +39,7 @@ from .features import (
     save_embeddings,
     tokenize,
 )
-from .linalg import Matrix, add_row_broadcast, map_elementwise, matmul, transpose
+from .linalg import Matrix, add_row_broadcast, matmul, transpose
 from .nn import (
     Gradients,
     MlpModel,
@@ -50,10 +50,9 @@ from .nn import (
     forward,
     gradient_layer_norms,
     load_model,
-    relu,
+    param_buffers,
     save_model,
     sgd_step,
-    sigmoid,
     taper_widths,
 )
 from .train import (

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings

@@ -1,35 +1,30 @@
 """Minimal dense float64 matrix kernel.
 
-Matrices are immutable values: every public operation validates shapes,
+Matrices are read-only values: every public operation validates shapes,
 leaves its operands untouched and either returns an all-finite result or
-raises NumericError. Storage is a flat row-major float64 buffer.
+raises NumericError. Storage is a flat row-major float64 buffer; a Matrix
+may view a buffer that its owner rewrites, as train() does with its own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
 
-__all__ = ["Matrix", "matmul", "transpose", "map_elementwise", "add_row_broadcast"]
-
-
-def _first_nonfinite_index(a: np.ndarray) -> tuple[int, int]:
-    bad = np.argwhere(~np.isfinite(a))
-    i, j = bad[0]
-    return int(i), int(j)
+__all__ = ["Matrix", "matmul", "transpose", "add_row_broadcast"]
 
 
 def _check_finite(a: np.ndarray, context: str) -> None:
     if not np.isfinite(a).all():
-        i, j = _first_nonfinite_index(a)
+        i, j = (int(v) for v in np.argwhere(~np.isfinite(a))[0])
         raise NumericError(f"{context}: non-finite value {a[i, j]!r} at ({i}, {j})")
 
 
 class Matrix:
-    """Immutable 2-D matrix of 64-bit floats."""
+    """Read-only 2-D matrix of 64-bit floats."""
 
     __slots__ = ("_a",)
 
@@ -45,8 +40,9 @@ class Matrix:
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "Matrix":
-        # Trusted fast path for internal callers; takes ownership of `a`,
-        # which must be a fresh, finite, C-contiguous float64 2-D array.
+        # Trusted fast path for internal callers: `a` must be a finite,
+        # C-contiguous float64 2-D array, and is made read-only. Wrapping a
+        # view leaves the buffer writable to whoever owns it.
         m = object.__new__(cls)
         a.flags.writeable = False
         m._a = a
@@ -57,12 +53,6 @@ class Matrix:
         if rows < 1 or cols < 1:
             raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
         return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        if n < 1:
-            raise ShapeError(f"identity size must be positive, got {n}")
-        return cls._wrap(np.eye(n))
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, values: Iterable[float]) -> "Matrix":
@@ -124,21 +114,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def transpose(a: Matrix) -> Matrix:
     """Transpose: out[j][i] = a[i][j]."""
     return Matrix._wrap(np.ascontiguousarray(a.array.T))
-
-
-def map_elementwise(a: Matrix, f: Callable[[float], float]) -> Matrix:
-    """Apply a scalar function to every element.
-
-    Raises NumericError (with the offending index) if f produces a
-    non-finite value anywhere.
-    """
-    out = np.frompyfunc(f, 1, 1)(a.array).astype(np.float64)
-    if not np.isfinite(out).all():
-        i, j = _first_nonfinite_index(out)
-        raise NumericError(
-            f"map_elementwise: f({a.array[i, j]!r}) = {out[i, j]!r} is non-finite at ({i}, {j})"
-        )
-    return Matrix._wrap(out)
 
 
 def add_row_broadcast(a: Matrix, bias: Matrix) -> Matrix:

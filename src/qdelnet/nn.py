@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ParseError, ShapeError
+from .errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
 from .linalg import Matrix
 from .seeding import INIT, stream_rng
 
@@ -27,8 +28,7 @@ __all__ = [
     "Gradients",
     "taper_widths",
     "build_model",
-    "relu",
-    "sigmoid",
+    "param_buffers",
     "forward",
     "bce_loss",
     "backward",
@@ -46,6 +46,9 @@ _PRED_HI = float(np.nextafter(1.0, 0.0))
 
 _CHECKPOINT_FORMAT = "qdelnet-mlp"
 _CHECKPOINT_VERSION = 1
+
+# One writable (weights, bias) array pair per layer, first layer first.
+Buffers = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,8 @@ class Layer:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Immutable stack of dense layers; training replaces the whole value."""
+    """Read-only stack of dense layers; sgd_step returns a new value. Its
+    arrays may view buffers that their owner rewrites, as train() does."""
 
     config: ModelConfig
     layers: tuple[Layer, ...]
@@ -164,19 +168,14 @@ def build_model(config: ModelConfig) -> MlpModel:
     return MlpModel(config=config, layers=tuple(layers))
 
 
-def relu(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function; never overflows for finite x."""
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def param_buffers(model: MlpModel) -> Buffers:
+    """Uninitialized buffers shaped like the model's parameters, for the
+    `out` of backward and sgd_step."""
+    return [(np.empty(layer.weights.shape), np.empty(layer.bias.shape)) for layer in model.layers]
 
 
 def _sigmoid_array(z: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function; never overflows for finite z."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -254,9 +253,17 @@ def bce_loss(predictions: Matrix, labels: Matrix) -> float:
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
 
-def backward(model: MlpModel, trace: ForwardTrace, labels: Matrix) -> Gradients:
+def backward(
+    model: MlpModel, trace: ForwardTrace, labels: Matrix, out: Buffers | None = None
+) -> Gradients:
     """Exact gradients of bce_loss w.r.t. every weight and bias, honoring the
-    dropout masks recorded in the trace."""
+    dropout masks recorded in the trace.
+
+    Without `out` the gradients go into fresh arrays, and a non-finite one
+    raises NumericError naming its layer. With `out`, buffers owned by the
+    caller, they are written there unchecked: sgd_step checks the parameters
+    it computes from them, which covers them.
+    """
     depth = len(model.layers)
     if (
         len(trace.pre_activations) != depth
@@ -272,51 +279,66 @@ def backward(model: MlpModel, trace: ForwardTrace, labels: Matrix) -> Gradients:
         )
     if trace.inputs.shape[1] != model.input_dim:
         raise ShapeError("backward: trace inputs do not match the model input width")
+    checked = out is None
+    if out is None:
+        out = param_buffers(model)
 
     b = trace.inputs.shape[0]
     # d(mean BCE)/dz at the sigmoid output.
     delta = (preds - labels.array) / b
-    d_weights: list[Matrix] = [None] * depth  # type: ignore[list-item]
-    d_biases: list[Matrix] = [None] * depth  # type: ignore[list-item]
     for k in range(depth - 1, -1, -1):
         a_prev = trace.post_activations[k - 1] if k > 0 else trace.inputs
-        dw = delta.T @ a_prev
-        db = delta.sum(axis=0, keepdims=True)
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
+        dw, db = out[k]
+        np.matmul(delta.T, a_prev, out=dw)
+        np.sum(delta, axis=0, keepdims=True, out=db)
+        if checked and not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise NumericError(f"backward: non-finite gradient in layer {k}")
-        d_weights[k] = Matrix._wrap(dw)
-        d_biases[k] = Matrix._wrap(db)
         if k > 0:
             grad_h = delta @ model.layers[k].weights.array
             mask = trace.dropout_masks[k - 1]
             if mask is not None:
                 grad_h = grad_h * mask
             delta = grad_h * (trace.pre_activations[k - 1] > 0.0)
-    return Gradients(tuple(d_weights), tuple(d_biases))
+    return Gradients(
+        tuple(Matrix._wrap(dw.view()) for dw, _ in out),
+        tuple(Matrix._wrap(db.view()) for _, db in out),
+    )
 
 
-def sgd_step(model: MlpModel, grads: Gradients, learning_rate: float) -> MlpModel:
+def sgd_step(
+    model: MlpModel, grads: Gradients, learning_rate: float, out: Buffers | None = None
+) -> MlpModel:
     """One plain gradient-descent update: theta <- theta - lr * dtheta.
 
-    Raises NumericError if any gradient or any updated parameter is
-    non-finite; the original model is never modified.
+    Returns a new model over fresh arrays or, with `out`, over the caller's
+    buffers, which may be the ones the gradients view; `model` is never
+    modified. Raises NumericError if any updated parameter is non-finite (as
+    lr >= 0, a non-finite gradient always gives one); `out` is then garbage.
     """
     if learning_rate < 0.0:
         raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
-    if len(grads.d_weights) != len(model.layers) or len(grads.d_biases) != len(model.layers):
-        raise ShapeError("sgd_step: gradient layer count does not match the model")
-    new_layers = []
-    for k, (layer, dw, db) in enumerate(zip(model.layers, grads.d_weights, grads.d_biases)):
+    if out is None:
+        out = param_buffers(model)
+    if not len(grads.d_weights) == len(grads.d_biases) == len(out) == len(model.layers):
+        raise ShapeError("sgd_step: gradient or out layer count does not match the model")
+    for k, (layer, dw, db, (w, b)) in enumerate(
+        zip(model.layers, grads.d_weights, grads.d_biases, out)
+    ):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise ShapeError(f"sgd_step: gradient shapes do not match layer {k}")
-        if not (np.isfinite(dw.array).all() and np.isfinite(db.array).all()):
-            raise NumericError(f"sgd_step: non-finite gradient in layer {k}")
-        w = layer.weights.array - learning_rate * dw.array
-        bias = layer.bias.array - learning_rate * db.array
-        if not (np.isfinite(w).all() and np.isfinite(bias).all()):
-            raise NumericError(f"sgd_step: parameter update overflowed in layer {k}")
-        new_layers.append(Layer(Matrix._wrap(w), Matrix._wrap(bias), layer.activation))
-    return MlpModel(config=model.config, layers=tuple(new_layers))
+        np.multiply(dw.array, learning_rate, out=w)
+        np.subtract(layer.weights.array, w, out=w)
+        np.multiply(db.array, learning_rate, out=b)
+        np.subtract(layer.bias.array, b, out=b)
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise NumericError(f"sgd_step: parameter update is non-finite in layer {k}")
+    return MlpModel(
+        config=model.config,
+        layers=tuple(
+            Layer(Matrix._wrap(w.view()), Matrix._wrap(b.view()), layer.activation)
+            for layer, (w, b) in zip(model.layers, out)
+        ),
+    )
 
 
 def gradient_layer_norms(grads: Gradients) -> list[float]:
@@ -353,27 +375,38 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    """Read a checkpoint written by save_model."""
+    """Read a checkpoint written by save_model.
+
+    Raises ParseError if the file is not a checkpoint or lacks a field, and
+    ValidationError if its layers contradict its config: layer count, weight
+    shapes or activations (relu on hidden layers, sigmoid on the output).
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
-    if doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ParseError(f"not a model checkpoint (format {doc.get('format')!r})")
+    fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if fmt != _CHECKPOINT_FORMAT:
+        raise ParseError(f"not a model checkpoint (format {fmt!r})")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}")
-    cfg = doc["config"]
-    config = ModelConfig(
-        input_dim=cfg["input_dim"],
-        hidden_widths=tuple(cfg["hidden_widths"]),
-        dropout_rate=cfg["dropout_rate"],
-        seed=cfg["seed"],
-    )
-    layers = []
-    for entry in doc["layers"]:
-        rows, cols = entry["rows"], entry["cols"]
-        weights = Matrix.from_flat(rows, cols, entry["weights"])
-        bias = Matrix.from_flat(1, rows, entry["bias"])
-        layers.append(Layer(weights, bias, entry["activation"]))
+    try:
+        cfg = doc["config"]
+        config = ModelConfig(
+            cfg["input_dim"], tuple(cfg["hidden_widths"]), cfg["dropout_rate"], cfg["seed"]
+        )
+        dims = [config.input_dim, *config.hidden_widths, 1]
+        activations = ["relu"] * (len(dims) - 2) + ["sigmoid"]
+        implied = list(zip(activations, dims[1:], dims[:-1]))
+        found = [(e["activation"], e["rows"], e["cols"]) for e in doc["layers"]]
+        for k, (got, want) in enumerate(zip_longest(found, implied)):
+            if got != want:
+                raise ValidationError(f"layer {k}: (activation, rows, cols) {got}, config {want}")
+        layers = [
+            Layer(Matrix.from_flat(r, c, e["weights"]), Matrix.from_flat(1, r, e["bias"]), act)
+            for (act, r, c), e in zip(found, doc["layers"])
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
     return MlpModel(config=config, layers=tuple(layers))

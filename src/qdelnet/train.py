@@ -2,17 +2,17 @@
 accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
 Wall time covers the epoch loop only; corpus loading and any up-front feature
-caching happen off the clock. A training run that produces a non-finite loss
-or gradient aborts immediately: the last finite model is kept and the report
-is flagged as diverged at that epoch.
+caching happen off the clock. Each step writes its gradients, then the updated
+parameters, into buffers that train() owns, which become the live model only
+if every parameter is finite. A run that produces a non-finite loss, gradient
+or parameter thus aborts with the last finite model kept, and the report is
+flagged as diverged at that epoch (overflow is reported there, not warned).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import EmbeddingTable, featurize_batch
 from .linalg import Matrix
 from .nn import (
-    Gradients,
     MlpModel,
     ModelConfig,
     backward,
@@ -29,6 +28,7 @@ from .nn import (
     build_model,
     forward,
     gradient_layer_norms,
+    param_buffers,
     sgd_step,
 )
 from .seeding import DROPOUT, PROFILE, SHUFFLE, SPLIT, stream_rng
@@ -84,15 +84,7 @@ class TrainReport:
     diverged_epoch: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "final_train_accuracy": self.final_train_accuracy,
-            "final_validation_accuracy": self.final_validation_accuracy,
-            "wall_time_seconds": self.wall_time_seconds,
-            "loss_curve": self.loss_curve,
-            "grad_norm_history": self.grad_norm_history,
-            "diverged": self.diverged,
-            "diverged_epoch": self.diverged_epoch,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainReport":
@@ -150,10 +142,7 @@ def _derive_max_words(model: MlpModel, table: EmbeddingTable) -> int:
     return feature_dim // table.dim
 
 
-def _labels_column(questions: Sequence[Question]) -> Matrix:
-    return Matrix._wrap(np.array([[float(q.label)] for q in questions]))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: MlpModel,
     train_set: Dataset,
@@ -186,15 +175,16 @@ def train(
 
     loss_curve: list[float] = []
     grad_history: list[list[float]] | None = [] if config.record_grad_norms else None
-    diverged = False
     diverged_epoch: int | None = None
-    layer_count = len(model.layers)
+    # Each step fills buffers[0]; the sets swap roles after a finite update.
+    # The caller's model is only read.
+    buffers = [param_buffers(model), param_buffers(model)]
 
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        norm_sums = np.zeros(layer_count)
+        norm_sums = np.zeros(len(model.layers))
         batch_count = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -208,22 +198,24 @@ def train(
                 loss = bce_loss(preds, yb)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                grads = backward(model, trace, yb)
-                model = sgd_step(model, grads, config.learning_rate)
+                grads = backward(model, trace, yb, out=buffers[0])
+                if grad_history is not None:
+                    norm_sums += gradient_layer_norms(grads)
+                model = sgd_step(model, grads, config.learning_rate, out=buffers[0])
             except NumericError:
-                diverged = True
                 diverged_epoch = epoch
                 break
+            buffers.reverse()
             loss_sum += loss * len(idx)
-            if grad_history is not None:
-                norm_sums += gradient_layer_norms(grads)
             batch_count += 1
-        if diverged:
+        if diverged_epoch is not None:
             break
         loss_curve.append(loss_sum / n)
         if grad_history is not None:
             grad_history.append((norm_sums / max(batch_count, 1)).tolist())
     wall_time = time.perf_counter() - t0
+    # Release the set that is not the live model before evaluating.
+    buffers = grads = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;
@@ -239,7 +231,7 @@ def train(
         wall_time_seconds=wall_time,
         loss_curve=loss_curve,
         grad_norm_history=grad_history,
-        diverged=diverged,
+        diverged=diverged_epoch is not None,
         diverged_epoch=diverged_epoch,
     )
     return model, report

@@ -102,6 +102,33 @@ class TestEvaluate:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: {"format": "qdelnet-mlp", "version": 1, "layers": []},
+            lambda doc: {**doc, "layers": [{**doc["layers"][0], "activation": "tanh"}]},
+            lambda doc: {**doc, "layers": doc["layers"] * 2},
+            lambda doc: {**doc, "config": {**doc["config"], "input_dim": 12}},
+        ],
+        ids=["missing-config", "unknown-activation", "wrong-layer-count", "shape-mismatch"],
+    )
+    def test_malformed_checkpoint_exits_2(self, tmp_path, capsys, corrupt):
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(data)) == 0
+        out = tmp_path / "run"
+        assert run("train", "--train", str(data / "dataset.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"),
+                   "--dim", "3", "--max-words", "4", "--epochs", "1", "--depth", "0",
+                   "--out", str(out)) == 0
+        model = out / "model.json"
+        model.write_text(json.dumps(corrupt(json.loads(model.read_text()))))
+        capsys.readouterr()
+        code = run("evaluate", "--model", str(model), "--data", str(data / "dataset.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"), "--dim", "3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):

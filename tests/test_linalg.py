@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdelnet.errors import NumericError, ShapeError
-from qdelnet.linalg import Matrix, add_row_broadcast, map_elementwise, matmul, transpose
+from qdelnet.linalg import Matrix, add_row_broadcast, matmul, transpose
 
 
 def naive_matmul(a, b):
@@ -55,7 +55,7 @@ class TestMatrix:
 class TestMatmul:
     def test_identity_left(self):
         b = Matrix([[3.0, 4.0], [5.0, 6.0]])
-        assert matmul(Matrix.identity(2), b) == b
+        assert matmul(Matrix(np.eye(2)), b) == b
 
     def test_hand_case_1x2_2x1(self):
         out = matmul(Matrix([[1.0, 2.0]]), Matrix([[3.0], [4.0]]))
@@ -76,8 +76,8 @@ class TestMatmul:
     def test_identity_is_exact_on_either_side(self):
         rng = np.random.default_rng(3)
         a = Matrix(rng.normal(size=(4, 4)))
-        assert matmul(a, Matrix.identity(4)) == a
-        assert matmul(Matrix.identity(4), a) == a
+        assert matmul(a, Matrix(np.eye(4))) == a
+        assert matmul(Matrix(np.eye(4)), a) == a
 
     def test_associativity_within_tolerance(self):
         rng = np.random.default_rng(11)
@@ -109,24 +109,6 @@ class TestTranspose:
     def test_row_to_column(self):
         out = transpose(Matrix([[1.0, 2.0, 3.0]]))
         assert out.rows == 3 and out.cols == 1
-
-
-class TestMapElementwise:
-    def test_negate(self):
-        assert map_elementwise(Matrix([[1.0, -2.0]]), lambda x: -x).to_lists() == [[-1.0, 2.0]]
-
-    def test_identity(self):
-        a = Matrix([[1.5, -2.5], [0.0, 3.0]])
-        assert map_elementwise(a, lambda x: x) == a
-
-    def test_relu(self):
-        out = map_elementwise(Matrix([[-1.0, 0.0, 2.0]]), lambda x: max(0.0, x))
-        assert out.to_lists() == [[0.0, 0.0, 2.0]]
-
-    def test_non_finite_result_reports_index(self):
-        a = Matrix([[1.0, -1.0], [2.0, -2.0]])
-        with pytest.raises(NumericError, match=r"\(1, 0\)"):
-            map_elementwise(a, lambda x: float("inf") if x == 2.0 else x)
 
 
 class TestAddRowBroadcast:

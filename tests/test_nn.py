@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdcheck import random_case, worst_relative_error
-from qdelnet.errors import ConfigError, NumericError, ShapeError
+from qdelnet.errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
 from qdelnet.linalg import Matrix
 from qdelnet.nn import (
     ForwardTrace,
@@ -14,16 +14,16 @@ from qdelnet.nn import (
     Layer,
     MlpModel,
     ModelConfig,
+    _sigmoid_array,
     backward,
     bce_loss,
     build_model,
     forward,
     gradient_layer_norms,
     load_model,
-    relu,
+    param_buffers,
     save_model,
     sgd_step,
-    sigmoid,
     taper_widths,
 )
 from qdelnet.seeding import stream_rng
@@ -105,11 +105,25 @@ class TestTaperWidths:
         assert taper_widths(0) == []
 
 
+def sigmoid(x: float) -> float:
+    """The output layer's logistic function, at one point."""
+    return float(_sigmoid_array(np.array([[x]]))[0, 0])
+
+
 class TestActivations:
     def test_relu_basics(self):
-        assert relu(-3.0) == 0.0
-        assert relu(5.0) == 5.0
-        assert relu(0.0) == 0.0
+        """Hidden layers apply ReLU: with identity weights the hidden
+        activations are relu of the inputs."""
+        config = ModelConfig(input_dim=3, hidden_widths=(3,), dropout_rate=0.0, seed=0)
+        model = MlpModel(
+            config=config,
+            layers=(
+                Layer(Matrix(np.eye(3)), Matrix.zeros(1, 3), "relu"),
+                Layer(Matrix.zeros(1, 3), Matrix.zeros(1, 1), "sigmoid"),
+            ),
+        )
+        _, trace = forward(model, Matrix([[-3.0, 5.0, 0.0]]), mode="eval")
+        assert trace.post_activations[0].tolist() == [[0.0, 5.0, 0.0]]
 
     def test_sigmoid_midpoint(self):
         assert sigmoid(0.0) == 0.5
@@ -291,6 +305,38 @@ class TestBackward:
         assert dropped.any()
         assert not grads.d_weights[0].array[dropped, :].any()
 
+    def test_non_finite_gradient_raises_unless_out_is_given(self):
+        """Public callers get NumericError; a caller that passes its own
+        buffers gets the gradients unchecked and relies on sgd_step."""
+        model = build_model(ModelConfig(input_dim=2, hidden_widths=(), seed=0))
+        trace = ForwardTrace(
+            inputs=np.array([[np.inf, 1.0]]),
+            pre_activations=[np.array([[1.0]])],
+            post_activations=[np.array([[0.75]])],
+            dropout_masks=[],
+            mode="train",
+        )
+        labels = Matrix([[0.0]])
+        with pytest.raises(NumericError, match="layer 0"):
+            backward(model, trace, labels)
+        grads = backward(model, trace, labels, out=param_buffers(model))
+        assert grads.d_weights[0].array[0, 0] == np.inf
+        with pytest.raises(NumericError):
+            sgd_step(model, grads, 0.1)
+
+    def test_out_buffers_give_identical_gradients(self):
+        model = build_model(ModelConfig(input_dim=5, hidden_widths=(4, 3), dropout_rate=0.2, seed=6))
+        x = Matrix(np.random.default_rng(6).normal(size=(7, 5)))
+        y = Matrix([[1.0], [0.0]] * 3 + [[1.0]])
+        _, trace = forward(model, x, mode="train", rng=stream_rng(6, 1))
+        fresh = backward(model, trace, y)
+        buffers = param_buffers(model)
+        owned = backward(model, trace, y, out=buffers)
+        for a, b, (dw, db) in zip(fresh.d_weights, owned.d_weights, buffers):
+            assert a.array.tobytes() == b.array.tobytes() == dw.tobytes()
+        for a, b, (dw, db) in zip(fresh.d_biases, owned.d_biases, buffers):
+            assert a.array.tobytes() == b.array.tobytes() == db.tobytes()
+
     def test_trace_mismatch_is_error(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,)))
         other = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2)))
@@ -347,6 +393,30 @@ class TestSgdStep:
         assert [layer.weights.to_lists() for layer in model.layers] == snapshot
 
 
+    def test_update_into_the_gradient_buffers_is_bit_identical(self):
+        """sgd_step may write the update over the arrays its gradients view,
+        which is how train() uses it."""
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.0, seed=2))
+        x = Matrix(np.random.default_rng(2).normal(size=(5, 4)))
+        y = Matrix([[1.0], [0.0], [1.0], [1.0], [0.0]])
+        _, trace = forward(model, x, mode="train")
+        expected = sgd_step(model, backward(model, trace, y), 0.3)
+        buffers = param_buffers(model)
+        stepped = sgd_step(model, backward(model, trace, y, out=buffers), 0.3, out=buffers)
+        for want, got, (w, b) in zip(expected.layers, stepped.layers, buffers):
+            assert got.weights.array.tobytes() == want.weights.array.tobytes() == w.tobytes()
+            assert got.bias.array.tobytes() == want.bias.array.tobytes() == b.tobytes()
+
+    def test_out_length_must_match_layers(self):
+        model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), seed=0))
+        grads = Gradients(
+            tuple(Matrix.zeros(*l.weights.shape) for l in model.layers),
+            tuple(Matrix.zeros(*l.bias.shape) for l in model.layers),
+        )
+        with pytest.raises(ShapeError):
+            sgd_step(model, grads, 0.1, out=param_buffers(model)[:1])
+
+
 class TestGradientLayerNorms:
     def test_zero_gradients(self):
         grads = Gradients((Matrix.zeros(2, 3),), (Matrix.zeros(1, 2),))
@@ -389,3 +459,38 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @staticmethod
+    def _checkpoint(tmp_path, corrupt):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), seed=5))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda doc: doc.pop("config"), ParseError),
+            (lambda doc: doc["layers"][0].update(activation="tanh"), ValidationError),
+            (lambda doc: doc["layers"][2].update(activation="relu"), ValidationError),
+            (lambda doc: doc["layers"].pop(), ValidationError),
+            (lambda doc: doc["config"].update(input_dim=5), ValidationError),
+            (lambda doc: doc["config"].update(hidden_widths=[3, 1]), ValidationError),
+            (lambda doc: doc["layers"][1].pop("weights"), ParseError),
+        ],
+        ids=[
+            "missing-config",
+            "unknown-activation",
+            "misplaced-activation",
+            "wrong-layer-count",
+            "input-dim-mismatch",
+            "hidden-width-mismatch",
+            "missing-weights",
+        ],
+    )
+    def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, error):
+        with pytest.raises(error):
+            load_model(self._checkpoint(tmp_path, corrupt))

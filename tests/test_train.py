@@ -8,8 +8,19 @@ from qdelnet.data import Dataset, Question, gen_synthetic, split_train_test
 from qdelnet.errors import ConfigError, InputError
 from qdelnet.features import EmbeddingTable, featurize_batch
 from qdelnet.linalg import Matrix
-from qdelnet.nn import ModelConfig, backward, build_model, forward, gradient_layer_norms, taper_widths
-from qdelnet.seeding import PROFILE, stream_rng
+from qdelnet.nn import (
+    Layer,
+    MlpModel,
+    ModelConfig,
+    backward,
+    bce_loss,
+    build_model,
+    forward,
+    gradient_layer_norms,
+    sgd_step,
+    taper_widths,
+)
+from qdelnet.seeding import DROPOUT, PROFILE, SHUFFLE, stream_rng
 from qdelnet.train import (
     TrainConfig,
     TrainReport,
@@ -26,6 +37,39 @@ def balanced_dataset(n, name="bal"):
         Question(id=f"q{i}", text=f"t{i}", weak_annotation=0.5, label=i % 2) for i in range(n)
     )
     return Dataset(qs, name=name)
+
+
+def param_bytes(model):
+    return [(layer.weights.array.tobytes(), layer.bias.array.tobytes()) for layer in model.layers]
+
+
+def hand_loop(model, dataset, config, table, max_words):
+    """The training protocol spelled out over the public nn functions: every
+    step allocates fresh gradients and a fresh model. Returns the final
+    model, the loss curve and the per-epoch mean gradient norms."""
+    fit_set, _ = split_train_val(dataset, config.validation_fraction, config.seed)
+    questions = fit_set.questions
+    x = featurize_batch(questions, table, max_words).array
+    y = np.array([[float(q.label)] for q in questions])
+    shuffle_rng = stream_rng(config.seed, SHUFFLE)
+    dropout_rng = stream_rng(config.seed, DROPOUT)
+    curve, norms = [], []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(questions))
+        loss_sum, norm_sums, batches = 0.0, np.zeros(len(model.layers)), 0
+        for start in range(0, len(questions), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            yb = Matrix(y[idx])
+            preds, trace = forward(model, Matrix(x[idx]), mode="train", rng=dropout_rng)
+            loss = bce_loss(preds, yb)
+            grads = backward(model, trace, yb)
+            norm_sums += gradient_layer_norms(grads)
+            model = sgd_step(model, grads, config.learning_rate)
+            loss_sum += loss * len(idx)
+            batches += 1
+        curve.append(loss_sum / len(questions))
+        norms.append((norm_sums / batches).tolist())
+    return model, curve, norms
 
 
 def separable_toy(points=200, seed=42):
@@ -171,6 +215,51 @@ class TestTrain:
         for layer in model.layers:
             assert np.isfinite(layer.weights.array).all()
         assert 0.0 <= report.final_train_accuracy <= 100.0
+
+    def test_divergence_in_the_update_keeps_the_last_finite_model(self):
+        """Large first-layer weights give output-layer gradients far above 1
+        while the forward pass stays finite; at a learning rate of 1e308 the
+        first update overflows. Training must stop at epoch 0 and return
+        parameters bit-equal to those before the step."""
+        ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.0, seed=3)
+        base = build(config)
+        first = base.layers[0]
+        model = MlpModel(
+            config=config,
+            layers=(Layer(Matrix(first.weights.array * 1e3), first.bias, "relu"), base.layers[1]),
+        )
+        evaluate(model, ds, table)  # raises NumericError if the forward pass overflowed
+        before = param_bytes(model)
+        out, report = train(model, ds, TrainConfig(epochs=3, learning_rate=1e308, seed=3), table)
+        assert report.diverged
+        assert report.diverged_epoch == 0
+        assert report.loss_curve == []
+        assert param_bytes(out) == before
+
+    def test_callers_model_arrays_unchanged(self):
+        ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=9)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8, 4), dropout_rate=0.05, seed=9)
+        model = build(config)
+        before = param_bytes(model)
+        trained, _ = train(model, ds, TrainConfig(epochs=3, seed=9), table)
+        assert param_bytes(model) == before
+        assert param_bytes(trained) != before
+
+    @pytest.mark.parametrize("record_grad_norms", [False, True])
+    def test_matches_hand_loop_over_public_functions(self, record_grad_norms):
+        """train() updates in buffers it owns; its loss curve, gradient norms
+        and final parameters must equal, bit for bit, those of the same
+        protocol run over the allocating public functions."""
+        ds, table = gen_synthetic(150, 16, 4, 5, 0.2, seed=11)
+        config = ModelConfig(input_dim=5 * 4 + 1, hidden_widths=(12, 6, 3), dropout_rate=0.1, seed=11)
+        train_config = TrainConfig(epochs=4, batch_size=16, learning_rate=0.2, seed=11,
+                                   record_grad_norms=record_grad_norms)
+        model, report = train(build(config), ds, train_config, table)
+        expected_model, curve, norms = hand_loop(build(config), ds, train_config, table, 5)
+        assert report.loss_curve == curve
+        assert report.grad_norm_history == (norms if record_grad_norms else None)
+        assert param_bytes(model) == param_bytes(expected_model)
 
     def test_grad_norm_history_recorded(self):
         ds, table = gen_synthetic(64, 10, 3, 4, 0.1, seed=5)
