@@ -24,6 +24,7 @@ from .experiment import (
     SweepRow,
     SyntheticSource,
     grad_flow_report,
+    load_source,
     read_sweep_csv,
     render_plots,
     rows_from_run_files,
@@ -39,7 +40,7 @@ from .features import (
     save_embeddings,
     tokenize,
 )
-from .linalg import Matrix, add_row_broadcast, matmul, transpose
+from .linalg import Matrix, matmul
 from .nn import (
     Gradients,
     MlpModel,

@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .data import gen_synthetic, load_dataset, save_dataset, split_train_test
+from .data import load_dataset, save_dataset
 from .errors import ConfigError, ParseError
 from .experiment import (
     FileSource,
     SweepConfig,
     SyntheticSource,
-    grad_flow_report,
+    load_source,
     render_plots,
     rows_from_run_files,
     run_depth_sweep,
@@ -53,11 +53,12 @@ def _parse_int_list(s: str) -> list[int]:
     return values
 
 
-# Per-subcommand option tables: (flag, parser, default, help).
+# Per-subcommand option tables: (flag, parser, default, help). Data defaults
+# come from the source classes; a None default is not shown in the help.
 _SYNTH_OPTS = [
-    ("n", int, 2000, "number of synthetic questions (even)"),
-    ("vocab", int, 200, "synthetic vocabulary size"),
-    ("noise", float, 0.15, "synthetic label/token corruption rate in [0, 1]"),
+    ("n", int, SyntheticSource.n, "number of synthetic questions (even)"),
+    ("vocab", int, SyntheticSource.vocab_size, "synthetic vocabulary size"),
+    ("noise", float, SyntheticSource.noise, "synthetic label/token corruption rate in [0, 1]"),
 ]
 _PROTOCOL_OPTS = [
     ("epochs", int, 150, "training epochs"),
@@ -72,20 +73,24 @@ _SOURCE_OPTS = [
     ("train", str, None, "training corpus JSONL path (file mode)"),
     ("test", str, None, "test corpus JSONL path (file mode)"),
     ("embeddings", str, None, "embedding table path, word2vec text format (file mode)"),
-    ("dim", int, None, "embedding dimension (default: 16 synthetic, 300 file mode)"),
-    ("max-words", int, None, "word slots per feature vector (default: 12 synthetic, 240 file mode)"),
-    ("train-count", int, None, "questions sliced into the training set (synthetic mode)"),
-    ("test-count", int, None, "questions sliced into the test set (synthetic mode)"),
+    ("dim", int, None, f"embedding dimension (default: {SyntheticSource.dim} synthetic, "
+                       f"{FileSource.embedding_dim} file mode)"),
+    ("max-words", int, None, f"word slots per feature vector (default: {SyntheticSource.max_words} "
+                             f"synthetic, {FileSource.max_words} file mode)"),
+    ("train-count", int, None, "questions sliced into the training set (synthetic mode; "
+                               "default with --test-count or in a sweep: 5/6 of the corpus)"),
+    ("test-count", int, None, "questions sliced into the test set (synthetic mode; "
+                              "default with --train-count or in a sweep: the rest)"),
 ]
 
 _OPTIONS: dict[str, list[tuple]] = {
     "gen-synth": [
         *_SYNTH_OPTS,
-        ("dim", int, 16, "embedding dimension"),
-        ("max-words", int, 12, "maximum words per question"),
+        ("dim", int, SyntheticSource.dim, "embedding dimension"),
+        ("max-words", int, SyntheticSource.max_words, "maximum words per question"),
         ("seed", int, 0, "generator seed"),
-        ("train-count", int, None, "also slice out a training set of this size"),
-        ("test-count", int, None, "also slice out a test set of this size"),
+        ("train-count", int, None, "also slice out a training set of this size (default: 5/6)"),
+        ("test-count", int, None, "also slice out a test set of this size (default: the rest)"),
         ("out", str, None, "output directory (required)"),
     ],
     "train": [
@@ -103,7 +108,7 @@ _OPTIONS: dict[str, list[tuple]] = {
         ("model", str, None, "model checkpoint path (required)"),
         ("data", str, None, "corpus JSONL path (required)"),
         ("embeddings", str, None, "embedding table path (required)"),
-        ("dim", int, 300, "embedding dimension"),
+        ("dim", int, FileSource.embedding_dim, "embedding dimension"),
     ],
     "sweep": [
         *_SOURCE_OPTS,
@@ -155,8 +160,9 @@ def _build_parser() -> _Parser:
                 p.add_argument(f"--{flag}", action="store_const", const=True, default=None,
                                help=help_text)
             else:
+                shown = "" if default is None else f" (default: {default})"
                 p.add_argument(f"--{flag}", type=parse, default=None, metavar="V",
-                               help=f"{help_text} (default: {default})")
+                               help=help_text + shown)
         p.set_defaults(command=name)
     return parser
 
@@ -208,51 +214,47 @@ def _persist_config(out_dir: Path, command: str, opts: dict) -> None:
     )
 
 
-def _load_source(opts: dict):
-    """Resolve the data source for train/sweep: returns (train_set, test_set,
-    table, max_words); test_set is None when the mode provides none."""
-    if opts["synthetic"]:
-        dim = opts["dim"] if opts["dim"] is not None else 16
-        max_words = opts["max_words"] if opts["max_words"] is not None else 12
-        corpus, table = gen_synthetic(
-            opts["n"], opts["vocab"], dim, max_words, opts["noise"], opts["seed"]
-        )
-        if opts["train_count"] is not None or opts["test_count"] is not None:
-            _require(opts, "train_count", "test_count")
-            train_set, test_set = split_train_test(
-                corpus, opts["train_count"], opts["test_count"], opts["seed"]
-            )
-        else:
-            train_set, test_set = corpus, None
-        return train_set, test_set, table, max_words
-    _require(opts, "train", "embeddings")
-    dim = opts["dim"] if opts["dim"] is not None else 300
-    max_words = opts["max_words"] if opts["max_words"] is not None else 240
-    train_set = load_dataset(opts["train"])
-    test_set = load_dataset(opts["test"]) if opts["test"] else None
-    table = load_embeddings(opts["embeddings"], dim)
-    return train_set, test_set, table, max_words
+# Option name -> field of the source it sets.
+_SYNTH_FIELDS = {"n": "n", "vocab": "vocab_size", "dim": "dim", "max_words": "max_words",
+                 "noise": "noise", "train_count": "train_count", "test_count": "test_count"}
+_FILE_FIELDS = {"train": "train_path", "test": "test_path", "embeddings": "embeddings_path",
+                "dim": "embedding_dim", "max_words": "max_words"}
+
+
+def _source(opts: dict) -> SyntheticSource | FileSource:
+    """The data source the options name, built from the options that are set;
+    every other field keeps the source class's default."""
+    synthetic = opts.get("synthetic", True)  # gen-synth has no file mode
+    if not synthetic:
+        _require(opts, "train", "embeddings")
+    cls, fields = (SyntheticSource, _SYNTH_FIELDS) if synthetic else (FileSource, _FILE_FIELDS)
+    return cls(**{field: opts[key] for key, field in fields.items() if opts.get(key) is not None})
+
+
+def _train_config(opts: dict) -> TrainConfig:
+    return TrainConfig(
+        epochs=opts["epochs"],
+        batch_size=opts["batch_size"],
+        learning_rate=opts["lr"],
+        validation_fraction=opts["val_fraction"],
+        seed=opts["seed"],
+        record_grad_norms=opts.get("record_grad_norms", False),  # train only
+    )
 
 
 def _cmd_gen_synth(opts: dict) -> int:
     _require(opts, "out")
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    corpus, table = gen_synthetic(
-        opts["n"], opts["vocab"], opts["dim"], opts["max_words"], opts["noise"], opts["seed"]
-    )
-    if opts["train_count"] is not None or opts["test_count"] is not None:
-        _require(opts, "train_count", "test_count")
-        train_set, test_set = split_train_test(
-            corpus, opts["train_count"], opts["test_count"], opts["seed"]
-        )
+    train_set, test_set, table, _ = load_source(_source(opts), opts["seed"])
+    if test_set is None:
+        save_dataset(train_set, out / "dataset.jsonl")
+    else:
         save_dataset(train_set, out / "train.jsonl")
         save_dataset(test_set, out / "test.jsonl")
-    else:
-        save_dataset(corpus, out / "dataset.jsonl")
     save_embeddings(table, out / "embeddings.txt")
     _persist_config(out, "gen-synth", opts)
-    print(f"wrote {len(corpus)} questions and {len(table)} embeddings to {out}")
+    print(f"wrote {opts['n']} questions and {len(table)} embeddings to {out}")
     return 0
 
 
@@ -260,7 +262,7 @@ def _cmd_train(opts: dict) -> int:
     _require(opts, "out")
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    train_set, _, table, max_words = _load_source(opts)
+    train_set, _, table, max_words = load_source(_source(opts), opts["seed"])
     widths = opts["widths"]
     if widths is None:
         widths = taper_widths(opts["depth"], opts["width_max"], opts["width_min"])
@@ -270,16 +272,8 @@ def _cmd_train(opts: dict) -> int:
         dropout_rate=opts["dropout"],
         seed=opts["seed"],
     )
-    train_config = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        learning_rate=opts["lr"],
-        validation_fraction=opts["val_fraction"],
-        seed=opts["seed"],
-        record_grad_norms=opts["record_grad_norms"],
-    )
     model = build_model(model_config)
-    model, report = train(model, train_set, train_config, table)
+    model, report = train(model, train_set, _train_config(opts), table)
     save_model(model, out / "model.json")
     (out / "train_report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2) + "\n", encoding="utf-8", newline="\n"
@@ -310,40 +304,14 @@ def _cmd_evaluate(opts: dict) -> int:
 def _cmd_sweep(opts: dict) -> int:
     _require(opts, "out")
     out = Path(opts["out"])
-    if opts["synthetic"]:
-        source = SyntheticSource(
-            n=opts["n"],
-            vocab_size=opts["vocab"],
-            dim=opts["dim"] if opts["dim"] is not None else 16,
-            max_words=opts["max_words"] if opts["max_words"] is not None else 12,
-            noise=opts["noise"],
-            train_count=opts["train_count"],
-            test_count=opts["test_count"],
-        )
-    else:
-        _require(opts, "train", "test", "embeddings")
-        source = FileSource(
-            train_path=opts["train"],
-            test_path=opts["test"],
-            embeddings_path=opts["embeddings"],
-            embedding_dim=opts["dim"] if opts["dim"] is not None else 300,
-            max_words=opts["max_words"] if opts["max_words"] is not None else 240,
-        )
-    train_config = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        learning_rate=opts["lr"],
-        validation_fraction=opts["val_fraction"],
-        seed=opts["seed"],
-    )
     config = SweepConfig(
         depths=tuple(opts["depths"]),
         repeats=opts["repeats"],
-        train_config=train_config,
+        train_config=_train_config(opts),
         width_max=opts["width_max"],
         width_min=opts["width_min"],
         dropout_rate=opts["dropout"],
-        source=source,
+        source=_source(opts),
         output_dir=str(out),
         workers=opts["workers"],
     )
@@ -357,7 +325,6 @@ def _cmd_sweep(opts: dict) -> int:
     write_sweep_csv(rows, out / "sweep.csv")
     if len(rows) >= 2:
         render_plots(rows, out)
-    grad_flow_report(config)
     _persist_config(out, "sweep", opts)
     for row in rows:
         print(

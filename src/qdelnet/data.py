@@ -244,29 +244,49 @@ def split_train_test(
         raise ConfigError(
             f"requested {train_count}+{test_count} questions from a dataset of {len(dataset)}"
         )
-    rng = stream_rng(seed, SYNTH)
-    by_class = {0: [], 1: []}
-    for q in dataset.questions:
-        by_class[q.label].append(q)
+    return _stratified_split(dataset, train_count, test_count, stream_rng(seed, SYNTH), "test")
+
+
+def _stratified_split(
+    dataset: Dataset,
+    train_count: int | None,
+    held_count: int,
+    rng: np.random.Generator,
+    held_name: str,
+) -> tuple[Dataset, Dataset]:
+    """The stratified core of split_train_test and train.split_train_val.
+
+    Each class is shuffled with `rng` and cut into a training part and a
+    held-out part sized in proportion to the class, then the training set and
+    the held-out set are shuffled, in that order. train_count None means all
+    but the held-out part, which is then cut first. When the parts take the
+    whole dataset, the part cut second is the rest of each class, so rounding
+    never asks a class for more questions than it has.
+    """
+    by_class = {c: [q for q in dataset.questions if q.label == c] for c in (0, 1)}
     sizes = [len(by_class[0]), len(by_class[1])]
-    train_alloc = allocate_proportional(train_count, sizes)
-    test_alloc = allocate_proportional(test_count, sizes)
+    held_first = train_count is None
+    first = allocate_proportional(held_count if held_first else train_count, sizes)
+    if held_first or train_count + held_count == len(dataset):
+        second = [size - f for size, f in zip(sizes, first)]
+    else:
+        second = allocate_proportional(held_count, sizes)
     for c in (0, 1):
-        if train_alloc[c] + test_alloc[c] > sizes[c]:
+        if first[c] + second[c] > sizes[c]:
             raise ConfigError(
                 f"class {c} has {sizes[c]} questions; cannot take "
-                f"{train_alloc[c]} train + {test_alloc[c]} test"
+                f"{first[c]} train + {second[c]} {held_name}"
             )
-    train_qs: list[Question] = []
-    test_qs: list[Question] = []
+    firsts: list[Question] = []
+    seconds: list[Question] = []
     for c in (0, 1):
-        order = rng.permutation(sizes[c])
-        shuffled = [by_class[c][i] for i in order]
-        train_qs.extend(shuffled[: train_alloc[c]])
-        test_qs.extend(shuffled[train_alloc[c] : train_alloc[c] + test_alloc[c]])
+        shuffled = [by_class[c][i] for i in rng.permutation(sizes[c])]
+        firsts.extend(shuffled[: first[c]])
+        seconds.extend(shuffled[first[c] : first[c] + second[c]])
+    train_qs, held_qs = (seconds, firsts) if held_first else (firsts, seconds)
     train_qs = [train_qs[i] for i in rng.permutation(len(train_qs))]
-    test_qs = [test_qs[i] for i in rng.permutation(len(test_qs))]
+    held_qs = [held_qs[i] for i in rng.permutation(len(held_qs))]
     return (
         Dataset(tuple(train_qs), name=f"{dataset.name}-train"),
-        Dataset(tuple(test_qs), name=f"{dataset.name}-test"),
+        Dataset(tuple(held_qs), name=f"{dataset.name}-{held_name}"),
     )

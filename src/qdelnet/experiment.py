@@ -6,6 +6,11 @@ Fixed output names under the sweep's output directory:
     sweep.csv, fig_time.svg, fig_train_acc.svg, fig_val_acc.svg,
     fig_test_acc.svg, grad_flow.csv, runs/<depth>_<repeat>.json
 
+run_depth_sweep writes the run files and grad_flow.csv from one pass over
+the data: it prepares the data once and profiles each depth's initial
+gradients once. grad_flow_report writes the same grad_flow.csv without
+training anything.
+
 Depth x repeat cells are independent and may run concurrently, but wall-clock
 comparisons across depths are only meaningful with one worker.
 """
@@ -29,6 +34,7 @@ from .train import TrainConfig, TrainReport, evaluate, initial_gradient_profile,
 __all__ = [
     "SyntheticSource",
     "FileSource",
+    "load_source",
     "SweepConfig",
     "SweepRow",
     "run_depth_sweep",
@@ -46,8 +52,8 @@ PLOT_FILES = ("fig_time.svg", "fig_train_acc.svg", "fig_val_acc.svg", "fig_test_
 
 @dataclass(frozen=True)
 class SyntheticSource:
-    """Generate the corpus on the fly. When the split counts are omitted the
-    corpus is sliced 5/6 train, 1/6 test (the classic 5,000/1,000 regime)."""
+    """Generate the corpus on the fly; load_source says how the split counts
+    slice it."""
 
     n: int = 2000
     vocab_size: int = 200
@@ -60,11 +66,12 @@ class SyntheticSource:
 
 @dataclass(frozen=True)
 class FileSource:
-    """Load a pre-existing corpus (JSONL) and embedding table (word2vec text)."""
+    """Load a pre-existing corpus (JSONL) and embedding table (word2vec text);
+    the test file is optional outside a sweep."""
 
     train_path: str
-    test_path: str
     embeddings_path: str
+    test_path: str | None = None
     embedding_dim: int = 300
     max_words: int = 240
 
@@ -110,75 +117,68 @@ class SweepRow:
     first_layer_grad_norm_init: float
 
 
-@dataclass(frozen=True)
-class _PreparedData:
-    train_set: Dataset
-    test_set: Dataset
-    table: EmbeddingTable
-    max_words: int
-    input_dim: int
-    sample_x: Matrix
-    sample_y: Matrix
+def load_source(
+    source: Union[SyntheticSource, FileSource], seed: int, need_test: bool = False
+) -> tuple[Dataset, Dataset | None, EmbeddingTable, int]:
+    """Turn a data source and a seed into (train set, test set, table, max_words).
 
-
-def _prepare_data(config: SweepConfig) -> _PreparedData:
-    tc = config.train_config
-    src = config.source
-    if isinstance(src, SyntheticSource):
-        corpus, table = gen_synthetic(
-            src.n, src.vocab_size, src.dim, src.max_words, src.noise, seed=tc.seed
-        )
-        train_count = src.train_count if src.train_count is not None else round(len(corpus) * 5 / 6)
-        test_count = src.test_count if src.test_count is not None else len(corpus) - train_count
-        train_set, test_set = split_train_test(corpus, train_count, test_count, seed=tc.seed)
-        max_words = src.max_words
-    else:
-        train_set = load_dataset(src.train_path)
-        test_set = load_dataset(src.test_path)
-        table = load_embeddings(src.embeddings_path, src.embedding_dim)
-        max_words = src.max_words
-    sample_qs = train_set.questions[: tc.batch_size]
-    sample_x = featurize_batch(sample_qs, table, max_words)
-    sample_y = Matrix([[float(q.label)] for q in sample_qs])
-    return _PreparedData(
-        train_set=train_set,
-        test_set=test_set,
-        table=table,
-        max_words=max_words,
-        input_dim=max_words * table.dim + 1,
-        sample_x=sample_x,
-        sample_y=sample_y,
+    A synthetic corpus is split by label when either count is set, or always
+    when need_test: a missing train count is 5/6 of the corpus (the classic
+    5,000/1,000 regime) and a missing test count is the rest. Otherwise the
+    whole corpus is the train set and the test set is None, as it is for a
+    file source without a test file, which need_test rejects.
+    """
+    if isinstance(source, FileSource):
+        if need_test and source.test_path is None:
+            raise ConfigError("a sweep needs a test file (--test)")
+        train_set = load_dataset(source.train_path)
+        test_set = load_dataset(source.test_path) if source.test_path else None
+        table = load_embeddings(source.embeddings_path, source.embedding_dim)
+        return train_set, test_set, table, source.max_words
+    corpus, table = gen_synthetic(
+        source.n, source.vocab_size, source.dim, source.max_words, source.noise, seed
     )
+    train_count, test_count = source.train_count, source.test_count
+    if train_count is None and test_count is None and not need_test:
+        return corpus, None, table, source.max_words
+    if train_count is None:
+        train_count = round(len(corpus) * 5 / 6)
+    if test_count is None:
+        test_count = len(corpus) - train_count
+    train_set, test_set = split_train_test(corpus, train_count, test_count, seed)
+    return train_set, test_set, table, source.max_words
 
 
-def _profile_depth(config: SweepConfig, prepared: _PreparedData, widths: Sequence[int]) -> list[float]:
-    model_config = ModelConfig(
-        input_dim=prepared.input_dim,
-        hidden_widths=tuple(widths),
-        dropout_rate=config.dropout_rate,
-        seed=config.train_config.seed,
+def _default_runner_profiler(config: SweepConfig):
+    """Prepare the sweep's data once and return the default (runner, profiler)
+    over it. The profiler's sample is the first training batch."""
+    train_set, test_set, table, max_words = load_source(
+        config.source, config.train_config.seed, need_test=True
     )
-    return initial_gradient_profile(
-        model_config, prepared.sample_x, prepared.sample_y, repeats=config.repeats
-    )
+    sample = train_set.questions[: config.train_config.batch_size]
+    sample_x = featurize_batch(sample, table, max_words)
+    sample_y = Matrix([[float(q.label)] for q in sample])
 
-
-def _make_default_runner(config: SweepConfig, prepared: _PreparedData):
-    def runner(depth: int, widths: Sequence[int], repeat: int) -> tuple[TrainReport, float]:
-        cell_seed = config.train_config.seed + repeat
-        model_config = ModelConfig(
-            input_dim=prepared.input_dim,
+    def model_config(widths: Sequence[int], seed: int) -> ModelConfig:
+        return ModelConfig(
+            input_dim=sample_x.cols,
             hidden_widths=tuple(widths),
             dropout_rate=config.dropout_rate,
-            seed=cell_seed,
+            seed=seed,
         )
-        train_config = replace(config.train_config, seed=cell_seed)
-        model = build_model(model_config)
-        model, report = train(model, prepared.train_set, train_config, prepared.table)
-        test_acc = evaluate(model, prepared.test_set, prepared.table)
-        return report, test_acc
 
-    return runner
+    def runner(depth: int, widths: Sequence[int], repeat: int) -> tuple[TrainReport, float]:
+        cell_seed = config.train_config.seed + repeat
+        model = build_model(model_config(widths, cell_seed))
+        model, report = train(model, train_set, replace(config.train_config, seed=cell_seed), table)
+        return report, evaluate(model, test_set, table)
+
+    def profiler(depth: int, widths: Sequence[int]) -> list[float]:
+        return initial_gradient_profile(
+            model_config(widths, config.train_config.seed), sample_x, sample_y, config.repeats
+        )
+
+    return runner, profiler
 
 
 def _aggregate(
@@ -201,25 +201,24 @@ def _aggregate(
 def run_depth_sweep(
     config: SweepConfig,
     runner: Callable[[int, Sequence[int], int], tuple[TrainReport, float]] | None = None,
-    profiler: Callable[[int, Sequence[int]], float] | None = None,
+    profiler: Callable[[int, Sequence[int]], list[float]] | None = None,
 ) -> list[SweepRow]:
     """Run `repeats` train+evaluate cycles per depth (seeds seed+i), average
     metrics over runs that finished, and persist every cell's report under
-    output_dir/runs/. Returns rows in depth order.
+    output_dir/runs/. After the cells, profile each depth's initial gradients
+    once: layer 0 goes into the rows and run files, every layer into
+    output_dir/grad_flow.csv. Returns rows in depth order.
 
     `runner` and `profiler` exist for unit-level stubbing; by default they
-    train real models on the configured data source.
+    train and profile real models on the configured data source, prepared
+    once. A profiler returns the per-layer norms, first layer first.
     """
+    if runner is None or profiler is None:
+        default_runner, default_profiler = _default_runner_profiler(config)
+        runner, profiler = runner or default_runner, profiler or default_profiler
     out_dir = Path(config.output_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    if runner is None or profiler is None:
-        prepared = _prepare_data(config)
-        if runner is None:
-            runner = _make_default_runner(config, prepared)
-        if profiler is None:
-            profiler = lambda depth, widths: _profile_depth(config, prepared, widths)[0]
 
     depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
@@ -235,13 +234,12 @@ def run_depth_sweep(
         for depth, i in jobs:
             cell_results[(depth, i)] = runner(depth, depth_widths[depth], i)
 
+    first_norms = {d: norm for d, layer, norm in _profile_depths(config, profiler) if layer == 0}
     rows = []
     for depth in config.depths:
-        first_norm = profiler(depth, depth_widths[depth])
-        cells = []
-        for i in range(config.repeats):
-            report, test_acc = cell_results[(depth, i)]
-            cells.append((report, test_acc))
+        first_norm = first_norms[depth]
+        cells = [cell_results[(depth, i)] for i in range(config.repeats)]
+        for i, (report, test_acc) in enumerate(cells):
             _write_run_file(runs_dir / f"{depth}_{i}.json", depth, i, report, test_acc, first_norm)
         rows.append(_aggregate(depth, cells, first_norm))
     return rows
@@ -272,9 +270,8 @@ def rows_from_run_files(runs_dir) -> list[SweepRow]:
     by_depth: dict[int, dict[int, tuple[TrainReport, float]]] = {}
     norms: dict[int, float] = {}
     for path in files:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        depth, repeat = int(doc["depth"]), int(doc["repeat"])
+        doc = _read_run_file(path)
+        depth, repeat = doc["depth"], doc["repeat"]
         report = TrainReport.from_json_dict(doc["train_report"])
         by_depth.setdefault(depth, {})[repeat] = (report, float(doc["test_accuracy_pct"]))
         norms[depth] = float(doc["first_layer_grad_norm_init"])
@@ -283,6 +280,56 @@ def rows_from_run_files(runs_dir) -> list[SweepRow]:
         cells = [by_depth[depth][i] for i in sorted(by_depth[depth])]
         rows.append(_aggregate(depth, cells, norms[depth]))
     return rows
+
+
+_NUMBER = (int, float)
+# The JSON type of every run-file field; a run file holds no other field.
+_RUN_FIELDS = {
+    "depth": int,
+    "repeat": int,
+    "test_accuracy_pct": _NUMBER,
+    "first_layer_grad_norm_init": _NUMBER,
+    "train_report": dict,
+}
+_REPORT_FIELDS = {
+    "final_train_accuracy": _NUMBER,
+    "final_validation_accuracy": _NUMBER,
+    "wall_time_seconds": _NUMBER,
+    "loss_curve": list,
+    "grad_norm_history": (list, type(None)),
+    "diverged": bool,
+    "diverged_epoch": (int, type(None)),
+}
+_OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch")  # TrainReport defaults
+
+
+def _read_run_file(path: Path) -> dict:
+    """A run file's document; raises ParseError naming the file if it is not
+    a JSON object or a field is missing or of the wrong type."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ParseError(f"run file {path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"run file {path}: expected a JSON object, got {type(doc).__name__}")
+    _check_fields(path, doc, _RUN_FIELDS, "")
+    _check_fields(path, doc["train_report"], _REPORT_FIELDS, "train_report.")
+    return doc
+
+
+def _check_fields(path: Path, doc: dict, fields: dict, prefix: str) -> None:
+    unknown = doc.keys() - fields.keys()
+    if unknown:
+        raise ParseError(f"run file {path}: unknown field {prefix}{min(unknown)}")
+    for key, kind in fields.items():
+        if key not in doc:
+            if key in _OPTIONAL_FIELDS:
+                continue
+            raise ParseError(f"run file {path}: missing field {prefix}{key}")
+        value = doc[key]
+        # bool is an int to Python, but never a number or a count here.
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise ParseError(f"run file {path}: field {prefix}{key} is a {type(value).__name__}")
 
 
 def _fmt_general(v: float) -> str:
@@ -447,18 +494,22 @@ def render_plots(rows: Sequence[SweepRow], output_dir) -> list[Path]:
 
 
 def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
-    """Measure per-layer gradient norms at initialization for every depth and
-    write them as long-format CSV (depth, layer_index, mean_norm) to
-    output_dir/grad_flow.csv. Returns the rows."""
-    prepared = _prepare_data(config)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records: list[tuple[int, int, float]] = []
+    """Measure per-layer gradient norms at initialization for every depth,
+    without training, and write them to output_dir/grad_flow.csv as
+    run_depth_sweep does. Returns the rows."""
+    _, profiler = _default_runner_profiler(config)
+    return _profile_depths(config, profiler)
+
+
+def _profile_depths(config: SweepConfig, profiler) -> list[tuple[int, int, float]]:
+    """Profile each depth once and write the norms as long-format CSV
+    (depth, layer_index, mean_norm) to output_dir/grad_flow.csv."""
+    records = []
     for depth in config.depths:
         widths = taper_widths(depth, config.width_max, config.width_min)
-        profile = _profile_depth(config, prepared, widths)
-        for layer_index, norm in enumerate(profile):
-            records.append((depth, layer_index, norm))
+        records.extend((depth, layer, norm) for layer, norm in enumerate(profiler(depth, widths)))
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     lines = [GRAD_FLOW_HEADER]
     lines.extend(f"{d},{li},{norm!r}" for d, li, norm in records)
     (out / "grad_flow.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-__all__ = ["Matrix", "matmul", "transpose", "add_row_broadcast"]
+__all__ = ["Matrix", "matmul"]
 
 
 def _check_finite(a: np.ndarray, context: str) -> None:
@@ -110,21 +110,3 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     _check_finite(out, "matmul")
     return Matrix._wrap(out)
 
-
-def transpose(a: Matrix) -> Matrix:
-    """Transpose: out[j][i] = a[i][j]."""
-    return Matrix._wrap(np.ascontiguousarray(a.array.T))
-
-
-def add_row_broadcast(a: Matrix, bias: Matrix) -> Matrix:
-    """Add a 1*n bias row to every row of an m*n matrix."""
-    if bias.rows != 1:
-        raise ShapeError(f"add_row_broadcast: bias must be 1x{a.cols}, got {bias.rows}x{bias.cols}")
-    if bias.cols != a.cols:
-        raise ShapeError(
-            f"add_row_broadcast: bias width {bias.cols} does not match matrix "
-            f"{a.rows}x{a.cols}"
-        )
-    out = a.array + bias.array
-    _check_finite(out, "add_row_broadcast")
-    return Matrix._wrap(out)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, Question, allocate_proportional
+from .data import Dataset, _stratified_split
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import EmbeddingTable, featurize_batch
 from .linalg import Matrix
@@ -88,15 +88,7 @@ class TrainReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrainReport":
-        return cls(
-            final_train_accuracy=doc["final_train_accuracy"],
-            final_validation_accuracy=doc["final_validation_accuracy"],
-            wall_time_seconds=doc["wall_time_seconds"],
-            loss_curve=list(doc["loss_curve"]),
-            grad_norm_history=doc.get("grad_norm_history"),
-            diverged=doc.get("diverged", False),
-            diverged_epoch=doc.get("diverged_epoch"),
-        )
+        return cls(**doc)
 
 
 def split_train_val(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -112,25 +104,7 @@ def split_train_val(dataset: Dataset, fraction: float, seed: int) -> tuple[Datas
         raise ConfigError(f"fraction {fraction} leaves no training data (n={n})")
     if n_val == 0:
         raise ConfigError(f"fraction {fraction} yields an empty validation split (n={n})")
-    rng = stream_rng(seed, SPLIT)
-    by_class: dict[int, list[Question]] = {0: [], 1: []}
-    for q in dataset.questions:
-        by_class[q.label].append(q)
-    sizes = [len(by_class[0]), len(by_class[1])]
-    val_alloc = allocate_proportional(n_val, sizes)
-    train_qs: list[Question] = []
-    val_qs: list[Question] = []
-    for c in (0, 1):
-        order = rng.permutation(sizes[c])
-        shuffled = [by_class[c][i] for i in order]
-        val_qs.extend(shuffled[: val_alloc[c]])
-        train_qs.extend(shuffled[val_alloc[c] :])
-    train_qs = [train_qs[i] for i in rng.permutation(len(train_qs))]
-    val_qs = [val_qs[i] for i in rng.permutation(len(val_qs))]
-    return (
-        Dataset(tuple(train_qs), name=f"{dataset.name}-train"),
-        Dataset(tuple(val_qs), name=f"{dataset.name}-val"),
-    )
+    return _stratified_split(dataset, None, n_val, stream_rng(seed, SPLIT), "val")
 
 
 def _derive_max_words(model: MlpModel, table: EmbeddingTable) -> int:

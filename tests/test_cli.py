@@ -85,6 +85,40 @@ class TestTrain:
         assert code == 2
 
 
+class TestSplitCounts:
+    """One rule for train, sweep and gen-synth: a count left out is 5/6 of
+    the corpus for the training set and the rest for the test set."""
+
+    @pytest.mark.parametrize("counts", [["--train-count", "30"], ["--test-count", "6"]])
+    def test_one_count_equals_both(self, tmp_path, counts):
+        both = ["--train-count", "30", "--test-count", "6"]
+        tiny = ["--n", "36", "--vocab", "12", "--dim", "3", "--max-words", "4", "--seed", "3"]
+        for name, given in (("both", both), ("one", counts)):
+            assert run("gen-synth", *tiny, *given, "--out", str(tmp_path / "g" / name)) == 0
+            assert run("train", "--synthetic", *tiny, *given, "--epochs", "2", "--depth", "1",
+                       "--out", str(tmp_path / "t" / name)) == 0
+            assert run("sweep", "--synthetic", *tiny, *given, "--depths", "1,2", "--repeats", "1",
+                       "--epochs", "1", "--out", str(tmp_path / "s" / name)) == 0
+        for rel in ("g/{}/train.jsonl", "g/{}/test.jsonl", "t/{}/model.json",
+                    "s/{}/grad_flow.csv", "s/{}/fig_test_acc.svg"):
+            one, both_ = (tmp_path / rel.format(k) for k in ("one", "both"))
+            assert one.read_bytes() == both_.read_bytes(), rel
+        assert len(load_dataset(tmp_path / "g" / "one" / "train.jsonl")) == 30
+
+    def test_no_count_trains_on_whole_corpus_and_sweeps_on_five_sixths(self, tmp_path):
+        assert run("train", "--synthetic", *TINY_SYNTH, "--epochs", "1", "--depth", "1",
+                   "--out", str(tmp_path / "t")) == 0
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(tmp_path / "g")) == 0
+        assert len(load_dataset(tmp_path / "g" / "dataset.jsonl")) == 40
+        assert run("sweep", "--synthetic", *TINY_SYNTH, "--depths", "1,2", "--repeats", "1",
+                   "--epochs", "1", "--out", str(tmp_path / "s")) == 0
+        assert run("sweep", "--synthetic", *TINY_SYNTH, "--train-count", "33", "--test-count", "7",
+                   "--depths", "1,2", "--repeats", "1", "--epochs", "1",
+                   "--out", str(tmp_path / "s2")) == 0
+        for name in ("grad_flow.csv", "fig_test_acc.svg", "fig_train_acc.svg"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+
+
 class TestEvaluate:
     def test_round_trip_with_saved_model(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -180,6 +214,39 @@ class TestSweepAndReport:
         assert run("report", "--runs", str(out)) == 0
         for name, blob in originals.items():
             assert (out / name).read_bytes() == blob, name
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: "{not json",
+            lambda doc: json.dumps([1, 2]),
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "train_report"}),
+            lambda doc: json.dumps({**doc, "depth": "1"}),
+            lambda doc: json.dumps({**doc, "repeat": True}),
+            lambda doc: json.dumps({**doc, "test_accuracy_pct": None}),
+            lambda doc: json.dumps({**doc, "first_layer_grad_norm_init": [0.1]}),
+            lambda doc: json.dumps({**doc, "train_report": [doc["train_report"]]}),
+            lambda doc: json.dumps({**doc, "train_report": {
+                k: v for k, v in doc["train_report"].items() if k != "wall_time_seconds"}}),
+            lambda doc: json.dumps({**doc, "train_report": {**doc["train_report"], "diverged": 0}}),
+            lambda doc: json.dumps({**doc, "train_report": {**doc["train_report"], "extra": 1}}),
+        ],
+        ids=["not-json", "not-object", "missing-train-report", "depth-string", "repeat-bool",
+             "accuracy-null", "norm-list", "report-list", "report-missing-key",
+             "diverged-int", "report-unknown-key"],
+    )
+    def test_malformed_run_file_exits_2(self, tmp_path, capsys, corrupt):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--synthetic", *TINY_SYNTH, "--train-count", "30",
+                   "--test-count", "10", "--depths", "1,2", "--repeats", "1",
+                   "--epochs", "1", "--out", str(out)) == 0
+        run_file = out / "runs" / "1_0.json"
+        run_file.write_text(corrupt(json.loads(run_file.read_text())))
+        capsys.readouterr()
+        assert run("report", "--runs", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "1_0.json" in err
 
     def test_workers_warning(self, tmp_path, capsys):
         out = tmp_path / "sweep"

@@ -209,6 +209,14 @@ class TestSplitTrainTest:
         assert check_balance(tr) == (2500, 2500, True)
         assert check_balance(te) == (500, 500, True)
 
+    def test_whole_corpus_split_never_overdraws_a_class(self):
+        """33 + 7 of 20 + 20: rounding gives class 0 the odd question of both
+        shares; the test set takes what the training set left instead."""
+        tr, te = split_train_test(balanced_dataset(40), 33, 7, seed=0)
+        assert (len(tr), len(te)) == (33, 7)
+        assert check_balance(tr)[2] and check_balance(te)[2]
+        assert {q.id for q in tr} | {q.id for q in te} == {f"q{i}" for i in range(40)}
+
     def test_insufficient_data_rejected(self):
         with pytest.raises(ConfigError):
             split_train_test(balanced_dataset(10), 8, 4, seed=0)

@@ -88,7 +88,7 @@ class TestRunDepthSweep:
         rows = run_depth_sweep(
             config,
             runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: 0.5 / depth,
+            profiler=lambda depth, widths: [0.5 / depth],
         )
         assert [r.depth for r in rows] == [2, 4]
         r2, r4 = rows
@@ -109,7 +109,7 @@ class TestRunDepthSweep:
         rows = run_depth_sweep(
             config,
             runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: 1.0,
+            profiler=lambda depth, widths: [1.0],
         )
         assert rows[0].diverged_runs == 1
         assert rows[0].train_accuracy_pct == 80.0
@@ -124,7 +124,7 @@ class TestRunDepthSweep:
         rows = run_depth_sweep(
             config,
             runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: 1.0,
+            profiler=lambda depth, widths: [1.0],
         )
         assert rows[0].diverged_runs == 2
         assert rows[0].train_accuracy_pct == 54.0
@@ -307,3 +307,53 @@ class TestGradFlowReport:
         by_depth = {d: norm for d, li, norm in records if li == 0}
         for row in rows:
             assert row.first_layer_grad_norm_init == by_depth[row.depth]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the profile and corpus-generation calls experiment makes."""
+    import qdelnet.experiment as experiment
+
+    counts = {"initial_gradient_profile": 0, "gen_synthetic": 0}
+    for name in counts:
+        real = getattr(experiment, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, counted)
+    return counts
+
+
+class TestOnePass:
+    def test_sweep_prepares_once_and_profiles_each_depth_once(self, tmp_path, calls):
+        run_depth_sweep(tiny_sweep_config(tmp_path, depths=(1, 2), repeats=1, epochs=1))
+        assert calls == {"initial_gradient_profile": 2, "gen_synthetic": 1}
+
+    def test_sweep_command_prepares_once_and_profiles_each_depth_once(self, tmp_path, calls):
+        from qdelnet.cli import parse_and_dispatch
+
+        assert parse_and_dispatch([
+            "sweep", "--synthetic", "--n", "40", "--vocab", "12", "--dim", "3", "--max-words", "4",
+            "--train-count", "30", "--test-count", "10", "--depths", "1,2", "--repeats", "1",
+            "--epochs", "1", "--out", str(tmp_path),
+        ]) == 0
+        assert calls == {"initial_gradient_profile": 2, "gen_synthetic": 1}
+        assert (tmp_path / "grad_flow.csv").is_file()
+
+    def test_sweep_writes_the_grad_flow_report_would(self, tmp_path):
+        run_depth_sweep(tiny_sweep_config(tmp_path / "sweep", depths=(1, 3), repeats=2))
+        grad_flow_report(tiny_sweep_config(tmp_path / "report", depths=(1, 3), repeats=2))
+        flow = (tmp_path / "sweep" / "grad_flow.csv").read_bytes()
+        assert flow == (tmp_path / "report" / "grad_flow.csv").read_bytes()
+        assert len(flow.splitlines()) == 1 + 2 + 4
+
+    def test_stubbed_profiler_layers_reach_grad_flow_csv(self, tmp_path):
+        run_depth_sweep(
+            tiny_sweep_config(tmp_path, depths=(2,), repeats=1),
+            runner=lambda depth, widths, i: (make_report(1.0, 80.0, 70.0), 60.0),
+            profiler=lambda depth, widths: [0.5, 0.25, 0.125],
+        )
+        lines = (tmp_path / "grad_flow.csv").read_text().splitlines()
+        assert lines == ["depth,layer_index,mean_norm", "2,0,0.5", "2,1,0.25", "2,2,0.125"]

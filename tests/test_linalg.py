@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdelnet.errors import NumericError, ShapeError
-from qdelnet.linalg import Matrix, add_row_broadcast, matmul, transpose
+from qdelnet.linalg import Matrix, matmul
 
 
 def naive_matmul(a, b):
@@ -96,41 +96,3 @@ class TestMatmul:
         matmul(a, b)
         assert a.to_lists() == a_before and b.to_lists() == b_before
 
-
-class TestTranspose:
-    def test_hand_case(self):
-        assert transpose(Matrix([[1.0, 2.0], [3.0, 4.0]])).to_lists() == [[1.0, 3.0], [2.0, 4.0]]
-
-    def test_involution(self):
-        rng = np.random.default_rng(5)
-        a = Matrix(rng.normal(size=(3, 7)))
-        assert transpose(transpose(a)) == a
-
-    def test_row_to_column(self):
-        out = transpose(Matrix([[1.0, 2.0, 3.0]]))
-        assert out.rows == 3 and out.cols == 1
-
-
-class TestAddRowBroadcast:
-    def test_hand_case(self):
-        out = add_row_broadcast(Matrix([[1.0, 1.0], [2.0, 2.0]]), Matrix([[10.0, 20.0]]))
-        assert out.to_lists() == [[11.0, 21.0], [12.0, 22.0]]
-
-    def test_zero_bias_is_identity(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert add_row_broadcast(a, Matrix.zeros(1, 2)) == a
-
-    def test_matches_per_row_loop_oracle(self):
-        rng = np.random.default_rng(9)
-        a = Matrix(rng.normal(size=(6, 4)))
-        bias = Matrix(rng.normal(size=(1, 4)))
-        expected = [[a[i, j] + bias[0, j] for j in range(4)] for i in range(6)]
-        np.testing.assert_allclose(add_row_broadcast(a, bias).to_lists(), expected, atol=0)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            add_row_broadcast(Matrix(np.ones((2, 3))), Matrix(np.ones((1, 2))))
-
-    def test_bias_must_be_single_row(self):
-        with pytest.raises(ShapeError):
-            add_row_broadcast(Matrix(np.ones((2, 3))), Matrix(np.ones((2, 3))))
