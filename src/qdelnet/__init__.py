@@ -33,8 +33,6 @@ from .experiment import (
 )
 from .features import (
     EmbeddingTable,
-    FeatureVector,
-    featurize,
     featurize_batch,
     load_embeddings,
     save_embeddings,
@@ -45,6 +43,7 @@ from .nn import (
     Gradients,
     MlpModel,
     ModelConfig,
+    activation_buffers,
     backward,
     bce_loss,
     build_model,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, not_utf8
 from .features import EmbeddingTable, tokenize
 from .seeding import SYNTH, stream_rng
 
@@ -90,38 +90,42 @@ class Dataset:
 def load_dataset(path) -> Dataset:
     """Read a JSONL corpus file into a Dataset.
 
-    Malformed lines raise ParseError with the 1-based line number; schema
-    violations (bad label, duplicate id) raise ValidationError.
+    Malformed lines, and lines that are not UTF-8, raise ParseError with the
+    1-based line number; schema violations (bad label, duplicate id) raise
+    ValidationError.
     """
     questions = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            for key in ("id", "text", "label"):
-                if key not in obj:
-                    raise ParseError(f"missing required field {key!r}", line=lineno)
-            qid, text, label = obj["id"], obj["text"], obj["label"]
-            if not isinstance(qid, str) or not isinstance(text, str):
-                raise ParseError("fields 'id' and 'text' must be strings", line=lineno)
-            if isinstance(label, bool) or label not in (0, 1):
-                raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-            annotation = obj.get("weak_annotation", 0.0)
-            if isinstance(annotation, bool) or not isinstance(annotation, (int, float)):
-                raise ParseError("field 'weak_annotation' must be a number", line=lineno)
-            if qid in seen:
-                raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
-            seen.add(qid)
-            questions.append(
-                Question(id=qid, text=text, weak_annotation=float(annotation), label=int(label))
-            )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+                if not isinstance(obj, dict):
+                    raise ParseError("expected a JSON object", line=lineno)
+                for key in ("id", "text", "label"):
+                    if key not in obj:
+                        raise ParseError(f"missing required field {key!r}", line=lineno)
+                qid, text, label = obj["id"], obj["text"], obj["label"]
+                if not isinstance(qid, str) or not isinstance(text, str):
+                    raise ParseError("fields 'id' and 'text' must be strings", line=lineno)
+                if isinstance(label, bool) or label not in (0, 1):
+                    raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+                annotation = obj.get("weak_annotation", 0.0)
+                if isinstance(annotation, bool) or not isinstance(annotation, (int, float)):
+                    raise ParseError("field 'weak_annotation' must be a number", line=lineno)
+                if qid in seen:
+                    raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
+                seen.add(qid)
+                questions.append(
+                    Question(id=qid, text=text, weak_annotation=float(annotation), label=int(label))
+                )
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return Dataset(tuple(questions), name=Path(path).stem)
 
 

@@ -19,6 +19,19 @@ class ParseError(ValueError):
         self.line = line
 
 
+def not_utf8(path) -> ParseError:
+    """The ParseError for a text file that is not UTF-8: it names the first
+    line, counted as text mode counts lines, that does not decode."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}", line=lineno)
+    return ParseError("not UTF-8")
+
+
 class ConfigError(ValueError):
     """A configuration value violates its documented constraints."""
 

@@ -151,34 +151,46 @@ def load_source(
 
 def _default_runner_profiler(config: SweepConfig):
     """Prepare the sweep's data once and return the default (runner, profiler)
-    over it. The profiler's sample is the first training batch."""
+    over it."""
     train_set, test_set, table, max_words = load_source(
         config.source, config.train_config.seed, need_test=True
     )
+    input_dim = max_words * table.dim + 1
+
+    def runner(depth: int, widths: Sequence[int], repeat: int) -> tuple[TrainReport, float]:
+        cell_seed = config.train_config.seed + repeat
+        model = build_model(_model_config(config, input_dim, widths, cell_seed))
+        model, report = train(model, train_set, replace(config.train_config, seed=cell_seed), table)
+        return report, evaluate(model, test_set, table)
+
+    return runner, _default_profiler(config, train_set, table, max_words)
+
+
+def _default_profiler(
+    config: SweepConfig, train_set: Dataset, table: EmbeddingTable, max_words: int
+):
+    """The default profiler over a training set; its sample is the first
+    training batch."""
     sample = train_set.questions[: config.train_config.batch_size]
     sample_x = featurize_batch(sample, table, max_words)
     sample_y = Matrix([[float(q.label)] for q in sample])
 
-    def model_config(widths: Sequence[int], seed: int) -> ModelConfig:
-        return ModelConfig(
-            input_dim=sample_x.cols,
-            hidden_widths=tuple(widths),
-            dropout_rate=config.dropout_rate,
-            seed=seed,
-        )
-
-    def runner(depth: int, widths: Sequence[int], repeat: int) -> tuple[TrainReport, float]:
-        cell_seed = config.train_config.seed + repeat
-        model = build_model(model_config(widths, cell_seed))
-        model, report = train(model, train_set, replace(config.train_config, seed=cell_seed), table)
-        return report, evaluate(model, test_set, table)
-
     def profiler(depth: int, widths: Sequence[int]) -> list[float]:
-        return initial_gradient_profile(
-            model_config(widths, config.train_config.seed), sample_x, sample_y, config.repeats
-        )
+        model_config = _model_config(config, sample_x.cols, widths, config.train_config.seed)
+        return initial_gradient_profile(model_config, sample_x, sample_y, config.repeats)
 
-    return runner, profiler
+    return profiler
+
+
+def _model_config(
+    config: SweepConfig, input_dim: int, widths: Sequence[int], seed: int
+) -> ModelConfig:
+    return ModelConfig(
+        input_dim=input_dim,
+        hidden_widths=tuple(widths),
+        dropout_rate=config.dropout_rate,
+        seed=seed,
+    )
 
 
 def _aggregate(
@@ -496,9 +508,18 @@ def render_plots(rows: Sequence[SweepRow], output_dir) -> list[Path]:
 def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     """Measure per-layer gradient norms at initialization for every depth,
     without training, and write them to output_dir/grad_flow.csv as
-    run_depth_sweep does. Returns the rows."""
-    _, profiler = _default_runner_profiler(config)
-    return _profile_depths(config, profiler)
+    run_depth_sweep does. Returns the rows.
+
+    Only the training set is sampled: a file source's test file is not read
+    and may be absent, and a synthetic corpus is split as a sweep splits it.
+    """
+    source, seed = config.source, config.train_config.seed
+    if isinstance(source, FileSource):
+        prepared = load_source(replace(source, test_path=None), seed)
+    else:
+        prepared = load_source(source, seed, need_test=True)
+    train_set, _, table, max_words = prepared
+    return _profile_depths(config, _default_profiler(config, train_set, table, max_words))
 
 
 def _profile_depths(config: SweepConfig, profiler) -> list[tuple[int, int, float]]:

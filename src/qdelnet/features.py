@@ -3,19 +3,21 @@ concatenation featurizer.
 
 A question with tokens w1..wn becomes the concatenation of the per-word
 embedding vectors in order, zero-padded out to `max_words` slots, with the
-question's weak annotation appended as the final element. Words missing from
-the table map to the zero vector, which is indistinguishable from padding.
+question's weak annotation appended as the final element. The table holds
+every vector as a row of one matrix; row 0 is the zero vector, shared by
+words missing from the table and by padding, so the two are
+indistinguishable. featurize_batch builds the features by copying rows of
+that matrix.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, not_utf8
 from .linalg import Matrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,11 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "EmbeddingTable",
-    "FeatureVector",
     "tokenize",
     "load_embeddings",
     "save_embeddings",
-    "featurize",
     "featurize_batch",
 ]
 
@@ -49,44 +49,45 @@ def tokenize(text: str) -> list[str]:
 
 
 class EmbeddingTable:
-    """Word -> fixed-dimension vector map. Lookups never fail: unknown words
-    resolve to the zero vector."""
+    """Word -> fixed-dimension vector map, stored as one read-only
+    (len + 1) x dim matrix and a word -> row dict. Row 0 is the zero vector,
+    shared by unknown words and padding, so lookups never fail."""
 
     def __init__(self, dim: int, entries: Mapping[str, Sequence[float]]):
         if dim < 1:
             raise ConfigError(f"embedding dimension must be positive, got {dim}")
         self._dim = dim
-        store: dict[str, np.ndarray] = {}
-        for word, vec in entries.items():
+        matrix = np.zeros((len(entries) + 1, dim))
+        rows: dict[str, int] = {}
+        for row, (word, vec) in enumerate(entries.items(), start=1):
             v = np.asarray(vec, dtype=np.float64)
             if v.shape != (dim,):
                 raise ConfigError(
                     f"embedding for {word!r} has length {v.size}, expected {dim}"
                 )
-            v = v.copy()
-            v.flags.writeable = False
-            store[word] = v
-        self._entries = store
-        oov = np.zeros(dim)
-        oov.flags.writeable = False
-        self._oov = oov
+            matrix[row] = v
+            rows[word] = row
+        matrix.flags.writeable = False
+        self._matrix = matrix
+        self._rows = rows
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def vector(self, word: str) -> np.ndarray:
-        """Embedding for `word`; the zero vector when the word is unknown."""
-        return self._entries.get(word, self._oov)
+        """Embedding for `word`, a view of its matrix row; the zero vector
+        when the word is unknown."""
+        return self._matrix[self._rows.get(word, 0)]
 
     def __contains__(self, word: str) -> bool:
-        return word in self._entries
+        return word in self._rows
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def words(self) -> Iterable[str]:
-        return self._entries.keys()
+        return self._rows.keys()
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
@@ -94,30 +95,36 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
     An optional first line holding exactly two integer fields (`count dim`)
     is recognized as a header and skipped. Duplicate words keep their first
-    occurrence. Malformed lines raise ParseError with the line number.
+    occurrence. Malformed lines, and lines that are not UTF-8, raise
+    ParseError with the line number.
     """
     entries: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                continue
-            word, comps = parts[0], parts[1:]
-            if len(comps) != expected_dim:
-                raise ParseError(
-                    f"expected {expected_dim} components for {word!r}, got {len(comps)}",
-                    line=lineno,
-                )
-            try:
-                vec = np.array([float(c) for c in comps])
-            except ValueError:
-                raise ParseError(f"non-numeric component in entry {word!r}", line=lineno) from None
-            if not np.isfinite(vec).all():
-                raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
-            if word not in entries:
-                entries[word] = vec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+                    continue
+                word, comps = parts[0], parts[1:]
+                if len(comps) != expected_dim:
+                    raise ParseError(
+                        f"expected {expected_dim} components for {word!r}, got {len(comps)}",
+                        line=lineno,
+                    )
+                try:
+                    vec = np.array([float(c) for c in comps])
+                except ValueError:
+                    raise ParseError(
+                        f"non-numeric component in entry {word!r}", line=lineno
+                    ) from None
+                if not np.isfinite(vec).all():
+                    raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
+                if word not in entries:
+                    entries[word] = vec
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return EmbeddingTable(expected_dim, entries)
 
 
@@ -140,43 +147,27 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(repr(v) for v in vec.tolist()) + "\n")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed-length feature vector; the final element is the weak annotation."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def featurize(question: "Question", table: EmbeddingTable, max_words: int) -> FeatureVector:
-    """Embed, concatenate and zero-pad one question into a vector of length
-    max_words * dim + 1. Questions longer than max_words are truncated."""
-    if max_words < 1:
-        raise ConfigError(f"max_words must be >= 1, got {max_words}")
-    out = np.zeros(max_words * table.dim + 1)
-    _fill_row(out, question, table, max_words)
-    return FeatureVector(out)
-
-
 def featurize_batch(questions: Sequence["Question"], table: EmbeddingTable, max_words: int) -> Matrix:
-    """Featurize a nonempty batch of questions into a (batch x D) matrix."""
+    """Featurize a nonempty batch of questions into a (batch x D) matrix,
+    D = max_words * dim + 1. Questions longer than max_words are truncated.
+
+    Each token is looked up once. Then, slot by slot, the table rows of the
+    questions that have a token in that slot are copied into a zeroed
+    output, so no temporary is larger than one slot's rows.
+    """
     if max_words < 1:
         raise ConfigError(f"max_words must be >= 1, got {max_words}")
-    out = np.zeros((len(questions), max_words * table.dim + 1))
-    for row, q in zip(out, questions):
-        _fill_row(row, q, table, max_words)
-    return Matrix._wrap(out)
-
-
-def _fill_row(row: np.ndarray, question: "Question", table: EmbeddingTable, max_words: int) -> None:
     dim = table.dim
-    for slot, word in enumerate(question.tokens[:max_words]):
-        row[slot * dim : (slot + 1) * dim] = table.vector(word)
-    row[-1] = question.weak_annotation
+    n = len(questions)
+    out = np.zeros((n, max_words * dim + 1))
+    lookup = table._rows.get
+    token_rows = [lookup(word, 0) for q in questions for word in q.tokens[:max_words]]
+    lengths = np.minimum([len(q.tokens) for q in questions], max_words)
+    slot_rows = np.zeros((n, max_words), dtype=np.intp)
+    slot_rows[np.arange(max_words) < lengths[:, None]] = token_rows
+    slots = out[:, :-1].reshape(n, max_words, dim)  # a view of out
+    for slot in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > slot)
+        slots[live, slot] = table._matrix[slot_rows[live, slot]]
+    out[:, -1] = [q.weak_annotation for q in questions]
+    return Matrix._wrap(out)

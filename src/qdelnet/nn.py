@@ -29,6 +29,7 @@ __all__ = [
     "taper_widths",
     "build_model",
     "param_buffers",
+    "activation_buffers",
     "forward",
     "bce_loss",
     "backward",
@@ -49,6 +50,8 @@ _CHECKPOINT_VERSION = 1
 
 # One writable (weights, bias) array pair per layer, first layer first.
 Buffers = Sequence[tuple[np.ndarray, np.ndarray]]
+# One writable (pre-activation, post-activation) array pair per layer.
+Activations = Sequence[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -174,6 +177,15 @@ def param_buffers(model: MlpModel) -> Buffers:
     return [(np.empty(layer.weights.shape), np.empty(layer.bias.shape)) for layer in model.layers]
 
 
+def activation_buffers(model: MlpModel, rows: int) -> Activations:
+    """Uninitialized per-layer activation buffers for batches of up to `rows`
+    rows, for the `out` of forward."""
+    return [
+        (np.empty((rows, layer.weights.rows)), np.empty((rows, layer.weights.rows)))
+        for layer in model.layers
+    ]
+
+
 def _sigmoid_array(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function; never overflows for finite z."""
     out = np.empty_like(z)
@@ -189,12 +201,19 @@ def forward(
     batch: Matrix,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    out: Activations | None = None,
 ) -> tuple[Matrix, ForwardTrace]:
     """Run a batch through the model.
 
     In train mode, inverted-dropout masks drawn from `rng` are applied to
     every hidden activation and recorded in the trace; in eval mode there is
     no masking and no rescaling. Predictions are strictly inside (0, 1).
+
+    Without `out` every activation goes into a fresh array. With `out`,
+    buffers owned by the caller (activation_buffers) with at least as many
+    rows as the batch, each layer's activations are written into their
+    leading rows, and the trace's activation arrays view them until the
+    next call that writes them. The predictions are always a fresh copy.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -207,25 +226,36 @@ def forward(
     use_dropout = mode == "train" and rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout_rate > 0 requires an rng")
+    rows = batch.rows
+    if out is None:
+        out = activation_buffers(model, rows)
+    elif len(out) != len(model.layers) or any(
+        buf.shape[0] < rows or buf.shape[1:] != (layer.weights.rows,)
+        for layer, pair in zip(model.layers, out)
+        for buf in pair
+    ):
+        raise ShapeError(f"forward: out does not hold {rows} rows of every layer's activations")
 
     a = batch.array
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     last = len(model.layers) - 1
-    for k, layer in enumerate(model.layers):
-        z = a @ layer.weights.array.T + layer.bias.array
+    for k, (layer, (z_buf, h_buf)) in enumerate(zip(model.layers, out)):
+        z, h = z_buf[:rows], h_buf[:rows]
+        np.matmul(a, layer.weights.array.T, out=z)
+        np.add(z, layer.bias.array, out=z)
         pre.append(z)
         if k < last:
-            h = np.maximum(z, 0.0)
+            np.maximum(z, 0.0, out=h)
             if use_dropout:
                 mask = (rng.random(z.shape) >= rate) / (1.0 - rate)
-                h = h * mask
+                np.multiply(h, mask, out=h)
                 masks.append(mask)
             else:
                 masks.append(None)
         else:
-            h = np.clip(_sigmoid_array(z), _PRED_LO, _PRED_HI)
+            np.clip(_sigmoid_array(z), _PRED_LO, _PRED_HI, out=h)
         post.append(h)
         a = h
     if not np.isfinite(a).all():

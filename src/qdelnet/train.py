@@ -23,6 +23,7 @@ from .linalg import Matrix
 from .nn import (
     MlpModel,
     ModelConfig,
+    activation_buffers,
     backward,
     bce_loss,
     build_model,
@@ -213,19 +214,24 @@ def train(
 
 def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_size: int = 512) -> float:
     """Accuracy (percent) under the 0.5 threshold; a prediction of exactly
-    0.5 counts as the positive (deleted) class. Eval-mode forward: no dropout."""
+    0.5 counts as the positive (deleted) class. Eval-mode forward: no dropout.
+
+    The dataset is featurized and scored chunk_size questions at a time. One
+    activation workspace, sized for the first chunk, is allocated per call
+    and reused by every chunk's forward pass.
+    """
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     max_words = _derive_max_words(model, table)
-    correct = 0
     questions = dataset.questions
+    actual = dataset.labels() == 1.0
+    workspace = activation_buffers(model, min(chunk_size, len(questions)))
+    correct = 0
     for start in range(0, len(questions), chunk_size):
-        chunk = questions[start : start + chunk_size]
-        x = featurize_batch(chunk, table, max_words)
-        preds, _ = forward(model, x, mode="eval")
+        x = featurize_batch(questions[start : start + chunk_size], table, max_words)
+        preds, _ = forward(model, x, mode="eval", out=workspace)
         predicted = preds.array[:, 0] >= 0.5
-        actual = np.array([q.label == 1 for q in chunk])
-        correct += int(np.sum(predicted == actual))
+        correct += int(np.sum(predicted == actual[start : start + chunk_size]))
     return 100.0 * correct / len(questions)
 
 

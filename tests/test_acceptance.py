@@ -24,7 +24,7 @@ from qdelnet.experiment import (
     run_depth_sweep,
     write_sweep_csv,
 )
-from qdelnet.features import EmbeddingTable, featurize, featurize_batch
+from qdelnet.features import EmbeddingTable, featurize_batch
 from qdelnet.linalg import Matrix
 from qdelnet.train import TrainConfig
 
@@ -86,14 +86,14 @@ def test_featurizer_dimension():
     length law max_words*dim + 1 holds for 50 random (dim, max_words) pairs."""
     table = EmbeddingTable(300, {})
     question = q.Question(id="x", text="what is a question", weak_annotation=0.5, label=0)
-    assert len(featurize(question, table, max_words=240)) == 72_001
+    assert featurize_batch([question], table, max_words=240).cols == 72_001
 
     rng = np.random.default_rng(123)
     for _ in range(50):
         dim = int(rng.integers(1, 64))
         max_words = int(rng.integers(1, 64))
-        vec = featurize(question, EmbeddingTable(dim, {}), max_words)
-        assert len(vec) == max_words * dim + 1
+        vec = featurize_batch([question], EmbeddingTable(dim, {}), max_words)
+        assert vec.cols == max_words * dim + 1
     report("featurizer dimension (72,001 and 50 random pairs)")
 
 

@@ -164,6 +164,27 @@ class TestEvaluate:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("target", ["data", "embeddings"])
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, target):
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(data)) == 0
+        out = tmp_path / "run"
+        assert run("train", "--train", str(data / "dataset.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"),
+                   "--dim", "3", "--max-words", "4", "--epochs", "1", "--depth", "0",
+                   "--out", str(out)) == 0
+        files = {"data": data / "dataset.jsonl", "embeddings": data / "embeddings.txt"}
+        lines = files[target].read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:4] + b"\xff" + lines[2][4:]
+        files[target].write_bytes(b"".join(lines))
+        capsys.readouterr()
+        code = run("evaluate", "--model", str(out / "model.json"), "--data", str(files["data"]),
+                   "--embeddings", str(files["embeddings"]), "--dim", "3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: not UTF-8") and "Traceback" not in err
+
+
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -76,6 +76,13 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path)
 
+    def test_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        good = b'{"id":"q1","text":"ok","label":0}\n'
+        path.write_bytes(good * 3 + b'{"id":"q4","text":"\xff","label":1}\n' + good)
+        with pytest.raises(ParseError, match="line 4: not UTF-8"):
+            load_dataset(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id":"q1","text":"a","label":0}\n{"id":"q1","text":"b","label":1}\n')

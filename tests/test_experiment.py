@@ -8,6 +8,7 @@ import pytest
 from qdelnet.errors import ConfigError, InputError
 from qdelnet.experiment import (
     PLOT_FILES,
+    FileSource,
     SWEEP_CSV_HEADER,
     SweepConfig,
     SweepRow,
@@ -357,3 +358,67 @@ class TestOnePass:
         )
         lines = (tmp_path / "grad_flow.csv").read_text().splitlines()
         assert lines == ["depth,layer_index,mean_norm", "2,0,0.5", "2,1,0.25", "2,2,0.125"]
+
+
+@pytest.fixture
+def file_source(tmp_path):
+    """A FileSource over train/test JSONL and embedding files on disk."""
+    from qdelnet.data import gen_synthetic, save_dataset, split_train_test
+    from qdelnet.features import save_embeddings
+
+    corpus, table = gen_synthetic(80, 20, 4, 5, 0.15, seed=9)
+    train_set, test_set = split_train_test(corpus, 60, 20, seed=9)
+    data = tmp_path / "data"
+    data.mkdir()
+    save_dataset(train_set, data / "train.jsonl")
+    save_dataset(test_set, data / "test.jsonl")
+    save_embeddings(table, data / "embeddings.txt")
+    return FileSource(
+        train_path=str(data / "train.jsonl"),
+        embeddings_path=str(data / "embeddings.txt"),
+        test_path=str(data / "test.jsonl"),
+        embedding_dim=4,
+        max_words=5,
+    )
+
+
+def file_sweep_config(source, out_dir):
+    return SweepConfig(
+        depths=(1, 2),
+        repeats=1,
+        train_config=TrainConfig(epochs=1, seed=9),
+        source=source,
+        output_dir=str(out_dir),
+    )
+
+
+class TestGradFlowReportOnFiles:
+    def test_reads_only_the_training_file(self, tmp_path, file_source, monkeypatch):
+        import qdelnet.experiment as experiment
+
+        loaded = []
+        real = experiment.load_dataset
+
+        def counted(path):
+            loaded.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(experiment, "load_dataset", counted)
+        grad_flow_report(file_sweep_config(file_source, tmp_path / "report"))
+        assert loaded == ["train.jsonl"]
+
+    def test_needs_no_test_file_and_matches_the_sweep(self, tmp_path, file_source):
+        from dataclasses import replace
+
+        run_depth_sweep(file_sweep_config(file_source, tmp_path / "sweep"))
+        no_test = replace(file_source, test_path=None)
+        grad_flow_report(file_sweep_config(no_test, tmp_path / "report"))
+        flow = (tmp_path / "sweep" / "grad_flow.csv").read_bytes()
+        assert flow == (tmp_path / "report" / "grad_flow.csv").read_bytes()
+
+    def test_sweep_still_requires_the_test_file(self, tmp_path, file_source):
+        from dataclasses import replace
+
+        no_test = replace(file_source, test_path=None)
+        with pytest.raises(ConfigError, match="test file"):
+            run_depth_sweep(file_sweep_config(no_test, tmp_path / "sweep"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from decimal import Decimal, getcontext
@@ -15,6 +16,7 @@ from qdelnet.nn import (
     MlpModel,
     ModelConfig,
     _sigmoid_array,
+    activation_buffers,
     backward,
     bce_loss,
     build_model,
@@ -195,6 +197,69 @@ class TestForward:
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.5))
         with pytest.raises(ConfigError):
             forward(model, Matrix(np.ones((2, 4))), mode="train")
+
+
+def trace_arrays(trace):
+    masks = [m for m in trace.dropout_masks if m is not None]
+    return [trace.inputs, *trace.pre_activations, *trace.post_activations, *masks]
+
+
+def assert_same_forward(got, expected):
+    (got_preds, got_trace), (exp_preds, exp_trace) = got, expected
+    assert got_preds.array.tobytes() == exp_preds.array.tobytes()
+    assert got_trace.mode == exp_trace.mode
+    assert [m is None for m in got_trace.dropout_masks] == [
+        m is None for m in exp_trace.dropout_masks
+    ]
+    got_arrays, exp_arrays = trace_arrays(got_trace), trace_arrays(exp_trace)
+    assert len(got_arrays) == len(exp_arrays)
+    for g, e in zip(got_arrays, exp_arrays):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
+
+
+class TestForwardOut:
+    MODEL = ModelConfig(input_dim=7, hidden_widths=(9, 6, 6, 3), dropout_rate=0.3, seed=5)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_bit_identical_to_fresh_arrays(self, mode):
+        model = build_model(self.MODEL)
+        x = Matrix(np.random.default_rng(1).normal(size=(11, 7)))
+        expected = forward(model, x, mode=mode, rng=stream_rng(4, 1))
+        got = forward(model, x, mode=mode, rng=stream_rng(4, 1), out=activation_buffers(model, 11))
+        assert_same_forward(got, expected)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_reused_buffers_and_a_short_last_chunk(self, mode):
+        """One workspace serves chunks of 8, 8 and 3 rows, as evaluate()
+        uses it; every call matches a forward pass into fresh arrays."""
+        model = build_model(self.MODEL)
+        x = np.random.default_rng(2).normal(size=(19, 7))
+        workspace = activation_buffers(model, 8)
+        fresh_rng, out_rng = stream_rng(6, 2), stream_rng(6, 2)
+        for start in range(0, 19, 8):
+            chunk = Matrix(x[start : start + 8])
+            expected = forward(model, chunk, mode=mode, rng=fresh_rng)
+            got = forward(model, chunk, mode=mode, rng=out_rng, out=workspace)
+            assert_same_forward(got, expected)
+            _, trace = got
+            for act, (pre_buf, post_buf) in zip(trace.pre_activations, workspace):
+                assert np.shares_memory(act, pre_buf)
+            assert not np.shares_memory(got[0].array, workspace[-1][1])
+
+    def test_out_that_does_not_fit_is_shape_error(self):
+        model = build_model(self.MODEL)
+        x = Matrix(np.ones((5, 7)))
+        too_short = activation_buffers(model, 4)
+        other = build_model(dataclasses.replace(self.MODEL, hidden_widths=(9, 6, 5, 3)))
+        wrong_width = activation_buffers(other, 5)
+        for out in (too_short, wrong_width, activation_buffers(model, 5)[:-1]):
+            with pytest.raises(ShapeError):
+                forward(model, x, mode="eval", out=out)
+
+    def test_activation_buffers_shapes(self):
+        model = build_model(self.MODEL)
+        shapes = [(pre.shape, post.shape) for pre, post in activation_buffers(model, 4)]
+        assert shapes == [((4, w), (4, w)) for w in (9, 6, 6, 3, 1)]
 
 
 class TestDropout:

@@ -329,6 +329,24 @@ class TestEvaluate:
         expected = 100.0 * correct / len(ds)
         assert evaluate(model, ds, table) == pytest.approx(expected, abs=1e-12)
 
+    def test_matches_a_fresh_forward_per_chunk(self):
+        """1,025 rows are two full 512-row chunks and a 1-row chunk through one
+        workspace; the count equals a per-chunk loop over forward() into
+        fresh arrays."""
+        corpus, table = gen_synthetic(1026, 30, 3, 5, 0.3, seed=11)
+        ds = Dataset(corpus.questions[:1025])
+        config = ModelConfig(input_dim=5 * 3 + 1, hidden_widths=(8, 4), dropout_rate=0.0, seed=2)
+        model, _ = train(build(config), ds, TrainConfig(epochs=2, seed=2), table)
+        correct, predicted_classes = 0, set()
+        for start in range(0, len(ds), 512):
+            chunk = ds.questions[start : start + 512]
+            preds, _ = forward(model, featurize_batch(chunk, table, 5), mode="eval")
+            predicted = preds.array[:, 0] >= 0.5
+            predicted_classes.update(predicted.tolist())
+            correct += int(np.sum(predicted == np.array([q.label == 1 for q in chunk])))
+        assert predicted_classes == {True, False}
+        assert evaluate(model, ds, table) == 100.0 * correct / len(ds)
+
     def test_empty_dataset_rejected(self):
         _, table = gen_synthetic(10, 8, 3, 4, 0.1, seed=0)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(), dropout_rate=0.0, seed=0)
