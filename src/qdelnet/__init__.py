@@ -38,7 +38,7 @@ from .features import (
     save_embeddings,
     tokenize,
 )
-from .linalg import Matrix, matmul
+from .linalg import Matrix
 from .nn import (
     Gradients,
     MlpModel,

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .data import load_dataset, save_dataset
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, not_utf8
 from .experiment import (
     FileSource,
     SweepConfig,
@@ -169,15 +169,18 @@ def _build_parser() -> _Parser:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ParseError("expected 'key = value'", line=lineno)
-            key, value = s.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                s = line.strip()
+                if not s or s.startswith("#"):
+                    continue
+                if "=" not in s:
+                    raise ParseError("expected 'key = value'", line=lineno)
+                key, value = s.split("=", 1)
+                values[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     return values
 
 

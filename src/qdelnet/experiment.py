@@ -125,14 +125,15 @@ def load_source(
     A synthetic corpus is split by label when either count is set, or always
     when need_test: a missing train count is 5/6 of the corpus (the classic
     5,000/1,000 regime) and a missing test count is the rest. Otherwise the
-    whole corpus is the train set and the test set is None, as it is for a
-    file source without a test file, which need_test rejects.
+    whole corpus is the train set and the test set is None. A file source's
+    test file is read only when need_test, which requires one; otherwise the
+    test set is None and the file is not opened.
     """
     if isinstance(source, FileSource):
         if need_test and source.test_path is None:
             raise ConfigError("a sweep needs a test file (--test)")
         train_set = load_dataset(source.train_path)
-        test_set = load_dataset(source.test_path) if source.test_path else None
+        test_set = load_dataset(source.test_path) if need_test else None
         table = load_embeddings(source.embeddings_path, source.embedding_dim)
         return train_set, test_set, table, source.max_words
     corpus, table = gen_synthetic(
@@ -514,11 +515,8 @@ def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     and may be absent, and a synthetic corpus is split as a sweep splits it.
     """
     source, seed = config.source, config.train_config.seed
-    if isinstance(source, FileSource):
-        prepared = load_source(replace(source, test_path=None), seed)
-    else:
-        prepared = load_source(source, seed, need_test=True)
-    train_set, _, table, max_words = prepared
+    need_test = not isinstance(source, FileSource)  # a synthetic corpus is split
+    train_set, _, table, max_words = load_source(source, seed, need_test=need_test)
     return _profile_depths(config, _default_profiler(config, train_set, table, max_words))
 
 

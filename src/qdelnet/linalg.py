@@ -1,9 +1,9 @@
-"""Minimal dense float64 matrix kernel.
+"""Minimal dense float64 matrix value.
 
-Matrices are read-only values: every public operation validates shapes,
-leaves its operands untouched and either returns an all-finite result or
-raises NumericError. Storage is a flat row-major float64 buffer; a Matrix
-may view a buffer that its owner rewrites, as train() does with its own.
+Matrices are read-only: construction validates the shape and rejects
+non-finite entries with NumericError. Storage is a flat row-major float64
+buffer; a Matrix may view a buffer that its owner rewrites, as a model's
+layers view its parameter vector and train() rewrites its own.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-__all__ = ["Matrix", "matmul"]
+__all__ = ["Matrix"]
 
 
 def _check_finite(a: np.ndarray, context: str) -> None:
@@ -97,16 +97,4 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product of an m*k and a k*n matrix."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul: cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols} "
-            f"(inner dimensions {a.cols} != {b.rows})"
-        )
-    out = a.array @ b.array
-    _check_finite(out, "matmul")
-    return Matrix._wrap(out)
 

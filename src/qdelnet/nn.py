@@ -4,19 +4,31 @@ inverted dropout, binary cross-entropy and exact backpropagation.
 Architecture: input -> N hidden ReLU layers with non-increasing widths ->
 single sigmoid output unit. Dropout applies to hidden activations only,
 scaled at train time so that evaluation needs no adjustment.
+
+Parameters live in one contiguous float64 vector per model: each layer's
+weights (row-major), then its bias, first layer first. Every layer's
+`weights` and `bias` are read-only views of it, and Gradients lay their
+vector out the same way, so an update is one pass over three vectors.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
+from .errors import (
+    ConfigError,
+    NumericError,
+    ParseError,
+    ShapeError,
+    ValidationError,
+    not_utf8,
+)
 from .linalg import Matrix
 from .seeding import INIT, stream_rng
 
@@ -26,6 +38,7 @@ __all__ = [
     "MlpModel",
     "ForwardTrace",
     "Gradients",
+    "Activations",
     "taper_widths",
     "build_model",
     "param_buffers",
@@ -48,10 +61,13 @@ _PRED_HI = float(np.nextafter(1.0, 0.0))
 _CHECKPOINT_FORMAT = "qdelnet-mlp"
 _CHECKPOINT_VERSION = 1
 
-# One writable (weights, bias) array pair per layer, first layer first.
-Buffers = Sequence[tuple[np.ndarray, np.ndarray]]
-# One writable (pre-activation, post-activation) array pair per layer.
-Activations = Sequence[tuple[np.ndarray, np.ndarray]]
+# Elements per block of sgd_step's single pass: 32k float64 (256 KiB) of each
+# of its three vectors, so that a block is still in cache when it is scaled,
+# subtracted and checked.
+_UPDATE_BLOCK = 1 << 15
+
+# Weight shape (out, in) of every layer, first layer first.
+Shapes = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -91,13 +107,59 @@ class Layer:
     activation: str  # "relu" or "sigmoid"
 
 
+def _layer_views(flat: np.ndarray, shapes: Shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Writable (weights, bias) views of a parameter vector laid out for
+    `shapes`, one pair per layer, first layer first."""
+    if flat.shape != (sum(rows * (cols + 1) for rows, cols in shapes),):
+        raise ShapeError(f"parameter vector of shape {flat.shape} does not fit layers {shapes}")
+    views, start = [], 0
+    for rows, cols in shapes:
+        mid = start + rows * cols
+        views.append((flat[start:mid].reshape(rows, cols), flat[mid : mid + rows].reshape(1, rows)))
+        start = mid + rows
+    return views
+
+
+def _wrap_views(views) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
+    """Read-only weight and bias matrices over (weights, bias) view pairs."""
+    return tuple(Matrix._wrap(w) for w, _ in views), tuple(Matrix._wrap(b) for _, b in views)
+
+
+def _pack(pairs: Iterable[tuple[Matrix, Matrix]]) -> np.ndarray:
+    """A fresh parameter vector holding (weights, bias) matrix pairs, laid
+    out as MlpModel.params."""
+    return np.concatenate([m.data for pair in pairs for m in pair])
+
+
 @dataclass(frozen=True)
 class MlpModel:
-    """Read-only stack of dense layers; sgd_step returns a new value. Its
-    arrays may view buffers that their owner rewrites, as train() does."""
+    """Read-only stack of dense layers; sgd_step returns a new value.
+
+    Every layer views `params`, the model's one parameter vector. A model
+    built from per-layer matrices is packed into a fresh vector. The vector
+    may be a buffer that its owner rewrites, as train() does.
+    """
 
     config: ModelConfig
     layers: tuple[Layer, ...]
+    params: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _shapes: Shapes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_shapes", tuple(layer.weights.shape for layer in self.layers))
+        if self.params is None:
+            params = _pack((layer.weights, layer.bias) for layer in self.layers)
+            object.__setattr__(self, "layers", self.over(params).layers)
+            object.__setattr__(self, "params", params)
+
+    def over(self, params: np.ndarray) -> "MlpModel":
+        """This model's layers over another parameter vector of the same
+        layout, which is viewed, not copied."""
+        weights, biases = _wrap_views(_layer_views(params, self._shapes))
+        layers = tuple(
+            Layer(w, b, layer.activation) for w, b, layer in zip(weights, biases, self.layers)
+        )
+        return MlpModel(self.config, layers, params)
 
     @property
     def input_dim(self) -> int:
@@ -126,10 +188,38 @@ class ForwardTrace:
 
 @dataclass(frozen=True)
 class Gradients:
-    """Loss gradients, one (dW, db) pair per layer, first layer first."""
+    """Loss gradients, one (dW, db) pair per layer, first layer first.
+
+    Every matrix views `flat`, one vector laid out as MlpModel.params.
+    Gradients built from per-layer matrices are packed into a fresh vector.
+    """
 
     d_weights: tuple[Matrix, ...]
     d_biases: tuple[Matrix, ...]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _shapes: Shapes = field(init=False, repr=False, compare=False)
+    # Writable (dW, db) views of `flat`, which backward(..., out=) fills.
+    _arrays: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        shapes = tuple(dw.shape for dw in self.d_weights)
+        object.__setattr__(self, "_shapes", shapes)
+        if self.flat is None:
+            flat = _pack(zip(self.d_weights, self.d_biases))
+            d_weights, d_biases = _wrap_views(_layer_views(flat, shapes))
+            object.__setattr__(self, "d_weights", d_weights)
+            object.__setattr__(self, "d_biases", d_biases)
+            object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_arrays", _layer_views(self.flat, shapes))
+
+
+class Activations(list):
+    """Workspace for forward(..., out=): one writable (pre-activation,
+    post-activation) array pair per layer with room for `rows` rows, and
+    `masks`, one vector with room for every dropout mask of a batch of
+    that many rows. Made by activation_buffers for one model layout."""
+
+    __slots__ = ("rows", "masks", "_shapes")
 
 
 def taper_widths(depth: int, width_max: int = 256, width_min: int = 16) -> list[int]:
@@ -160,30 +250,39 @@ def build_model(config: ModelConfig) -> MlpModel:
     """
     rng = stream_rng(config.seed, INIT)
     dims = [config.input_dim, *config.hidden_widths, 1]
-    layers = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
-        is_output = k == len(dims) - 2
-        std = math.sqrt(1.0 / fan_in)
-        w = rng.normal(0.0, std, size=(fan_out, fan_in))
-        b = np.zeros((1, fan_out))
-        layers.append(Layer(Matrix._wrap(w), Matrix._wrap(b), "sigmoid" if is_output else "relu"))
-    return MlpModel(config=config, layers=tuple(layers))
+    shapes = tuple(zip(dims[1:], dims[:-1]))
+    params = np.zeros(sum(rows * (cols + 1) for rows, cols in shapes))
+    views = _layer_views(params, shapes)
+    for w, _ in views:
+        # The numbers rng.normal(0, std, w.shape) draws, drawn in place.
+        rng.standard_normal(out=w)
+        w *= math.sqrt(1.0 / w.shape[1])
+    layers = tuple(
+        Layer(w, b, "relu" if k < len(shapes) - 1 else "sigmoid")
+        for k, (w, b) in enumerate(zip(*_wrap_views(views)))
+    )
+    return MlpModel(config, layers, params)
 
 
-def param_buffers(model: MlpModel) -> Buffers:
-    """Uninitialized buffers shaped like the model's parameters, for the
-    `out` of backward and sgd_step."""
-    return [(np.empty(layer.weights.shape), np.empty(layer.bias.shape)) for layer in model.layers]
+def param_buffers(model: MlpModel) -> Gradients:
+    """A parameter set shaped like the model's: a Gradients over a fresh,
+    uninitialized vector. It is the `out` of backward; model.over(set.flat)
+    views the same vector as a model, the `out` of sgd_step."""
+    flat = np.empty_like(model.params)
+    return Gradients(*_wrap_views(_layer_views(flat, model._shapes)), flat)
 
 
 def activation_buffers(model: MlpModel, rows: int) -> Activations:
-    """Uninitialized per-layer activation buffers for batches of up to `rows`
+    """An uninitialized activation workspace for batches of up to `rows`
     rows, for the `out` of forward."""
-    return [
+    out = Activations(
         (np.empty((rows, layer.weights.rows)), np.empty((rows, layer.weights.rows)))
         for layer in model.layers
-    ]
+    )
+    out.rows = rows
+    out.masks = np.empty(rows * sum(layer.weights.rows for layer in model.layers[:-1]))
+    out._shapes = model._shapes
+    return out
 
 
 def _sigmoid_array(z: np.ndarray) -> np.ndarray:
@@ -209,11 +308,14 @@ def forward(
     every hidden activation and recorded in the trace; in eval mode there is
     no masking and no rescaling. Predictions are strictly inside (0, 1).
 
-    Without `out` every activation goes into a fresh array. With `out`,
-    buffers owned by the caller (activation_buffers) with at least as many
-    rows as the batch, each layer's activations are written into their
-    leading rows, and the trace's activation arrays view them until the
-    next call that writes them. The predictions are always a fresh copy.
+    Without `out` every activation goes into a fresh workspace. With `out`,
+    a workspace owned by the caller (activation_buffers) with room for at
+    least as many rows as the batch, each layer's activations are written
+    into the leading rows of its buffers, and the trace's arrays view them
+    until the next call that writes them. In train mode every mask of the
+    batch comes from one draw into out.masks, layer after layer, the same
+    numbers in the same order as one draw per layer. The predictions are
+    always a fresh copy.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -229,12 +331,14 @@ def forward(
     rows = batch.rows
     if out is None:
         out = activation_buffers(model, rows)
-    elif len(out) != len(model.layers) or any(
-        buf.shape[0] < rows or buf.shape[1:] != (layer.weights.rows,)
-        for layer, pair in zip(model.layers, out)
-        for buf in pair
-    ):
+    elif not isinstance(out, Activations) or out.rows < rows or out._shapes != model._shapes:
         raise ShapeError(f"forward: out does not hold {rows} rows of every layer's activations")
+    if use_dropout:
+        draws = out.masks[: rows * (out.masks.size // out.rows)]
+        rng.random(out=draws)
+        np.greater_equal(draws, rate, out=draws)
+        np.divide(draws, 1.0 - rate, out=draws)
+        start = 0
 
     a = batch.array
     pre: list[np.ndarray] = []
@@ -249,7 +353,8 @@ def forward(
         if k < last:
             np.maximum(z, 0.0, out=h)
             if use_dropout:
-                mask = (rng.random(z.shape) >= rate) / (1.0 - rate)
+                mask = draws[start : start + z.size].reshape(z.shape)
+                start += z.size
                 np.multiply(h, mask, out=h)
                 masks.append(mask)
             else:
@@ -284,15 +389,16 @@ def bce_loss(predictions: Matrix, labels: Matrix) -> float:
 
 
 def backward(
-    model: MlpModel, trace: ForwardTrace, labels: Matrix, out: Buffers | None = None
+    model: MlpModel, trace: ForwardTrace, labels: Matrix, out: Gradients | None = None
 ) -> Gradients:
     """Exact gradients of bce_loss w.r.t. every weight and bias, honoring the
     dropout masks recorded in the trace.
 
-    Without `out` the gradients go into fresh arrays, and a non-finite one
-    raises NumericError naming its layer. With `out`, buffers owned by the
-    caller, they are written there unchecked: sgd_step checks the parameters
-    it computes from them, which covers them.
+    Without `out` the gradients go into a fresh parameter set, and a
+    non-finite one raises NumericError naming its layer. With `out`, a set
+    owned by the caller (param_buffers), they are written there unchecked
+    and `out` is returned: sgd_step checks the parameters it computes from
+    them, which covers them.
     """
     depth = len(model.layers)
     if (
@@ -312,63 +418,61 @@ def backward(
     checked = out is None
     if out is None:
         out = param_buffers(model)
+    elif out._shapes != model._shapes:
+        raise ShapeError("backward: out does not have the model's layer shapes")
 
-    b = trace.inputs.shape[0]
     # d(mean BCE)/dz at the sigmoid output.
-    delta = (preds - labels.array) / b
+    delta = np.subtract(preds, labels.array)
+    np.divide(delta, trace.inputs.shape[0], out=delta)
     for k in range(depth - 1, -1, -1):
         a_prev = trace.post_activations[k - 1] if k > 0 else trace.inputs
-        dw, db = out[k]
+        dw, db = out._arrays[k]
         np.matmul(delta.T, a_prev, out=dw)
-        np.sum(delta, axis=0, keepdims=True, out=db)
+        np.add.reduce(delta, axis=0, keepdims=True, out=db)
         if checked and not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise NumericError(f"backward: non-finite gradient in layer {k}")
         if k > 0:
-            grad_h = delta @ model.layers[k].weights.array
+            grad_h = np.matmul(delta, model.layers[k].weights.array)
             mask = trace.dropout_masks[k - 1]
             if mask is not None:
-                grad_h = grad_h * mask
-            delta = grad_h * (trace.pre_activations[k - 1] > 0.0)
-    return Gradients(
-        tuple(Matrix._wrap(dw.view()) for dw, _ in out),
-        tuple(Matrix._wrap(db.view()) for _, db in out),
-    )
+                np.multiply(grad_h, mask, out=grad_h)
+            np.multiply(grad_h, trace.pre_activations[k - 1] > 0.0, out=grad_h)
+            delta = grad_h
+    return out
 
 
 def sgd_step(
-    model: MlpModel, grads: Gradients, learning_rate: float, out: Buffers | None = None
+    model: MlpModel, grads: Gradients, learning_rate: float, out: MlpModel | None = None
 ) -> MlpModel:
     """One plain gradient-descent update: theta <- theta - lr * dtheta.
 
-    Returns a new model over fresh arrays or, with `out`, over the caller's
-    buffers, which may be the ones the gradients view; `model` is never
-    modified. Raises NumericError if any updated parameter is non-finite (as
-    lr >= 0, a non-finite gradient always gives one); `out` is then garbage.
+    Returns a new model over a fresh vector or, with `out`, writes the
+    update into out.params and returns `out`; that vector may be the one
+    `grads` view, as in train(). `model` is never modified. The update is
+    one pass over the three vectors in blocks of _UPDATE_BLOCK elements:
+    each block is scaled, subtracted and checked while it is in cache. A
+    non-finite updated parameter (as lr >= 0, a non-finite gradient always
+    gives one) raises NumericError naming the layer of the first one; the
+    vector of `out` is then garbage.
     """
     if learning_rate < 0.0:
         raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
     if out is None:
-        out = param_buffers(model)
-    if not len(grads.d_weights) == len(grads.d_biases) == len(out) == len(model.layers):
-        raise ShapeError("sgd_step: gradient or out layer count does not match the model")
-    for k, (layer, dw, db, (w, b)) in enumerate(
-        zip(model.layers, grads.d_weights, grads.d_biases, out)
-    ):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise ShapeError(f"sgd_step: gradient shapes do not match layer {k}")
-        np.multiply(dw.array, learning_rate, out=w)
-        np.subtract(layer.weights.array, w, out=w)
-        np.multiply(db.array, learning_rate, out=b)
-        np.subtract(layer.bias.array, b, out=b)
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise NumericError(f"sgd_step: parameter update is non-finite in layer {k}")
-    return MlpModel(
-        config=model.config,
-        layers=tuple(
-            Layer(Matrix._wrap(w.view()), Matrix._wrap(b.view()), layer.activation)
-            for layer, (w, b) in zip(model.layers, out)
-        ),
-    )
+        out = model.over(np.empty_like(model.params))
+    if not grads._shapes == out._shapes == model._shapes:
+        raise ShapeError("sgd_step: gradient or out layer shapes do not match the model")
+    theta, step, updated = model.params, grads.flat, out.params
+    for start in range(0, theta.size, _UPDATE_BLOCK):
+        stop = start + _UPDATE_BLOCK
+        block = updated[start:stop]
+        np.multiply(step[start:stop], learning_rate, out=block)
+        np.subtract(theta[start:stop], block, out=block)
+        if not np.isfinite(block).all():
+            first = start + int(np.argmin(np.isfinite(block)))
+            ends = np.cumsum([rows * (cols + 1) for rows, cols in model._shapes])
+            layer = int(np.searchsorted(ends, first, side="right"))
+            raise NumericError(f"sgd_step: parameter update is non-finite in layer {layer}")
+    return out
 
 
 def gradient_layer_norms(grads: Gradients) -> list[float]:
@@ -407,15 +511,18 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read a checkpoint written by save_model.
 
-    Raises ParseError if the file is not a checkpoint or lacks a field, and
-    ValidationError if its layers contradict its config: layer count, weight
-    shapes or activations (relu on hidden layers, sigmoid on the output).
+    Raises ParseError if the file is not UTF-8 (naming the first bad line),
+    is not a checkpoint or lacks a field, and ValidationError if its layers
+    contradict its config: layer count, weight shapes or activations (relu
+    on hidden layers, sigmoid on the output).
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
     fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
     if fmt != _CHECKPOINT_FORMAT:
         raise ParseError(f"not a model checkpoint (format {fmt!r})")

@@ -1,12 +1,16 @@
 """Training protocol: stratified validation split, mini-batch SGD epoch loop,
 accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
-Wall time covers the epoch loop only; corpus loading and any up-front feature
-caching happen off the clock. Each step writes its gradients, then the updated
-parameters, into buffers that train() owns, which become the live model only
-if every parameter is finite. A run that produces a non-finite loss, gradient
-or parameter thus aborts with the last finite model kept, and the report is
-flagged as diverged at that epoch (overflow is reported there, not warned).
+Wall time covers the epoch loop only; corpus loading, any up-front feature
+caching and the step buffers happen off the clock. train() owns those
+buffers: an activation workspace, which also holds the dropout masks, and two
+parameter sets, each one flat vector viewed as a model and as Gradients. Each
+step writes its gradients, then the updated parameters, into the set that is
+not the live model; that set becomes the live model only if every parameter
+is finite, so no model, layer or Gradients object is built per step. A run
+that produces a non-finite loss, gradient or parameter thus aborts with the
+last finite model kept, and the report is flagged as diverged at that epoch
+(overflow is reported there, not warned).
 """
 
 from __future__ import annotations
@@ -151,9 +155,10 @@ def train(
     loss_curve: list[float] = []
     grad_history: list[list[float]] | None = [] if config.record_grad_norms else None
     diverged_epoch: int | None = None
-    # Each step fills buffers[0]; the sets swap roles after a finite update.
-    # The caller's model is only read.
-    buffers = [param_buffers(model), param_buffers(model)]
+    # Each step fills sets[0], (model view, Gradients view) of one vector; the
+    # sets swap roles after a finite update. The caller's model is only read.
+    sets = [(model.over(g.flat), g) for g in (param_buffers(model), param_buffers(model))]
+    workspace = activation_buffers(model, min(config.batch_size, n))
 
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -169,18 +174,18 @@ def train(
                 xb = featurize_batch([questions[i] for i in idx], table, max_words)
             yb = Matrix._wrap(labels[idx])
             try:
-                preds, trace = forward(model, xb, mode="train", rng=dropout_rng)
+                preds, trace = forward(model, xb, mode="train", rng=dropout_rng, out=workspace)
                 loss = bce_loss(preds, yb)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                grads = backward(model, trace, yb, out=buffers[0])
+                grads = backward(model, trace, yb, out=sets[0][1])
                 if grad_history is not None:
                     norm_sums += gradient_layer_norms(grads)
-                model = sgd_step(model, grads, config.learning_rate, out=buffers[0])
+                model = sgd_step(model, grads, config.learning_rate, out=sets[0][0])
             except NumericError:
                 diverged_epoch = epoch
                 break
-            buffers.reverse()
+            sets.reverse()
             loss_sum += loss * len(idx)
             batch_count += 1
         if diverged_epoch is not None:
@@ -189,8 +194,8 @@ def train(
         if grad_history is not None:
             grad_history.append((norm_sums / max(batch_count, 1)).tolist())
     wall_time = time.perf_counter() - t0
-    # Release the set that is not the live model before evaluating.
-    buffers = grads = None
+    # Release every step buffer but the live model's vector before evaluating.
+    sets = workspace = grads = trace = preds = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;

@@ -79,6 +79,25 @@ class TestTrain:
         assert resolved["lr"] == 0.01
         assert resolved["seed"] == 0
 
+    def test_file_source_parses_only_the_training_corpus(self, tmp_path, monkeypatch):
+        import qdelnet.experiment as experiment
+
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--train-count", "30", "--test-count", "10",
+                   "--out", str(data)) == 0
+        loaded = []
+        real = experiment.load_dataset
+
+        def counted(path):
+            loaded.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(experiment, "load_dataset", counted)
+        assert run("train", "--train", str(data / "train.jsonl"), "--test", str(data / "test.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"), "--dim", "3", "--max-words", "4",
+                   "--epochs", "1", "--depth", "1", "--out", str(tmp_path / "run")) == 0
+        assert loaded == ["train.jsonl"]
+
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = run("train", "--train", str(tmp_path / "nope.jsonl"),
                    "--embeddings", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o"))
@@ -183,6 +202,38 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: not UTF-8") and "Traceback" not in err
+
+
+class TestNotUtf8:
+    """A checkpoint or config file with a byte that is not UTF-8 on line 2
+    ends in exit 2 and an error that names the line."""
+
+    def test_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(data)) == 0
+        out = tmp_path / "run"
+        assert run("train", "--train", str(data / "dataset.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"),
+                   "--dim", "3", "--max-words", "4", "--epochs", "1", "--depth", "0",
+                   "--out", str(out)) == 0
+        model = out / "model.json"
+        model.write_bytes(b"\n" + model.read_bytes()[:11] + b"\xff" + model.read_bytes()[11:])
+        capsys.readouterr()
+        code = run("evaluate", "--model", str(model), "--data", str(data / "dataset.jsonl"),
+                   "--embeddings", str(data / "embeddings.txt"), "--dim", "3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: not UTF-8") and "Traceback" not in err
+
+    def test_sweep_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(b"epochs = 1\ndepths = 1\xff\n")
+        code = run("sweep", "--synthetic", *TINY_SYNTH, "--config", str(cfg),
+                   "--out", str(tmp_path / "s"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: not UTF-8") and "Traceback" not in err
+        assert not (tmp_path / "s").exists()
 
 
 class TestConfigFile:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdcheck import random_case, worst_relative_error
+from qdelnet import nn
 from qdelnet.errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
 from qdelnet.linalg import Matrix
 from qdelnet.nn import (
@@ -397,10 +398,10 @@ class TestBackward:
         fresh = backward(model, trace, y)
         buffers = param_buffers(model)
         owned = backward(model, trace, y, out=buffers)
-        for a, b, (dw, db) in zip(fresh.d_weights, owned.d_weights, buffers):
-            assert a.array.tobytes() == b.array.tobytes() == dw.tobytes()
-        for a, b, (dw, db) in zip(fresh.d_biases, owned.d_biases, buffers):
-            assert a.array.tobytes() == b.array.tobytes() == db.tobytes()
+        assert owned is buffers
+        for a, b in zip(fresh.d_weights + fresh.d_biases, owned.d_weights + owned.d_biases):
+            assert a.array.tobytes() == b.array.tobytes()
+        assert fresh.flat.tobytes() == buffers.flat.tobytes()
 
     def test_trace_mismatch_is_error(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,)))
@@ -467,10 +468,13 @@ class TestSgdStep:
         _, trace = forward(model, x, mode="train")
         expected = sgd_step(model, backward(model, trace, y), 0.3)
         buffers = param_buffers(model)
-        stepped = sgd_step(model, backward(model, trace, y, out=buffers), 0.3, out=buffers)
-        for want, got, (w, b) in zip(expected.layers, stepped.layers, buffers):
-            assert got.weights.array.tobytes() == want.weights.array.tobytes() == w.tobytes()
-            assert got.bias.array.tobytes() == want.bias.array.tobytes() == b.tobytes()
+        target = model.over(buffers.flat)
+        stepped = sgd_step(model, backward(model, trace, y, out=buffers), 0.3, out=target)
+        assert stepped is target
+        assert stepped.params.tobytes() == expected.params.tobytes() == buffers.flat.tobytes()
+        for want, got in zip(expected.layers, stepped.layers):
+            assert got.weights.array.tobytes() == want.weights.array.tobytes()
+            assert got.bias.array.tobytes() == want.bias.array.tobytes()
 
     def test_out_length_must_match_layers(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), seed=0))
@@ -478,8 +482,9 @@ class TestSgdStep:
             tuple(Matrix.zeros(*l.weights.shape) for l in model.layers),
             tuple(Matrix.zeros(*l.bias.shape) for l in model.layers),
         )
+        deeper = build_model(ModelConfig(input_dim=2, hidden_widths=(2, 2), seed=0))
         with pytest.raises(ShapeError):
-            sgd_step(model, grads, 0.1, out=param_buffers(model)[:1])
+            sgd_step(model, grads, 0.1, out=deeper)
 
 
 class TestGradientLayerNorms:
@@ -559,3 +564,199 @@ class TestCheckpoint:
     def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, error):
         with pytest.raises(error):
             load_model(self._checkpoint(tmp_path, corrupt))
+
+
+def layer_param_count(shapes):
+    return sum(rows * (cols + 1) for rows, cols in shapes)
+
+
+class TestFlatParameters:
+    """Every model and Gradients keeps its parameters in one vector: each
+    layer's weights (row-major), then its bias, first layer first."""
+
+    @staticmethod
+    def assert_views_vector(model):
+        shapes = [layer.weights.shape for layer in model.layers]
+        assert model.params.shape == (layer_param_count(shapes),)
+        assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
+        expected = np.concatenate([a for l in model.layers for a in (l.weights.data, l.bias.data)])
+        assert model.params.tobytes() == expected.tobytes()
+        for layer in model.layers:
+            assert np.shares_memory(layer.weights.array, model.params)
+            assert np.shares_memory(layer.bias.array, model.params)
+
+    def test_build_model(self):
+        self.assert_views_vector(build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1)))
+
+    def test_load_model(self, tmp_path):
+        save_model(build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1)), tmp_path / "m")
+        self.assert_views_vector(load_model(tmp_path / "m"))
+
+    def test_sgd_step_returns_a_model_over_a_fresh_vector(self):
+        model = build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1))
+        _, trace = forward(model, Matrix(np.ones((2, 6))), mode="eval")
+        stepped = sgd_step(model, backward(model, trace, Matrix([[1.0], [0.0]])), 0.1)
+        self.assert_views_vector(stepped)
+        assert not np.shares_memory(stepped.params, model.params)
+
+    def test_hand_built_model_is_packed_into_a_copy(self):
+        weights = np.arange(6.0).reshape(2, 3)
+        model = ones_model(3, 2)
+        built = MlpModel(
+            config=model.config,
+            layers=(Layer(Matrix(weights), Matrix([[7.0, 8.0]]), "relu"), model.layers[1]),
+        )
+        self.assert_views_vector(built)
+        assert built.params.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 1.0, 1.0, 0.0]
+        assert not np.shares_memory(built.params, weights)
+
+    def test_gradients_from_backward_and_by_hand_view_one_vector(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        _, trace = forward(model, Matrix(np.ones((2, 4))), mode="eval")
+        by_hand = Gradients((Matrix(np.ones((3, 4))), Matrix([[2.0, 2.0, 2.0]])),
+                            (Matrix([[3.0, 3.0, 3.0]]), Matrix([[4.0]])))
+        assert by_hand.flat.tolist() == [1.0] * 12 + [3.0] * 3 + [2.0] * 3 + [4.0]
+        for grads in (backward(model, trace, Matrix([[1.0], [0.0]])), by_hand):
+            assert grads.flat.shape == model.params.shape
+            for m in grads.d_weights + grads.d_biases:
+                assert np.shares_memory(m.array, grads.flat)
+
+    def test_param_buffers_is_a_fresh_set_of_the_models_layout(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        buffers = param_buffers(model)
+        assert isinstance(buffers, Gradients)
+        assert buffers.flat.shape == model.params.shape
+        assert not np.shares_memory(buffers.flat, model.params)
+        assert [m.shape for m in buffers.d_weights] == [l.weights.shape for l in model.layers]
+        view = model.over(buffers.flat)
+        assert view.params is buffers.flat and view.config == model.config
+
+    def test_over_rejects_a_vector_of_another_size(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        with pytest.raises(ShapeError):
+            model.over(np.zeros(model.params.size + 1))
+
+
+BLOCK = nn._UPDATE_BLOCK
+
+
+def random_model_and_gradients(config, seed):
+    """A model and gradients with normal-random entries, built by hand."""
+    rng = np.random.default_rng(seed)
+    base = build_model(config)
+    shapes = [(l.weights.shape, l.bias.shape) for l in base.layers]
+    layers = tuple(
+        Layer(Matrix(rng.normal(size=ws)), Matrix(rng.normal(size=bs)), l.activation)
+        for (ws, bs), l in zip(shapes, base.layers)
+    )
+    grads = Gradients(
+        tuple(Matrix(rng.normal(size=ws)) for ws, _ in shapes),
+        tuple(Matrix(rng.normal(size=bs)) for _, bs in shapes),
+    )
+    return MlpModel(config=config, layers=layers), grads
+
+
+# Parameter counts below, equal to and above one block; the last two have
+# blocks that hold the end of one layer and the start of the next.
+BLOCK_CONFIGS = {
+    "below-one-block": ModelConfig(input_dim=30, hidden_widths=(20, 7)),
+    "exactly-one-block": ModelConfig(input_dim=BLOCK - 1),
+    "one-past-a-block": ModelConfig(input_dim=BLOCK),
+    "straddling-layers": ModelConfig(input_dim=300, hidden_widths=(128, 16)),
+    "three-blocks": ModelConfig(input_dim=1000, hidden_widths=(64, 32, 8)),
+}
+
+
+class TestBlockedUpdate:
+    def test_block_configs_cover_the_boundaries(self):
+        counts = {k: build_model(c).params.size for k, c in BLOCK_CONFIGS.items()}
+        assert counts["below-one-block"] < BLOCK
+        assert counts["exactly-one-block"] == BLOCK
+        assert counts["one-past-a-block"] == BLOCK + 1
+        assert counts["three-blocks"] > 2 * BLOCK
+        straddle = build_model(BLOCK_CONFIGS["straddling-layers"])
+        first_end = layer_param_count([straddle.layers[0].weights.shape])
+        assert BLOCK < first_end < straddle.params.size < 2 * BLOCK
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+    @pytest.mark.parametrize("into_gradients", [False, True])
+    def test_bit_equal_to_the_per_layer_expression(self, name, into_gradients):
+        model, grads = random_model_and_gradients(BLOCK_CONFIGS[name], seed=len(name))
+        lr = 0.037
+        expected = [
+            (l.weights.array - lr * dw.array, l.bias.array - lr * db.array)
+            for l, dw, db in zip(model.layers, grads.d_weights, grads.d_biases)
+        ]
+        before = model.params.tobytes()
+        out = model.over(grads.flat) if into_gradients else None
+        stepped = sgd_step(model, grads, lr, out=out)
+        for layer, (w, b) in zip(stepped.layers, expected):
+            assert layer.weights.array.tobytes() == w.tobytes()
+            assert layer.bias.array.tobytes() == b.tobytes()
+        assert model.params.tobytes() == before
+
+    @pytest.mark.parametrize("name", ["straddling-layers", "three-blocks"])
+    def test_non_finite_parameter_names_its_layer(self, name):
+        """A NaN at the first and last weight and bias of each layer; in these
+        layouts layers 1 and up start inside a block that the layer before
+        them ends in."""
+        model, grads = random_model_and_gradients(BLOCK_CONFIGS[name], seed=3)
+        start = 0
+        for k, layer in enumerate(model.layers):
+            rows, cols = layer.weights.shape
+            bias_start, end = start + rows * cols, start + rows * (cols + 1)
+            for index in (start, bias_start - 1, bias_start, end - 1):
+                poisoned = model.over(model.params.copy())
+                poisoned.params[index] = np.nan
+                before = poisoned.params.tobytes()
+                with pytest.raises(NumericError, match=rf"non-finite in layer {k}$"):
+                    sgd_step(poisoned, grads, 0.01)
+                assert poisoned.params.tobytes() == before
+            start = end
+
+    def test_first_non_finite_element_wins(self):
+        model, grads = random_model_and_gradients(BLOCK_CONFIGS["three-blocks"], seed=4)
+        flat = grads.flat.copy()
+        flat[-1] = np.inf  # output layer, last block
+        first_end = layer_param_count([model.layers[0].weights.shape])
+        flat[first_end + 5] = -np.inf  # layer 1, in the block layer 0 ends in
+        bad = Gradients(grads.d_weights, grads.d_biases, flat)
+        with pytest.raises(NumericError, match="layer 1$"):
+            sgd_step(model, bad, 0.5)
+
+    def test_update_is_one_pass_without_a_per_layer_loop(self, monkeypatch):
+        """A depth-50 update makes one multiply per block, not per layer."""
+        model = build_model(ModelConfig(input_dim=20, hidden_widths=tuple(taper_widths(50, 16, 4))))
+        grads = Gradients(tuple(l.weights for l in model.layers), tuple(l.bias for l in model.layers))
+        calls = []
+        real = np.multiply
+        monkeypatch.setattr(nn.np, "multiply", lambda *a, **k: calls.append(1) or real(*a, **k))
+        sgd_step(model, grads, 0.1)
+        assert len(calls) == -(-model.params.size // BLOCK) == 1
+
+
+class TestOneDrawMasks:
+    """forward(..., out=) draws every mask of a batch at once; the numbers
+    equal one draw per layer, in layer order, from the same generator."""
+
+    CONFIG = ModelConfig(input_dim=6, hidden_widths=(9, 7, 7, 2), dropout_rate=0.3, seed=8)
+
+    @pytest.mark.parametrize("rows", [10, 4])
+    def test_equal_to_per_layer_draws(self, rows):
+        model = build_model(self.CONFIG)
+        workspace = activation_buffers(model, 10)
+        x = Matrix(np.random.default_rng(5).normal(size=(rows, 6)))
+        one_draw, per_layer = stream_rng(9, 1), stream_rng(9, 1)
+        for _ in range(2):  # reuses the workspace
+            _, trace = forward(model, x, mode="train", rng=one_draw, out=workspace)
+            for mask, layer in zip(trace.dropout_masks, model.layers):
+                expected = (per_layer.random((rows, layer.weights.rows)) >= 0.3) / (1.0 - 0.3)
+                assert mask.tobytes() == expected.tobytes()
+                assert np.shares_memory(mask, workspace.masks)
+        assert one_draw.random() == per_layer.random()
+
+    def test_eval_mode_leaves_the_generator_alone(self):
+        model = build_model(self.CONFIG)
+        rng = stream_rng(9, 1)
+        forward(model, Matrix(np.ones((3, 6))), mode="eval", rng=rng, out=activation_buffers(model, 3))
+        assert rng.random() == stream_rng(9, 1).random()

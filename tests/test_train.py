@@ -246,6 +246,51 @@ class TestTrain:
         assert param_bytes(model) == before
         assert param_bytes(trained) != before
 
+    @pytest.mark.parametrize("learning_rate", [0.1, 1e308])
+    def test_callers_parameter_vector_never_written(self, learning_rate):
+        """Neither a finished nor a diverged run writes the caller's vector;
+        the returned model views a vector of its own."""
+        ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.1, seed=3)
+        base = build(config)
+        first = base.layers[0]
+        model = MlpModel(
+            config=config,
+            layers=(Layer(Matrix(first.weights.array * 1e3), first.bias, "relu"), base.layers[1]),
+        )
+        before = model.params.tobytes()
+        out, report = train(model, ds, TrainConfig(epochs=2, learning_rate=learning_rate, seed=3), table)
+        assert report.diverged == (learning_rate > 1.0)
+        assert model.params.tobytes() == before
+        if not report.diverged:
+            assert not np.shares_memory(out.params, model.params)
+
+    def test_step_objects_are_built_before_the_loop(self, monkeypatch):
+        """No Layer, model or Gradients is built per step: one epoch and
+        five build the same number."""
+        import qdelnet.nn as nn
+
+        built = {"Layer": 0, "MlpModel": 0, "Gradients": 0}
+        for name in built:
+            cls = getattr(nn, name)
+
+            def counting(*args, _cls=cls, _name=name, **kwargs):
+                built[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(nn, name, counting)
+        ds, table = gen_synthetic(120, 12, 3, 4, 0.2, seed=7)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8, 4), dropout_rate=0.1, seed=7)
+        counts = []
+        for epochs in (1, 5):
+            model = build(config)
+            for name in built:
+                built[name] = 0
+            train(model, ds, TrainConfig(epochs=epochs, batch_size=8, seed=7), table)
+            counts.append(dict(built))
+        assert counts[0] == counts[1]
+        assert counts[0]["Gradients"] == 2
+
     @pytest.mark.parametrize("record_grad_norms", [False, True])
     def test_matches_hand_loop_over_public_functions(self, record_grad_norms):
         """train() updates in buffers it owns; its loss curve, gradient norms
