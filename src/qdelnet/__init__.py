@@ -4,7 +4,6 @@ for predicting question deletion on community Q&A forums."""
 from .data import (
     Dataset,
     Question,
-    check_balance,
     gen_synthetic,
     load_dataset,
     save_dataset,
@@ -25,7 +24,6 @@ from .experiment import (
     SyntheticSource,
     grad_flow_report,
     load_source,
-    read_sweep_csv,
     render_plots,
     rows_from_run_files,
     run_depth_sweep,

@@ -1,4 +1,4 @@
-"""Dataset records, JSONL ingestion, balance checking and the synthetic
+"""Dataset records, JSONL ingestion, stratified splits and the synthetic
 corpus generator used for desk-scale experiments.
 
 JSONL schema (one object per line, UTF-8):
@@ -11,6 +11,7 @@ JSONL schema (one object per line, UTF-8):
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,6 @@ __all__ = [
     "Dataset",
     "load_dataset",
     "save_dataset",
-    "check_balance",
     "gen_synthetic",
     "split_train_test",
     "allocate_proportional",
@@ -47,7 +47,7 @@ class Question:
         if self.label not in (0, 1):
             raise ValidationError(f"question {self.id!r}: label must be 0 or 1, got {self.label!r}")
         a = float(self.weak_annotation)
-        if not np.isfinite(a):
+        if not math.isfinite(a):
             raise ValidationError(f"question {self.id!r}: weak_annotation must be finite")
         if a < 0.0 or a > 1.0:
             clamped = min(max(a, 0.0), 1.0)
@@ -91,8 +91,9 @@ def load_dataset(path) -> Dataset:
     """Read a JSONL corpus file into a Dataset.
 
     Malformed lines, and lines that are not UTF-8, raise ParseError with the
-    1-based line number; schema violations (bad label, duplicate id) raise
-    ValidationError.
+    1-based line number; schema violations (bad label, duplicate id, an
+    annotation that is NaN, infinite or beyond the float range) raise
+    ValidationError naming the line.
     """
     questions = []
     seen: set[str] = set()
@@ -118,11 +119,17 @@ def load_dataset(path) -> Dataset:
                 annotation = obj.get("weak_annotation", 0.0)
                 if isinstance(annotation, bool) or not isinstance(annotation, (int, float)):
                     raise ParseError("field 'weak_annotation' must be a number", line=lineno)
+                try:
+                    annotation = float(annotation)
+                except OverflowError:  # an integer beyond the float range
+                    annotation = math.inf
+                if not math.isfinite(annotation):
+                    raise ValidationError(f"line {lineno}: weak_annotation must be finite")
                 if qid in seen:
                     raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
                 seen.add(qid)
                 questions.append(
-                    Question(id=qid, text=text, weak_annotation=float(annotation), label=int(label))
+                    Question(id=qid, text=text, weak_annotation=annotation, label=int(label))
                 )
     except UnicodeDecodeError:
         raise not_utf8(path) from None
@@ -140,13 +147,6 @@ def save_dataset(dataset: Dataset, path) -> None:
                 "label": q.label,
             }
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def check_balance(dataset: Dataset) -> tuple[int, int, bool]:
-    """Counts of (deleted, kept) questions and whether they differ by <= 1."""
-    deleted = sum(1 for q in dataset.questions if q.label == 1)
-    kept = len(dataset.questions) - deleted
-    return deleted, kept, abs(deleted - kept) <= 1
 
 
 # Fraction of each vocabulary half that actually carries class signal. Like a

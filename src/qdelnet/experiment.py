@@ -40,7 +40,6 @@ __all__ = [
     "run_depth_sweep",
     "rows_from_run_files",
     "write_sweep_csv",
-    "read_sweep_csv",
     "render_plots",
     "grad_flow_report",
 ]
@@ -361,34 +360,6 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
             f"{r.diverged_runs},{_fmt_general(r.first_layer_grad_norm_init)}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_sweep_csv(path) -> list[SweepRow]:
-    """Parse a file written by write_sweep_csv back into rows."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ParseError(f"unexpected sweep CSV header: {lines[0] if lines else '<empty>'!r}", line=1)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(f"expected 7 fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append(
-                SweepRow(
-                    depth=int(parts[0]),
-                    train_time_seconds=float(parts[1]),
-                    train_accuracy_pct=float(parts[2]),
-                    validation_accuracy_pct=float(parts[3]),
-                    test_accuracy_pct=float(parts[4]),
-                    diverged_runs=int(parts[5]),
-                    first_layer_grad_norm_init=float(parts[6]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad field value: {exc}", line=lineno) from None
-    return rows
 
 
 # --- SVG line charts -------------------------------------------------------

@@ -7,7 +7,7 @@ question's weak annotation appended as the final element. The table holds
 every vector as a row of one matrix; row 0 is the zero vector, shared by
 words missing from the table and by padding, so the two are
 indistinguishable. featurize_batch builds the features by copying rows of
-that matrix.
+that matrix, into a fresh matrix or into a buffer its caller reuses.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, not_utf8
+from .errors import ConfigError, ParseError, ShapeError, not_utf8
 from .linalg import Matrix
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -147,19 +147,47 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(word + " " + " ".join(repr(v) for v in vec.tolist()) + "\n")
 
 
-def featurize_batch(questions: Sequence["Question"], table: EmbeddingTable, max_words: int) -> Matrix:
+def featurize_batch(
+    questions: Sequence["Question"],
+    table: EmbeddingTable,
+    max_words: int,
+    out: np.ndarray | None = None,
+) -> Matrix:
     """Featurize a nonempty batch of questions into a (batch x D) matrix,
     D = max_words * dim + 1. Questions longer than max_words are truncated.
 
     Each token is looked up once. Then, slot by slot, the table rows of the
     questions that have a token in that slot are copied into a zeroed
     output, so no temporary is larger than one slot's rows.
+
+    Without `out` the features go into a fresh matrix. With `out`, a
+    writable, C-contiguous float64 buffer owned by the caller with at least
+    as many rows as the batch and exactly D columns, its leading rows are
+    zeroed and written, and the returned matrix views them until the next
+    call that writes `out`; any other buffer raises ShapeError.
     """
     if max_words < 1:
         raise ConfigError(f"max_words must be >= 1, got {max_words}")
     dim = table.dim
     n = len(questions)
-    out = np.zeros((n, max_words * dim + 1))
+    width = max_words * dim + 1
+    if out is None:
+        out = np.zeros((n, width))
+    elif (
+        not isinstance(out, np.ndarray)
+        or out.dtype != np.float64
+        or out.ndim != 2
+        or not (out.flags.c_contiguous and out.flags.writeable)
+        or out.shape[0] < n
+        or out.shape[1] != width
+    ):
+        raise ShapeError(
+            f"featurize_batch: out must be a writable C-contiguous float64 buffer "
+            f"of at least {n} rows and exactly {width} columns"
+        )
+    else:
+        out = out[:n]
+        out.fill(0.0)
     lookup = table._rows.get
     token_rows = [lookup(word, 0) for q in questions for word in q.tokens[:max_words]]
     lengths = np.minimum([len(q.tokens) for q in questions], max_words)

@@ -3,14 +3,16 @@ accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
 Wall time covers the epoch loop only; corpus loading, any up-front feature
 caching and the step buffers happen off the clock. train() owns those
-buffers: an activation workspace, which also holds the dropout masks, and two
-parameter sets, each one flat vector viewed as a model and as Gradients. Each
-step writes its gradients, then the updated parameters, into the set that is
-not the live model; that set becomes the live model only if every parameter
-is finite, so no model, layer or Gradients object is built per step. A run
-that produces a non-finite loss, gradient or parameter thus aborts with the
-last finite model kept, and the report is flagged as diverged at that epoch
-(overflow is reported there, not warned).
+buffers: an activation workspace, which also holds the dropout masks, two
+parameter sets, each one flat vector viewed as a model and as Gradients, and,
+when features are not cached, one batch feature buffer that every batch is
+featurized into. Each step writes its gradients, then the updated
+parameters, into the set that is not the live model; that set becomes the
+live model only if every parameter is finite, so no model, layer or
+Gradients object is built per step. A run that produces a non-finite loss,
+gradient or parameter thus aborts with the last finite model kept, and the
+report is flagged as diverged at that epoch (overflow is reported there, not
+warned).
 """
 
 from __future__ import annotations
@@ -159,6 +161,7 @@ def train(
     # sets swap roles after a finite update. The caller's model is only read.
     sets = [(model.over(g.flat), g) for g in (param_buffers(model), param_buffers(model))]
     workspace = activation_buffers(model, min(config.batch_size, n))
+    batch_features = None if cached is not None else np.empty((workspace.rows, model.input_dim))
 
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -171,7 +174,9 @@ def train(
             if cached is not None:
                 xb = Matrix._wrap(cached[idx])
             else:
-                xb = featurize_batch([questions[i] for i in idx], table, max_words)
+                xb = featurize_batch(
+                    [questions[i] for i in idx], table, max_words, out=batch_features
+                )
             yb = Matrix._wrap(labels[idx])
             try:
                 preds, trace = forward(model, xb, mode="train", rng=dropout_rng, out=workspace)
@@ -195,7 +200,7 @@ def train(
             grad_history.append((norm_sums / max(batch_count, 1)).tolist())
     wall_time = time.perf_counter() - t0
     # Release every step buffer but the live model's vector before evaluating.
-    sets = workspace = grads = trace = preds = None
+    sets = workspace = batch_features = xb = grads = trace = preds = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;
@@ -221,19 +226,22 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
     """Accuracy (percent) under the 0.5 threshold; a prediction of exactly
     0.5 counts as the positive (deleted) class. Eval-mode forward: no dropout.
 
-    The dataset is featurized and scored chunk_size questions at a time. One
-    activation workspace, sized for the first chunk, is allocated per call
-    and reused by every chunk's forward pass.
+    The dataset is featurized and scored chunk_size questions at a time.
+    One feature buffer and one activation workspace, both sized for the
+    first chunk, are allocated per call and reused by every chunk, so the
+    features of at most one chunk are ever alive.
     """
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     max_words = _derive_max_words(model, table)
     questions = dataset.questions
     actual = dataset.labels() == 1.0
-    workspace = activation_buffers(model, min(chunk_size, len(questions)))
+    rows = min(chunk_size, len(questions))
+    features = np.empty((rows, model.input_dim))
+    workspace = activation_buffers(model, rows)
     correct = 0
     for start in range(0, len(questions), chunk_size):
-        x = featurize_batch(questions[start : start + chunk_size], table, max_words)
+        x = featurize_batch(questions[start : start + chunk_size], table, max_words, out=features)
         preds, _ = forward(model, x, mode="eval", out=workspace)
         predicted = preds.array[:, 0] >= 0.5
         correct += int(np.sum(predicted == actual[start : start + chunk_size]))

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,22 @@ class TestTrain:
                    "--embeddings", str(data / "embeddings.txt"), "--dim", "3", "--max-words", "4",
                    "--epochs", "1", "--depth", "1", "--out", str(tmp_path / "run")) == 0
         assert loaded == ["train.jsonl"]
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", str(10**400)])
+    def test_annotation_out_of_float_range_exits_2(self, tmp_path, capsys, value):
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(data)) == 0
+        corpus = data / "dataset.jsonl"
+        lines = corpus.read_text().splitlines(keepends=True)
+        lines[2] = re.sub(r'"weak_annotation": [^,}]+', f'"weak_annotation": {value}', lines[2])
+        corpus.write_text("".join(lines))
+        capsys.readouterr()
+        code = run("train", "--train", str(corpus), "--embeddings", str(data / "embeddings.txt"),
+                   "--dim", "3", "--max-words", "4", "--epochs", "1", "--depth", "1",
+                   "--out", str(tmp_path / "run"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: weak_annotation must be finite\n"
 
     def test_missing_data_file_is_runtime_error(self, tmp_path, capsys):
         code = run("train", "--train", str(tmp_path / "nope.jsonl"),

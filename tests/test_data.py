@@ -6,7 +6,6 @@ import pytest
 from qdelnet.data import (
     Dataset,
     Question,
-    check_balance,
     gen_synthetic,
     load_dataset,
     save_dataset,
@@ -24,6 +23,13 @@ def balanced_dataset(n):
         for i in range(n)
     )
     return Dataset(qs, name=f"bal{n}")
+
+
+def check_balance(dataset: Dataset) -> tuple[int, int, bool]:
+    """Counts of (deleted, kept) questions and whether they differ by <= 1."""
+    deleted = sum(1 for q in dataset.questions if q.label == 1)
+    kept = len(dataset.questions) - deleted
+    return deleted, kept, abs(deleted - kept) <= 1
 
 
 class TestQuestion:
@@ -93,6 +99,16 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         path.write_text('{"id":"q1","text":"a","label":3}\n')
         with pytest.raises(ValidationError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", str(10**400)])
+    def test_annotation_out_of_float_range_names_the_line(self, tmp_path, value):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id":"q1","text":"ok","label":0}\n'
+            f'{{"id":"q2","text":"bad","weak_annotation":{value},"label":1}}\n'
+        )
+        with pytest.raises(ValidationError, match="^line 2: weak_annotation must be finite$"):
             load_dataset(path)
 
     def test_missing_annotation_defaults_to_zero(self, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdelnet.errors import ConfigError, InputError
+from qdelnet.errors import ConfigError, InputError, ParseError
 from qdelnet.experiment import (
     PLOT_FILES,
     FileSource,
@@ -14,7 +14,6 @@ from qdelnet.experiment import (
     SweepRow,
     SyntheticSource,
     grad_flow_report,
-    read_sweep_csv,
     render_plots,
     rows_from_run_files,
     run_depth_sweep,
@@ -34,6 +33,34 @@ REFERENCE_ROWS = [
     SweepRow(50, 10549.0, 59.33, 52.10, 50.4, 0, 0.0),
     SweepRow(100, 15644.0, 59.63, 47.21, 49.2, 0, 0.0),
 ]
+
+
+def read_sweep_csv(path) -> list[SweepRow]:
+    """Parse a file written by write_sweep_csv back into rows."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != SWEEP_CSV_HEADER:
+        raise ParseError(f"unexpected sweep CSV header: {lines[0] if lines else '<empty>'!r}", line=1)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ParseError(f"expected 7 fields, got {len(parts)}", line=lineno)
+        try:
+            rows.append(
+                SweepRow(
+                    depth=int(parts[0]),
+                    train_time_seconds=float(parts[1]),
+                    train_accuracy_pct=float(parts[2]),
+                    validation_accuracy_pct=float(parts[3]),
+                    test_accuracy_pct=float(parts[4]),
+                    diverged_runs=int(parts[5]),
+                    first_layer_grad_norm_init=float(parts[6]),
+                )
+            )
+        except ValueError as exc:
+            raise ParseError(f"bad field value: {exc}", line=lineno) from None
+    return rows
 
 
 def tiny_sweep_config(out_dir, depths=(1, 2), repeats=2, epochs=2, seed=9):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdelnet.data import Question
-from qdelnet.errors import ConfigError, ParseError
+from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
     EmbeddingTable,
     featurize_batch,
@@ -247,6 +247,65 @@ class TestFeaturizeBatchReference:
         q = Question(id="q", text="a b a", weak_annotation=0.0, label=0)
         got = featurize_batch([q], table, max_words=4).array
         assert got.tobytes() == reference_featurize([q], table, 4).tobytes()
+
+    def test_out_prefilled_with_nan_is_written_everywhere(self):
+        rng = np.random.default_rng(61)
+        questions, table = random_corpus(rng, 40, vocab=30, known=20, dim=3, max_len=10)
+        buffer = np.full((40, 6 * 3 + 1), np.nan)
+        got = featurize_batch(questions, table, 6, out=buffer).array
+        assert np.shares_memory(got, buffer)
+        assert got.tobytes() == reference_featurize(questions, table, 6).tobytes()
+
+    def test_short_chunk_after_long_chunk_in_one_buffer(self):
+        """Slots the long chunk filled must read zero for the short one."""
+        rng = np.random.default_rng(62)
+        dim, max_words = 4, 6
+        table = EmbeddingTable(dim, {f"w{i}": rng.normal(size=dim) for i in range(20)})
+
+        def chunk(n, lengths, tag):
+            return [
+                Question(
+                    id=f"{tag}{i}",
+                    text=" ".join(f"w{j}" for j in rng.integers(0, 25, size=int(rng.integers(*lengths)))),
+                    weak_annotation=float(rng.random()),
+                    label=i % 2,
+                )
+                for i in range(n)
+            ]
+
+        long_qs, short_qs = chunk(12, (6, 10), "long"), chunk(7, (0, 2), "short")
+        buffer = np.empty((12, max_words * dim + 1))
+        got = featurize_batch(long_qs, table, max_words, out=buffer).array
+        assert got.tobytes() == reference_featurize(long_qs, table, max_words).tobytes()
+        got = featurize_batch(short_qs, table, max_words, out=buffer).array
+        assert got.shape == (7, max_words * dim + 1)
+        assert got.tobytes() == reference_featurize(short_qs, table, max_words).tobytes()
+
+    def test_out_with_more_rows_than_the_batch(self):
+        rng = np.random.default_rng(63)
+        questions, table = random_corpus(rng, 13, vocab=30, known=20, dim=2, max_len=8)
+        buffer = np.full((50, 5 * 2 + 1), np.nan)
+        got = featurize_batch(questions, table, 5, out=buffer).array
+        assert got.shape == (13, 11)
+        assert got.tobytes() == reference_featurize(questions, table, 5).tobytes()
+        assert np.isnan(buffer[13:]).all()
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            np.zeros((10, 3 * 2 + 2)),  # one column too many
+            np.zeros((10, 3 * 2)),  # one column too few
+            np.zeros((10, 3 * 2 + 1), dtype=np.float32),
+            np.zeros((9, 3 * 2 + 1)),  # one row short
+            np.zeros((10, 3 * 2 + 1), order="F"),
+        ],
+        ids=["wide", "narrow", "float32", "short", "fortran"],
+    )
+    def test_out_that_does_not_fit_is_rejected(self, buffer):
+        rng = np.random.default_rng(64)
+        questions, table = random_corpus(rng, 10, vocab=10, known=8, dim=2, max_len=4)
+        with pytest.raises(ShapeError, match="featurize_batch: out"):
+            featurize_batch(questions, table, 3, out=buffer)
 
 
 class TestNotUtf8:

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +293,26 @@ class TestTrain:
         assert counts[0] == counts[1]
         assert counts[0]["Gradients"] == 2
 
+    def test_streamed_batches_share_one_feature_buffer(self, monkeypatch):
+        # The package binds the name qdelnet.train to the function; fetch the module.
+        train_module = importlib.import_module("qdelnet.train")
+
+        outs = []
+
+        def counting(*args, **kwargs):
+            outs.append(kwargs.get("out"))
+            return featurize_batch(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "featurize_batch", counting)
+        ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
+        train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table, cache_features=False)
+        steps = 3 * 4  # 36 fit rows in batches of 10
+        assert len(outs) > steps  # the final evaluates come after the steps
+        assert outs[0] is not None
+        assert all(out is outs[0] for out in outs[:steps])
+        assert all(out is not outs[0] for out in outs[steps:])
+
     @pytest.mark.parametrize("record_grad_norms", [False, True])
     def test_matches_hand_loop_over_public_functions(self, record_grad_norms):
         """train() updates in buffers it owns; its loss curve, gradient norms
@@ -397,6 +419,25 @@ class TestEvaluate:
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(), dropout_rate=0.0, seed=0)
         with pytest.raises(InputError):
             evaluate(build(config), Dataset(()), table)
+
+    def test_features_of_one_chunk_at_a_time(self):
+        """4 chunks of a 4,801-wide input: the memory traced during evaluate
+        stays below 1.5 chunk feature matrices, so one chunk's features are
+        never alive beside the next one's."""
+        ds, table = gen_synthetic(50, 40, 50, 96, 0.1, seed=5)
+        config = ModelConfig(input_dim=96 * 50 + 1, hidden_widths=(8,), dropout_rate=0.0, seed=5)
+        model = build(config)
+        chunk_size = 16
+        chunk_bytes = chunk_size * config.input_dim * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            evaluate(model, ds, table, chunk_size=chunk_size)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * chunk_bytes
 
 
 class TestInitialGradientProfile:
