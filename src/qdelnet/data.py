@@ -46,7 +46,10 @@ class Question:
     def __post_init__(self):
         if self.label not in (0, 1):
             raise ValidationError(f"question {self.id!r}: label must be 0 or 1, got {self.label!r}")
-        a = float(self.weak_annotation)
+        try:
+            a = float(self.weak_annotation)
+        except OverflowError:  # an integer beyond the float range
+            a = math.inf
         if not math.isfinite(a):
             raise ValidationError(f"question {self.id!r}: weak_annotation must be finite")
         if a < 0.0 or a > 1.0:

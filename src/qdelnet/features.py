@@ -13,6 +13,7 @@ that matrix, into a fresh matrix or into a buffer its caller reuses.
 from __future__ import annotations
 
 import string
+import sys
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,31 +33,34 @@ __all__ = [
 ]
 
 _PUNCT = string.punctuation
+# load_embeddings parses into a buffer of this many rows, doubled when full.
+_FIRST_ROWS = 1 << 10
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip punctuation at token boundaries.
 
     Tokens that are nothing but punctuation are dropped; interior punctuation
-    (e.g. the apostrophe in "don't") survives.
+    (e.g. the apostrophe in "don't") survives. Tokens are interned
+    (sys.intern), so every occurrence of a word in a corpus, and the word's
+    key in an EmbeddingTable, is one string object.
     """
     out = []
     for raw in text.lower().split():
         word = raw.strip(_PUNCT)
         if word:
-            out.append(word)
+            out.append(sys.intern(word))
     return out
 
 
 class EmbeddingTable:
     """Word -> fixed-dimension vector map, stored as one read-only
-    (len + 1) x dim matrix and a word -> row dict. Row 0 is the zero vector,
-    shared by unknown words and padding, so lookups never fail."""
+    (len + 1) x dim matrix and a word -> row dict keyed by interned words.
+    Row 0 is the zero vector, shared by unknown words and padding, so
+    lookups never fail."""
 
     def __init__(self, dim: int, entries: Mapping[str, Sequence[float]]):
-        if dim < 1:
-            raise ConfigError(f"embedding dimension must be positive, got {dim}")
-        self._dim = dim
+        _check_dim(dim)
         matrix = np.zeros((len(entries) + 1, dim))
         rows: dict[str, int] = {}
         for row, (word, vec) in enumerate(entries.items(), start=1):
@@ -66,8 +70,21 @@ class EmbeddingTable:
                     f"embedding for {word!r} has length {v.size}, expected {dim}"
                 )
             matrix[row] = v
-            rows[word] = row
+            rows[sys.intern(word)] = row
+        self._adopt(matrix, rows)
+
+    @classmethod
+    def _of(cls, matrix: np.ndarray, rows: dict[str, int]) -> "EmbeddingTable":
+        """A table that takes `matrix` and `rows` as they are, uncopied."""
+        table = cls.__new__(cls)
+        table._adopt(matrix, rows)
+        return table
+
+    def _adopt(self, matrix: np.ndarray, rows: dict[str, int]) -> None:
+        # The core of both constructors: row 0 of matrix is zero and rows maps
+        # each interned word to its row. The matrix is frozen, not copied.
         matrix.flags.writeable = False
+        self._dim = matrix.shape[1]
         self._matrix = matrix
         self._rows = rows
 
@@ -90,15 +107,27 @@ class EmbeddingTable:
         return self._rows.keys()
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ConfigError(f"embedding dimension must be positive, got {dim}")
+
+
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     """Read a word2vec-style text file: one `word v1 .. v_dim` entry per line.
 
     An optional first line holding exactly two integer fields (`count dim`)
     is recognized as a header and skipped. Duplicate words keep their first
-    occurrence. Malformed lines, and lines that are not UTF-8, raise
-    ParseError with the line number.
+    occurrence, but every line is checked. Malformed lines, and lines that
+    are not UTF-8, raise ParseError with the line number of the first one.
+
+    Each entry is parsed straight into the next row of one zeroed buffer,
+    which doubles when full; its leading rows become the table's matrix, so
+    no per-word array and no second copy of the table is made. A duplicate
+    is parsed into the next free row too, which the next new word reuses.
     """
-    entries: dict[str, np.ndarray] = {}
+    _check_dim(expected_dim)
+    matrix = np.zeros((_FIRST_ROWS, expected_dim))
+    rows: dict[str, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -113,19 +142,24 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                         f"expected {expected_dim} components for {word!r}, got {len(comps)}",
                         line=lineno,
                     )
+                row = len(rows) + 1
+                if row == len(matrix):
+                    grown = np.zeros((2 * row, expected_dim))
+                    grown[:row] = matrix
+                    matrix = grown
                 try:
-                    vec = np.array([float(c) for c in comps])
+                    matrix[row] = list(map(float, comps))
                 except ValueError:
                     raise ParseError(
                         f"non-numeric component in entry {word!r}", line=lineno
                     ) from None
-                if not np.isfinite(vec).all():
+                if not np.isfinite(matrix[row]).all():
                     raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
-                if word not in entries:
-                    entries[word] = vec
+                if word not in rows:
+                    rows[sys.intern(word)] = row
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    return EmbeddingTable(expected_dim, entries)
+    return EmbeddingTable._of(matrix[: len(rows) + 1], rows)
 
 
 def _is_int(s: str) -> bool:

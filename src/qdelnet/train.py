@@ -52,6 +52,8 @@ __all__ = [
 # Feature matrices smaller than this are precomputed once; larger corpora are
 # featurized batch-by-batch inside the epoch loop.
 _CACHE_LIMIT_BYTES = 1 << 30
+# evaluate() halves its chunk while one chunk's features would be larger.
+_EVAL_CHUNK_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -226,10 +228,14 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
     """Accuracy (percent) under the 0.5 threshold; a prediction of exactly
     0.5 counts as the positive (deleted) class. Eval-mode forward: no dropout.
 
-    The dataset is featurized and scored chunk_size questions at a time.
-    One feature buffer and one activation workspace, both sized for the
-    first chunk, are allocated per call and reused by every chunk, so the
-    features of at most one chunk are ever alive.
+    The dataset is featurized and scored a chunk of questions at a time. The
+    chunk is chunk_size questions, halved while one chunk's features would
+    take more than 256 MiB (_EVAL_CHUNK_BYTES): 256 rows at the paper's
+    72,001 inputs. Halving a power-of-two chunk_size keeps every boundary
+    of the full-size chunks. One feature buffer and one activation
+    workspace, both sized for the first chunk, are allocated per call and
+    reused by every chunk, so the features of at most one chunk are ever
+    alive.
     """
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
@@ -237,6 +243,9 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
     questions = dataset.questions
     actual = dataset.labels() == 1.0
     rows = min(chunk_size, len(questions))
+    while rows > 1 and rows * model.input_dim * 8 > _EVAL_CHUNK_BYTES:
+        chunk_size //= 2
+        rows = min(chunk_size, len(questions))
     features = np.empty((rows, model.input_dim))
     workspace = activation_buffers(model, rows)
     correct = 0

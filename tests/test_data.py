@@ -49,6 +49,15 @@ class TestQuestion:
             q = Question(id="b", text="x", weak_annotation=-0.2, label=0)
         assert q.weak_annotation == 0.0
 
+    @pytest.mark.parametrize(
+        "value",
+        [10**400, -(10**400), float("nan"), float("inf")],
+        ids=["10**400", "-10**400", "nan", "inf"],
+    )
+    def test_annotation_out_of_float_range_is_a_validation_error(self, value):
+        with pytest.raises(ValidationError, match="^question 'a': weak_annotation must be finite$"):
+            Question(id="a", text="x", weak_annotation=value, label=0)
+
 
 class TestLoadDataset:
     def test_deleted_question_line(self, tmp_path):
@@ -110,6 +119,18 @@ class TestLoadDataset:
         )
         with pytest.raises(ValidationError, match="^line 2: weak_annotation must be finite$"):
             load_dataset(path)
+
+    def test_a_word_shared_by_two_questions_is_one_object(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id":"q1","text":"Shared words here","label":0}\n'
+            '{"id":"q2","text":"the SHARED, words!","label":1}\n'
+        )
+        first, second = load_dataset(path).questions
+        assert first.tokens == ("shared", "words", "here")
+        assert second.tokens == ("the", "shared", "words")
+        assert first.tokens[0] is second.tokens[1]
+        assert first.tokens[1] is second.tokens[2]
 
     def test_missing_annotation_defaults_to_zero(self, tmp_path):
         path = tmp_path / "d.jsonl"

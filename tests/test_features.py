@@ -1,6 +1,9 @@
+import string
+
 import numpy as np
 import pytest
 
+import qdelnet.features
 from qdelnet.data import Question
 from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
@@ -26,6 +29,17 @@ class TestTokenize:
         # boundary punctuation stripped, interior kept, bare punctuation dropped
         assert tokenize("hello emo family. :3 wassup?") == ["hello", "emo", "family", "3", "wassup"]
         assert tokenize("don't stop. . .") == ["don't", "stop"]
+
+    def test_values_match_the_uninterned_reference(self):
+        texts = ["", "Hello, World!", "a  b\tc", "don't stop. . .", "...", "Ünïcode ÉCOLE, ß!",
+                 "x-ray (x-ray) X-RAY", "mixed\nlines\r\nand\u00a0nbsp"]
+        for text in texts:
+            expected = [w.strip(string.punctuation) for w in text.lower().split()]
+            assert tokenize(text) == [w for w in expected if w]
+
+    def test_equal_tokens_are_one_object(self):
+        first, second = tokenize("Shared words"), tokenize("the SHARED, words!")
+        assert first[0] is second[1] and first[1] is second[2]
 
 
 class TestEmbeddingTable:
@@ -90,6 +104,168 @@ class TestLoadEmbeddings:
         assert len(loaded) == 5
         for word in table.words():
             np.testing.assert_array_equal(loaded.vector(word), table.vector(word))
+
+
+def reference_load_embeddings(path, dim):
+    """The per-line loader that load_embeddings replaced: one array per
+    entry, copied into the table's matrix at the end, kept here as its
+    oracle. Returns (matrix, word -> row)."""
+
+    def is_int(s):
+        try:
+            int(s)
+        except ValueError:
+            return False
+        return True
+
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if lineno == 1 and len(parts) == 2 and is_int(parts[0]) and is_int(parts[1]):
+                continue
+            word, comps = parts[0], parts[1:]
+            if len(comps) != dim:
+                raise ParseError(
+                    f"expected {dim} components for {word!r}, got {len(comps)}", line=lineno
+                )
+            try:
+                vec = np.array([float(c) for c in comps])
+            except ValueError:
+                raise ParseError(f"non-numeric component in entry {word!r}", line=lineno) from None
+            if not np.isfinite(vec).all():
+                raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
+            if word not in entries:
+                entries[word] = vec
+    matrix = np.zeros((len(entries) + 1, dim))
+    rows = {}
+    for row, (word, vec) in enumerate(entries.items(), start=1):
+        matrix[row] = vec
+        rows[word] = row
+    return matrix, rows
+
+
+def entry_lines(rng, words, dim):
+    return [f"{w} " + " ".join(repr(v) for v in rng.normal(size=dim).tolist()) for w in words]
+
+
+def assert_loads_like_the_reference(path, dim):
+    """load_embeddings and the oracle agree bit for bit, or raise the same
+    ParseError for the same line."""
+    try:
+        matrix, rows = reference_load_embeddings(path, dim)
+    except ParseError as expected:
+        with pytest.raises(ParseError) as info:
+            load_embeddings(path, dim)
+        assert (str(info.value), info.value.line) == (str(expected), expected.line)
+        return
+    table = load_embeddings(path, dim)
+    assert table.dim == dim
+    assert table._matrix.shape == matrix.shape
+    assert table._matrix.tobytes() == matrix.tobytes()
+    assert list(table._rows.items()) == list(rows.items())
+    assert not table._matrix.flags.writeable
+
+
+class TestLoadEmbeddingsReference:
+    @pytest.mark.parametrize("header", ["present", "absent", "count too high", "count too low"])
+    def test_header(self, tmp_path, header):
+        rng = np.random.default_rng(1)
+        lines = entry_lines(rng, [f"w{i}" for i in range(6)], 3)
+        head = {"present": ["6 3"], "absent": [], "count too high": ["60 3"],
+                "count too low": ["2 3"]}[header]
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(head + lines) + "\n")
+        assert_loads_like_the_reference(path, 3)
+        assert len(load_embeddings(path, 3)) == 6
+
+    def test_blank_lines_and_a_header_shape_past_line_1(self, tmp_path):
+        rng = np.random.default_rng(2)
+        a, b = entry_lines(rng, ["alpha", "beta"], 1)
+        path = tmp_path / "emb.txt"
+        # line 1 is blank, so "2 1" on line 2 is the entry of the word "2"
+        path.write_text(f"\n2 1\n{a}\n   \n\t\n{b}\n\n")
+        assert_loads_like_the_reference(path, 1)
+        assert list(load_embeddings(path, 1).words()) == ["2", "alpha", "beta"]
+
+    @pytest.mark.parametrize(
+        "duplicate, line",
+        [
+            ("a 5.0 6.0", None),  # a good duplicate is dropped
+            ("a 5.0", 3),  # wrong component count
+            ("a 5.0 x", 3),  # non-numeric
+            ("a inf 6.0", 3),  # non-finite
+        ],
+    )
+    def test_duplicates_keep_the_first_and_are_checked(self, tmp_path, duplicate, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 1.0 2.0\nb 3.0 4.0\n{duplicate}\nc 7.0 8.0\n")
+        assert_loads_like_the_reference(path, 2)
+        if line is None:
+            table = load_embeddings(path, 2)
+            assert table.vector("a").tolist() == [1.0, 2.0]
+            assert table.vector("c").tolist() == [7.0, 8.0]
+        else:
+            with pytest.raises(ParseError) as info:
+                load_embeddings(path, 2)
+            assert info.value.line == line
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("trailing_duplicate", [False, True])
+    def test_sizes_around_the_growth_points(self, tmp_path, monkeypatch, words,
+                                            trailing_duplicate):
+        """A 4-row first buffer holds 3 words (row 0 is the zero row), so it
+        grows at the 4th, 8th and 16th word."""
+        monkeypatch.setattr(qdelnet.features, "_FIRST_ROWS", 4)
+        rng = np.random.default_rng(words)
+        lines = entry_lines(rng, [f"w{i}" for i in range(words)], 2)
+        if trailing_duplicate:
+            lines += entry_lines(rng, ["w0"], 2)
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert_loads_like_the_reference(path, 2)
+
+    @pytest.mark.parametrize("words", [1022, 1023, 1024, 1025])
+    def test_sizes_around_the_default_first_buffer(self, tmp_path, words):
+        rng = np.random.default_rng(words)
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(entry_lines(rng, [f"w{i}" for i in range(words)], 1)) + "\n")
+        assert_loads_like_the_reference(path, 1)
+
+    def test_dim_1_and_extreme_values(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("z -0.0\ntiny 5e-324\nbig -1.7976931348623157e308\nsep 1_0\nint 7\n")
+        assert_loads_like_the_reference(path, 1)
+        assert load_embeddings(path, 1).vector("sep").tolist() == [10.0]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("c nan 1.0", "d 1.0"),  # non-finite before a wrong count
+            ("c 1.0", "d 1.0 nope"),  # wrong count before non-numeric
+            ("c 1.0 nope", "d -inf 1.0"),  # non-numeric before non-finite
+            ("c 1.0 2.0 3.0", "d 1.0 NaN"),  # too many components before non-finite
+        ],
+    )
+    def test_the_first_bad_line_wins(self, tmp_path, first, second):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\na 1.0 2.0\n{first}\nb 3.0 4.0\n{second}\n")
+        assert_loads_like_the_reference(path, 2)
+        with pytest.raises(ParseError) as info:
+            load_embeddings(path, 2)
+        assert info.value.line == 3
+
+    def test_table_keys_are_the_corpus_tokens(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("shared 1.0\nwords 2.0\n")
+        table = load_embeddings(path, 1)
+        tokens = tokenize("SHARED words!")
+        keys = {w: w for w in table.words()}
+        assert keys["shared"] is tokens[0] and keys["words"] is tokens[1]
+        built = EmbeddingTable(1, {"".join(["sha", "red"]): [1.0]})
+        assert next(iter(built.words())) is tokens[0]
 
 
 class TestFeaturize:

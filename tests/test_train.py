@@ -439,6 +439,66 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 1.5 * chunk_bytes
 
+    @staticmethod
+    def _record_chunks(monkeypatch, ds):
+        """Wrap the featurize_batch and forward that evaluate looks up; record
+        each chunk's start, length and buffer size, and a copy of its
+        predictions."""
+        train_module = importlib.import_module("qdelnet.train")
+        start_of = {id(q): i for i, q in enumerate(ds.questions)}
+        chunks, preds = [], []
+
+        def featurize(questions, table, max_words, out=None):
+            chunks.append((start_of[id(questions[0])], len(questions), out.nbytes))
+            return featurize_batch(questions, table, max_words, out=out)
+
+        def forward_copy(*args, **kwargs):
+            result = forward(*args, **kwargs)
+            preds.append(result[0].array[:, 0].copy())
+            return result
+
+        monkeypatch.setattr(train_module, "featurize_batch", featurize)
+        monkeypatch.setattr(train_module, "forward", forward_copy)
+        return chunks, preds
+
+    def test_over_budget_chunks_are_halved(self, monkeypatch):
+        """1,025 questions of a 4,801-wide input under a cap that 256-row
+        chunks fit and 512-row chunks do not."""
+        corpus, table = gen_synthetic(1026, 40, 50, 96, 0.1, seed=6)
+        ds = Dataset(corpus.questions[:1025])
+        config = ModelConfig(input_dim=96 * 50 + 1, hidden_widths=(8,), dropout_rate=0.0, seed=6)
+        model = build(config)
+        cap = 300 * config.input_dim * 8
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_EVAL_CHUNK_BYTES", cap)
+        chunks, preds = self._record_chunks(monkeypatch, ds)
+        accuracy = evaluate(model, ds, table)
+
+        assert [(start, n) for start, n, _ in chunks] == [
+            (0, 256), (256, 256), (512, 256), (768, 256), (1024, 1)
+        ]
+        assert all(nbytes <= cap for _, _, nbytes in chunks)
+        correct = 0
+        for start in range(0, len(ds), 256):
+            chunk = ds.questions[start : start + 256]
+            out, _ = forward(model, featurize_batch(chunk, table, 96), mode="eval")
+            actual = np.array([q.label == 1 for q in chunk])
+            correct += int(np.sum((out.array[:, 0] >= 0.5) == actual))
+        assert accuracy == 100.0 * correct / len(ds)
+        # The full chunks predict bit for bit what 512-row chunks predict.
+        for start in (0, 512):
+            x = featurize_batch(ds.questions[start : start + 512], table, 96)
+            out, _ = forward(model, x, mode="eval")
+            halves = np.concatenate(preds[start // 256 : start // 256 + 2])
+            assert halves.tobytes() == out.array[:, 0].tobytes()
+
+    def test_narrow_input_keeps_512_row_chunks_at_the_default_cap(self, monkeypatch):
+        corpus, table = gen_synthetic(1026, 200, 16, 12, 0.15, seed=3)
+        ds = Dataset(corpus.questions[:1025])
+        config = ModelConfig(input_dim=12 * 16 + 1, hidden_widths=(8,), dropout_rate=0.0, seed=3)
+        chunks, _ = self._record_chunks(monkeypatch, ds)
+        evaluate(build(config), ds, table)
+        assert [(start, n) for start, n, _ in chunks] == [(0, 512), (512, 512), (1024, 1)]
+
 
 class TestInitialGradientProfile:
     @staticmethod

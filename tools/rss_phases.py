@@ -1,0 +1,73 @@
+"""Resident memory of one sweep-wide cell, phase by phase.
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/rss_phases.py --seed N
+
+Writes the sweep-wide benchmark's inputs (72,001-wide: vocab 10,000, dim 300,
+max_words 240, 2,400 train / 600 test questions) from --seed into a
+temporary directory in a child process, so generating them costs this
+process nothing. Then it runs the sweep's depth-1 cell as the sweep does
+and prints VmRSS (resident now) and VmHWM (peak so far) in MB from
+/proc/self/status after each phase: imports, load_source, build_model,
+train() and the test-set evaluate. One BLAS thread, as above, matches the
+benchmark. Linux only.
+"""
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def status_mb(field: str) -> float:
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1]) / 1024  # the kernel reports kB
+    raise KeyError(field)
+
+
+def report(phase: str) -> None:
+    print(f"{phase:<12} VmRSS {status_mb('VmRSS'):8.1f} MB  VmHWM {status_mb('VmHWM'):8.1f} MB")
+
+
+def write_inputs(seed: int, out: Path) -> None:
+    from qdelnet import gen_synthetic, save_dataset, save_embeddings, split_train_test
+
+    corpus, table = gen_synthetic(3000, 10_000, 300, 240, 0.15, seed)
+    train_set, test_set = split_train_test(corpus, 2400, 600, seed)
+    save_dataset(train_set, out / "train.jsonl")
+    save_dataset(test_set, out / "test.jsonl")
+    save_embeddings(table, out / "embeddings.txt")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--write", type=Path, help=argparse.SUPPRESS)  # the child's job
+    args = parser.parse_args()
+    if args.write is not None:
+        write_inputs(args.seed, args.write)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, __file__, "--seed", str(args.seed), "--write", tmp],
+                       check=True)
+        from qdelnet import (FileSource, ModelConfig, TrainConfig, build_model, evaluate,
+                             load_source, taper_widths, train)
+        report("imports")
+        source = FileSource(f"{tmp}/train.jsonl", f"{tmp}/embeddings.txt", f"{tmp}/test.jsonl")
+        train_set, test_set, table, max_words = load_source(source, args.seed, need_test=True)
+        report("load_source")
+        config = ModelConfig(input_dim=max_words * table.dim + 1,
+                             hidden_widths=tuple(taper_widths(1)), dropout_rate=0.05,
+                             seed=args.seed)
+        model = build_model(config)
+        report("build_model")
+        model, _ = train(model, train_set, TrainConfig(epochs=1, learning_rate=0.05,
+                                                       seed=args.seed), table)
+        report("train()")
+        evaluate(model, test_set, table)
+        report("evaluate")
+
+
+if __name__ == "__main__":
+    main()
