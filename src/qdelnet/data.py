@@ -109,6 +109,8 @@ def load_dataset(path) -> Dataset:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+                except RecursionError:
+                    raise ParseError("invalid JSON (nested too deeply)", line=lineno) from None
                 if not isinstance(obj, dict):
                     raise ParseError("expected a JSON object", line=lineno)
                 for key in ("id", "text", "label"):
@@ -136,6 +138,7 @@ def load_dataset(path) -> Dataset:
                 )
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    del seen  # Dataset checks the ids again; do not hold two id sets at once
     return Dataset(tuple(questions), name=Path(path).stem)
 
 

@@ -217,7 +217,8 @@ class Activations(list):
     """Workspace for forward(..., out=): one writable (pre-activation,
     post-activation) array pair per layer with room for `rows` rows, and
     `masks`, one vector with room for every dropout mask of a batch of
-    that many rows. Made by activation_buffers for one model layout."""
+    that many rows, or None in an eval workspace, whose pairs are one array
+    each. Made by activation_buffers for one model layout."""
 
     __slots__ = ("rows", "masks", "_shapes")
 
@@ -272,15 +273,28 @@ def param_buffers(model: MlpModel) -> Gradients:
     return Gradients(*_wrap_views(_layer_views(flat, model._shapes)), flat)
 
 
-def activation_buffers(model: MlpModel, rows: int) -> Activations:
+def activation_buffers(model: MlpModel, rows: int, mode: str = "train") -> Activations:
     """An uninitialized activation workspace for batches of up to `rows`
-    rows, for the `out` of forward."""
-    out = Activations(
-        (np.empty((rows, layer.weights.rows)), np.empty((rows, layer.weights.rows)))
-        for layer in model.layers
-    )
+    rows, for the `out` of forward in `mode`.
+
+    A train workspace keeps every layer's pre- and post-activations, which
+    backward reads, and room for the dropout masks. An eval workspace is two
+    flat buffers of rows x the widest layer, and `masks` is None: layer k
+    writes its pre-activation into buffer k % 2 and its activation over it,
+    so its size does not grow with depth.
+    """
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    widths = [layer.weights.rows for layer in model.layers]
+    if mode == "eval":
+        flats = [np.empty(rows * max(widths)) for _ in range(2)]
+        views = [flats[k % 2][: rows * w].reshape(rows, w) for k, w in enumerate(widths)]
+        out = Activations((v, v) for v in views)
+        out.masks = None
+    else:
+        out = Activations((np.empty((rows, w)), np.empty((rows, w))) for w in widths)
+        out.masks = np.empty(rows * sum(widths[:-1]))
     out.rows = rows
-    out.masks = np.empty(rows * sum(layer.weights.rows for layer in model.layers[:-1]))
     out._shapes = model._shapes
     return out
 
@@ -314,8 +328,11 @@ def forward(
     into the leading rows of its buffers, and the trace's arrays view them
     until the next call that writes them. In train mode every mask of the
     batch comes from one draw into out.masks, layer after layer, the same
-    numbers in the same order as one draw per layer. The predictions are
-    always a fresh copy.
+    numbers in the same order as one draw per layer. An eval workspace
+    (activation_buffers(..., mode="eval")) overwrites each layer's
+    activations two layers on, so the trace it gives has empty activation
+    lists, which backward rejects, and a train-mode call with one raises
+    ConfigError. The predictions are always a fresh copy.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -333,6 +350,8 @@ def forward(
         out = activation_buffers(model, rows)
     elif not isinstance(out, Activations) or out.rows < rows or out._shapes != model._shapes:
         raise ShapeError(f"forward: out does not hold {rows} rows of every layer's activations")
+    elif mode == "train" and out.masks is None:
+        raise ConfigError("train-mode forward needs a train workspace, got an eval workspace")
     if use_dropout:
         draws = out.masks[: rows * (out.masks.size // out.rows)]
         rng.random(out=draws)
@@ -365,6 +384,8 @@ def forward(
         a = h
     if not np.isfinite(a).all():
         raise NumericError("forward: predictions are non-finite (model state has diverged)")
+    if out.masks is None:  # later layers overwrote what these arrays view
+        pre, post = [], []
     trace = ForwardTrace(
         inputs=batch.array,
         pre_activations=pre,
@@ -508,13 +529,38 @@ def save_model(model: MlpModel, path) -> None:
         fh.write("\n")
 
 
+def _json_int(value, where: str) -> int:
+    """A checkpoint integer. Types are compared exactly: JSON true and false
+    load as bool, a subclass of int, and a bool is never a number."""
+    if type(value) is not int:
+        raise ParseError(
+            f"malformed checkpoint: {where} must be an integer, got {type(value).__name__}"
+        )
+    return value
+
+
+def _json_matrix(values, rows: int, cols: int, where: str) -> Matrix:
+    """The rows x cols matrix of a checkpoint's flat list of numbers; a bool
+    is never a number, as in _json_int."""
+    if type(values) is not list or not {*map(type, values)} <= {int, float}:
+        raise ParseError(f"malformed checkpoint: {where} must be a list of numbers")
+    try:
+        return Matrix.from_flat(rows, cols, values)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(
+            f"malformed checkpoint: {where} holds a number beyond the float range"
+        ) from None
+
+
 def load_model(path) -> MlpModel:
     """Read a checkpoint written by save_model.
 
     Raises ParseError if the file is not UTF-8 (naming the first bad line),
-    is not a checkpoint or lacks a field, and ValidationError if its layers
-    contradict its config: layer count, weight shapes or activations (relu
-    on hidden layers, sigmoid on the output).
+    is not a checkpoint, lacks a field or holds a value of the wrong type
+    (naming the layer and field; a bool is never a number), and
+    ValidationError if its config breaks a ModelConfig constraint or its
+    layers contradict its config: layer count, weight shapes or activations
+    (relu on hidden layers, sigmoid on the output).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -523,27 +569,52 @@ def load_model(path) -> MlpModel:
         raise not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid checkpoint JSON: nested too deeply") from None
     fmt = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
     if fmt != _CHECKPOINT_FORMAT:
         raise ParseError(f"not a model checkpoint (format {fmt!r})")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != _CHECKPOINT_VERSION:
+        raise ParseError(f"unsupported checkpoint version {version!r}")
     try:
         cfg = doc["config"]
+        widths = cfg["hidden_widths"]
+        if type(widths) is not list:
+            raise ParseError("malformed checkpoint: config: hidden_widths must be a list")
+        rate = cfg["dropout_rate"]
+        if type(rate) not in (int, float):
+            raise ParseError("malformed checkpoint: config: dropout_rate must be a number")
         config = ModelConfig(
-            cfg["input_dim"], tuple(cfg["hidden_widths"]), cfg["dropout_rate"], cfg["seed"]
+            _json_int(cfg["input_dim"], "config: input_dim"),
+            tuple(_json_int(w, f"config: hidden_widths[{i}]") for i, w in enumerate(widths)),
+            rate,
+            _json_int(cfg["seed"], "config: seed"),
         )
         dims = [config.input_dim, *config.hidden_widths, 1]
         activations = ["relu"] * (len(dims) - 2) + ["sigmoid"]
         implied = list(zip(activations, dims[1:], dims[:-1]))
-        found = [(e["activation"], e["rows"], e["cols"]) for e in doc["layers"]]
+        found = [
+            (
+                e["activation"],
+                _json_int(e["rows"], f"layer {k}: rows"),
+                _json_int(e["cols"], f"layer {k}: cols"),
+            )
+            for k, e in enumerate(doc["layers"])
+        ]
         for k, (got, want) in enumerate(zip_longest(found, implied)):
             if got != want:
                 raise ValidationError(f"layer {k}: (activation, rows, cols) {got}, config {want}")
         layers = [
-            Layer(Matrix.from_flat(r, c, e["weights"]), Matrix.from_flat(1, r, e["bias"]), act)
-            for (act, r, c), e in zip(found, doc["layers"])
+            Layer(
+                _json_matrix(e["weights"], r, c, f"layer {k}: weights"),
+                _json_matrix(e["bias"], 1, r, f"layer {k}: bias"),
+                act,
+            )
+            for k, ((act, r, c), e) in enumerate(zip(found, doc["layers"]))
         ]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
+    except ConfigError as exc:
+        raise ValidationError(f"checkpoint config: {exc}") from None
     return MlpModel(config=config, layers=tuple(layers))

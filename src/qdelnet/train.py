@@ -232,11 +232,14 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
     chunk is chunk_size questions, halved while one chunk's features would
     take more than 256 MiB (_EVAL_CHUNK_BYTES): 256 rows at the paper's
     72,001 inputs. Halving a power-of-two chunk_size keeps every boundary
-    of the full-size chunks. One feature buffer and one activation
+    of the full-size chunks. One feature buffer and one eval activation
     workspace, both sized for the first chunk, are allocated per call and
     reused by every chunk, so the features of at most one chunk are ever
-    alive.
+    alive. The workspace is two buffers of a chunk's rows x the widest
+    layer, so scoring memory does not grow with depth.
     """
+    if chunk_size < 1:
+        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     max_words = _derive_max_words(model, table)
@@ -247,7 +250,7 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
         chunk_size //= 2
         rows = min(chunk_size, len(questions))
     features = np.empty((rows, model.input_dim))
-    workspace = activation_buffers(model, rows)
+    workspace = activation_buffers(model, rows, mode="eval")
     correct = 0
     for start in range(0, len(questions), chunk_size):
         x = featurize_batch(questions[start : start + chunk_size], table, max_words, out=features)

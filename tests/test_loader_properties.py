@@ -1,0 +1,227 @@
+"""The three files `qdelnet evaluate` reads: a checkpoint, a JSONL corpus and
+an embedding table. A malformed file raises one of the package's errors,
+never a bare ValueError, and through the CLI it exits 2 with that error's
+message and no traceback. The property tests are derandomized, so every run
+draws the same examples."""
+
+import contextlib
+import io
+import json
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdelnet import errors
+from qdelnet.cli import parse_and_dispatch
+from qdelnet.data import gen_synthetic, load_dataset, save_dataset
+from qdelnet.errors import ParseError, ValidationError
+from qdelnet.features import load_embeddings, save_embeddings
+from qdelnet.nn import ModelConfig, build_model, load_model, save_model
+
+PACKAGE_ERRORS = (
+    errors.ConfigError,
+    errors.InputError,
+    errors.NumericError,
+    errors.ParseError,
+    errors.ShapeError,
+    errors.ValidationError,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A valid corpus, table (dim 3) and checkpoint (13 inputs, widths 3, 2),
+    and `doc`, the checkpoint as JSON."""
+    base = tmp_path_factory.mktemp("evaluate-inputs")
+    corpus, table = gen_synthetic(20, 12, 3, 4, 0.1, seed=3)
+    paths = {name: base / name for name in ("data.jsonl", "embeddings.txt", "model.json")}
+    save_dataset(corpus, paths["data.jsonl"])
+    save_embeddings(table, paths["embeddings.txt"])
+    save_model(build_model(ModelConfig(input_dim=13, hidden_widths=(3, 2), seed=3)),
+               paths["model.json"])
+    paths["doc"] = json.loads(paths["model.json"].read_text())
+    paths["bad"] = base / "bad"
+    return paths
+
+
+def evaluate_cli(files, **replace) -> tuple[int, str]:
+    """Exit code and stderr of `qdelnet evaluate` on the valid files, with
+    any of model/data/embeddings replaced by another path."""
+    paths = {"model": files["model.json"], "data": files["data.jsonl"],
+             "embeddings": files["embeddings.txt"], **replace}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = parse_and_dispatch(["evaluate", "--model", str(paths["model"]),
+                                   "--data", str(paths["data"]),
+                                   "--embeddings", str(paths["embeddings"]), "--dim", "3"])
+    return code, err.getvalue()
+
+
+def assert_load_and_cli_agree(files, load, target):
+    """`load` the bad file: it loads, or raises a package error whose message
+    `qdelnet evaluate` prints before exiting 2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # annotations outside [0, 1]
+        try:
+            load(files["bad"])
+        except PACKAGE_ERRORS as exc:
+            assert evaluate_cli(files, **{target: files["bad"]}) == (2, f"error: {exc}\n")
+            return
+        code, err = evaluate_cli(files, **{target: files["bad"]})
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ")
+
+
+def replaced(doc, path, value):
+    """A deep copy of `doc` with the value at `path` (keys and indices)
+    replaced."""
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return copy
+
+
+def field_paths(value, path=()):
+    """Every path in a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield from field_paths(child, (*path, key))
+
+
+def is_element(path):
+    return len(path) == 4 and path[2] in ("weights", "bias")
+
+
+MALFORMED = [
+    (("config", "hidden_widths"), ["a"], "config: hidden_widths[0] must be an integer, got str"),
+    (("config", "hidden_widths"), [3.7, 2],
+     "config: hidden_widths[0] must be an integer, got float"),
+    (("config", "hidden_widths"), "32", "config: hidden_widths must be a list"),
+    (("config", "input_dim"), True, "config: input_dim must be an integer, got bool"),
+    (("config", "seed"), 1.5, "config: seed must be an integer, got float"),
+    (("config", "dropout_rate"), False, "config: dropout_rate must be a number"),
+    (("layers", 0, "weights", 5), "a", "layer 0: weights must be a list of numbers"),
+    (("layers", 0, "weights", 5), None, "layer 0: weights must be a list of numbers"),
+    (("layers", 0, "weights", 5), True, "layer 0: weights must be a list of numbers"),
+    (("layers", 0, "weights", 5), 10**400,
+     "layer 0: weights holds a number beyond the float range"),
+    (("layers", 0, "weights"), {"a": 1.0}, "layer 0: weights must be a list of numbers"),
+    (("layers", 0, "weights"), "1" * 39, "layer 0: weights must be a list of numbers"),
+    (("layers", 1, "bias"), [False, 0.0], "layer 1: bias must be a list of numbers"),
+    (("layers", 2, "rows"), True, "layer 2: rows must be an integer, got bool"),
+]
+MALFORMED_IDS = [
+    "width-str", "width-float", "widths-str", "input-dim-bool", "seed-float", "rate-bool",
+    "weight-str", "weight-null", "weight-bool", "weight-huge-int", "weights-object",
+    "weights-str", "bias-bool", "rows-bool",
+]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("path, value, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_parse_error_names_the_layer_and_field(self, files, path, value, message):
+        files["bad"].write_text(json.dumps(replaced(files["doc"], path, value)))
+        with pytest.raises(ParseError) as info:
+            load_model(files["bad"])
+        assert str(info.value) == f"malformed checkpoint: {message}"
+        assert evaluate_cli(files, model=files["bad"]) == (2, f"error: {info.value}\n")
+
+    def test_version_true_is_not_version_1(self, files):
+        files["bad"].write_text(json.dumps(replaced(files["doc"], ("version",), True)))
+        with pytest.raises(ParseError, match="unsupported checkpoint version True"):
+            load_model(files["bad"])
+
+    @pytest.mark.parametrize(
+        "field, value", [("seed", -1), ("input_dim", 0), ("dropout_rate", 1.5)]
+    )
+    def test_config_out_of_range_is_validation_error(self, files, field, value):
+        files["bad"].write_text(json.dumps(replaced(files["doc"], ("config", field), value)))
+        with pytest.raises(ValidationError, match=f"checkpoint config: {field}"):
+            load_model(files["bad"])
+
+    def test_deeply_nested_json_is_parse_error(self, files):
+        files["bad"].write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_model(files["bad"])
+
+
+def test_deeply_nested_corpus_line_is_parse_error(files):
+    nested = "[" * 100_000 + "]" * 100_000
+    files["bad"].write_text('{"id": "a", "text": "b", "label": 0}\n' + nested)
+    with pytest.raises(ParseError, match="line 2: invalid JSON \\(nested too deeply\\)"):
+        load_dataset(files["bad"])
+
+
+class TestLoaderProperties:
+    @PROPERTY
+    @given(data=st.data())
+    def test_checkpoint_with_one_field_replaced(self, files, data):
+        paths = list(field_paths(files["doc"]))
+        path = data.draw(
+            st.sampled_from([p for p in paths if not is_element(p)])
+            | st.sampled_from([p for p in paths if is_element(p)])
+        )
+        files["bad"].write_text(json.dumps(replaced(files["doc"], path, data.draw(JSON_VALUES))))
+        assert_load_and_cli_agree(files, load_model, "model")
+
+    @PROPERTY
+    @given(raw=st.binary(max_size=300))
+    def test_corpus_of_arbitrary_bytes(self, files, raw):
+        files["bad"].write_bytes(raw)
+        assert_load_and_cli_agree(files, load_dataset, "data")
+
+    @PROPERTY
+    @given(lines=st.lists(
+        st.fixed_dictionaries({}, optional={
+            "id": st.text(max_size=3) | JSON_VALUES,
+            "text": st.text(max_size=12) | JSON_VALUES,
+            "label": st.sampled_from([0, 1]) | JSON_VALUES,
+            "weak_annotation": st.floats() | JSON_VALUES,
+        }).map(json.dumps) | JSON_VALUES.map(json.dumps) | st.text(max_size=12),
+        max_size=5,
+    ))
+    def test_corpus_of_json_shaped_lines(self, files, lines):
+        files["bad"].write_text("\n".join(lines), encoding="utf-8")
+        assert_load_and_cli_agree(files, load_dataset, "data")
+
+    @PROPERTY
+    @given(raw=st.binary(max_size=300))
+    def test_embeddings_of_arbitrary_bytes(self, files, raw):
+        files["bad"].write_bytes(raw)
+        assert_load_and_cli_agree(files, lambda path: load_embeddings(path, 3), "embeddings")
+
+    @PROPERTY
+    @given(lines=st.lists(
+        st.lists(
+            st.text(min_size=1, max_size=4)
+            | st.floats().map(repr)
+            | st.integers().map(str)
+            | st.sampled_from(["1e400", "nan", "-inf", "1_0", "0x10"]),
+            max_size=5,
+        ).map(" ".join),
+        max_size=5,
+    ))
+    def test_embeddings_of_word2vec_shaped_lines(self, files, lines):
+        files["bad"].write_text("\n".join(lines), encoding="utf-8")
+        assert_load_and_cli_agree(files, lambda path: load_embeddings(path, 3), "embeddings")

@@ -263,6 +263,79 @@ class TestForwardOut:
         assert shapes == [((4, w), (4, w)) for w in (9, 6, 6, 3, 1)]
 
 
+def eval_predictions(model, x, out=None):
+    preds, _ = forward(model, Matrix(x), mode="eval", out=out)
+    return preds.array.tobytes()
+
+
+class TestEvalWorkspace:
+    @pytest.mark.parametrize("depth", [0, 1, 3, 50])
+    def test_predictions_bit_equal_to_train_layout_and_fresh_arrays(self, depth):
+        config = ModelConfig(input_dim=13, hidden_widths=tuple(taper_widths(depth)), seed=depth)
+        model = build_model(config)
+        x = np.random.default_rng(depth).normal(size=(512, 13))
+        fresh = eval_predictions(model, x)
+        assert eval_predictions(model, x, activation_buffers(model, 512)) == fresh
+        assert eval_predictions(model, x, activation_buffers(model, 512, mode="eval")) == fresh
+
+    def test_widest_layer_that_is_not_the_first(self):
+        """Widths 3, 9, 5, 1: the buffers are sized by the widest layer, the
+        second. MlpModel does not check its layers against its config."""
+        rng = np.random.default_rng(3)
+        dims = [4, 3, 9, 5, 1]
+        layers = tuple(
+            Layer(
+                Matrix(rng.normal(size=(out_dim, in_dim))),
+                Matrix(rng.normal(size=(1, out_dim))),
+                "relu" if out_dim > 1 else "sigmoid",
+            )
+            for in_dim, out_dim in zip(dims, dims[1:])
+        )
+        config = ModelConfig(input_dim=4, hidden_widths=(9, 5, 3), dropout_rate=0.0)
+        model = MlpModel(config, layers)
+        x = rng.normal(size=(6, 4))
+        workspace = activation_buffers(model, 6, mode="eval")
+        assert eval_predictions(model, x, workspace) == eval_predictions(model, x)
+        bases = [workspace[0][0].base, workspace[1][0].base]
+        assert bases[0] is not bases[1] and bases[0].size == bases[1].size == 6 * 9
+        for k, (pre, post) in enumerate(workspace):
+            assert pre is post and pre.shape == (6, dims[k + 1]) and pre.base is bases[k % 2]
+        assert workspace.masks is None
+
+    def test_one_workspace_for_chunks_of_512_512_and_1_rows(self):
+        config = ModelConfig(input_dim=13, hidden_widths=tuple(taper_widths(10)), seed=4)
+        model = build_model(config)
+        x = np.random.default_rng(4).normal(size=(1025, 13))
+        workspace = activation_buffers(model, 512, mode="eval")
+        train_layout = activation_buffers(model, 512)
+        for start in (0, 512, 1024):
+            chunk = x[start : start + 512]
+            expected = eval_predictions(model, chunk)
+            assert eval_predictions(model, chunk, workspace) == expected
+            assert eval_predictions(model, chunk, train_layout) == expected
+
+    def test_trace_has_no_activations_and_backward_rejects_it(self):
+        model = build_model(ModelConfig(input_dim=5, hidden_widths=(4, 3), seed=1))
+        x = Matrix(np.ones((2, 5)))
+        _, trace = forward(model, x, mode="eval", out=activation_buffers(model, 2, mode="eval"))
+        assert trace.pre_activations == [] and trace.post_activations == []
+        with pytest.raises(ShapeError):
+            backward(model, trace, Matrix(np.ones((2, 1))))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_train_mode_with_an_eval_workspace_is_config_error(self, rate):
+        model = build_model(ModelConfig(input_dim=5, hidden_widths=(4,), dropout_rate=rate, seed=1))
+        workspace = activation_buffers(model, 2, mode="eval")
+        x = Matrix(np.ones((2, 5)))
+        with pytest.raises(ConfigError, match="eval workspace"):
+            forward(model, x, mode="train", rng=stream_rng(0, 1), out=workspace)
+
+    def test_unknown_workspace_mode_is_config_error(self):
+        model = build_model(ModelConfig(input_dim=5, hidden_widths=(4,), seed=1))
+        with pytest.raises(ConfigError):
+            activation_buffers(model, 2, mode="predict")
+
+
 class TestDropout:
     def test_masks_contain_only_zero_and_inverse_keep(self):
         rate = 0.25

@@ -500,6 +500,46 @@ class TestEvaluate:
         assert [(start, n) for start, n, _ in chunks] == [(0, 512), (512, 512), (1024, 1)]
 
 
+class TestEvalMemory:
+    @staticmethod
+    def _traced_peak(depth, ds, table):
+        widths = tuple(taper_widths(depth))
+        model = build(ModelConfig(input_dim=12 * 16 + 1, hidden_widths=widths, seed=7))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            accuracy = evaluate(model, ds, table)
+            return tracemalloc.get_traced_memory()[1] - before, accuracy
+        finally:
+            tracemalloc.stop()
+
+    def test_scoring_memory_does_not_grow_with_depth(self):
+        """Two 512-row chunks of the sweep-narrow geometry: at depth 50 the
+        memory traced during evaluate stays within one eval workspace (two
+        buffers of 512 rows x the 256-wide first layer) of that at depth 1;
+        a train-layout workspace, every layer's activations and room for
+        the dropout masks, would be 53.8 MB."""
+        ds, table = gen_synthetic(1024, 200, 16, 12, 0.15, seed=7)
+        peak_1, _ = self._traced_peak(1, ds, table)
+        peak_50, accuracy = self._traced_peak(50, ds, table)
+        assert peak_50 < peak_1 + 2 * 512 * 256 * 8
+        assert 0.0 <= accuracy <= 100.0
+
+    @pytest.mark.parametrize("chunk_size", [0, -1, -512])
+    def test_chunk_size_below_one_is_config_error(self, chunk_size, monkeypatch):
+        ds, table = gen_synthetic(20, 8, 3, 4, 0.1, seed=0)
+        model = build(ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(4,), dropout_rate=0.0))
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("evaluate allocated before checking chunk_size")
+
+        train_module = importlib.import_module("qdelnet.train")
+        monkeypatch.setattr(train_module, "activation_buffers", allocate)
+        with pytest.raises(ConfigError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+            evaluate(model, ds, table, chunk_size=chunk_size)
+
+
 class TestInitialGradientProfile:
     @staticmethod
     def _sample(depth_dim=13, batch=16, seed=0):

@@ -1,15 +1,22 @@
-"""Resident memory of one sweep-wide cell, phase by phase.
+"""Resident memory of one sweep cell, phase by phase.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/rss_phases.py --seed N
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/rss_phases.py --seed N \\
+        [--workload sweep-wide|sweep-narrow]
 
-Writes the sweep-wide benchmark's inputs (72,001-wide: vocab 10,000, dim 300,
-max_words 240, 2,400 train / 600 test questions) from --seed into a
-temporary directory in a child process, so generating them costs this
-process nothing. Then it runs the sweep's depth-1 cell as the sweep does
-and prints VmRSS (resident now) and VmHWM (peak so far) in MB from
-/proc/self/status after each phase: imports, load_source, build_model,
-train() and the test-set evaluate. One BLAS thread, as above, matches the
-benchmark. Linux only.
+Runs one cell of a benchmark sweep as the sweep does and prints VmRSS
+(resident now) and VmHWM (peak so far) in MB from /proc/self/status after
+each phase: imports, load_source, build_model, train() (which includes its
+fit and validation evaluates) and the test-set evaluate. One BLAS thread, as
+above, matches the benchmark. Linux only.
+
+- sweep-wide (the default): the depth-1 cell of the 72,001-wide file source
+  (vocab 10,000, dim 300, max_words 240, 2,400 train / 600 test questions,
+  1 epoch at learning rate 0.05). Its inputs are written from --seed into a
+  temporary directory by a child process, so generating them costs this
+  process nothing.
+- sweep-narrow: the depth-50 cell of the 193-wide synthetic source (n 2,000,
+  vocab 200, dim 16, max_words 12, 1,600 train / 400 test questions, 2
+  epochs at learning rate 0.01), generated in load_source as the sweep does.
 """
 
 import argparse
@@ -40,33 +47,43 @@ def write_inputs(seed: int, out: Path) -> None:
     save_embeddings(table, out / "embeddings.txt")
 
 
+def run_cell(source, seed: int, depth: int, train_config) -> None:
+    from qdelnet import ModelConfig, build_model, evaluate, load_source, taper_widths, train
+
+    report("imports")
+    train_set, test_set, table, max_words = load_source(source, seed, need_test=True)
+    report("load_source")
+    config = ModelConfig(input_dim=max_words * table.dim + 1,
+                         hidden_widths=tuple(taper_widths(depth)), dropout_rate=0.05, seed=seed)
+    model = build_model(config)
+    report("build_model")
+    model, _ = train(model, train_set, train_config, table)
+    report("train()")
+    evaluate(model, test_set, table)
+    report("evaluate")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=("sweep-wide", "sweep-narrow"), default="sweep-wide")
     parser.add_argument("--write", type=Path, help=argparse.SUPPRESS)  # the child's job
     args = parser.parse_args()
     if args.write is not None:
         write_inputs(args.seed, args.write)
         return
+    from qdelnet import FileSource, SyntheticSource, TrainConfig
+
+    if args.workload == "sweep-narrow":
+        source = SyntheticSource(n=2000, vocab_size=200, dim=16, max_words=12, noise=0.15,
+                                 train_count=1600, test_count=400)
+        run_cell(source, args.seed, 50, TrainConfig(epochs=2, seed=args.seed))
+        return
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, __file__, "--seed", str(args.seed), "--write", tmp],
                        check=True)
-        from qdelnet import (FileSource, ModelConfig, TrainConfig, build_model, evaluate,
-                             load_source, taper_widths, train)
-        report("imports")
         source = FileSource(f"{tmp}/train.jsonl", f"{tmp}/embeddings.txt", f"{tmp}/test.jsonl")
-        train_set, test_set, table, max_words = load_source(source, args.seed, need_test=True)
-        report("load_source")
-        config = ModelConfig(input_dim=max_words * table.dim + 1,
-                             hidden_widths=tuple(taper_widths(1)), dropout_rate=0.05,
-                             seed=args.seed)
-        model = build_model(config)
-        report("build_model")
-        model, _ = train(model, train_set, TrainConfig(epochs=1, learning_rate=0.05,
-                                                       seed=args.seed), table)
-        report("train()")
-        evaluate(model, test_set, table)
-        report("evaluate")
+        run_cell(source, args.seed, 1, TrainConfig(epochs=1, learning_rate=0.05, seed=args.seed))
 
 
 if __name__ == "__main__":
