@@ -198,7 +198,10 @@ def _resolve(args: argparse.Namespace, spec: list[tuple]) -> dict:
             resolved[dest] = cli_value
         elif flag in file_values:
             raw = file_values[flag]
-            resolved[dest] = _parse_bool(raw) if parse is _FLAG else parse(raw)
+            try:
+                resolved[dest] = _parse_bool(raw) if parse is _FLAG else parse(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"config-file key {flag!r}: {exc}") from None
         else:
             resolved[dest] = default
     return resolved

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError, not_utf8
-from .features import EmbeddingTable, tokenize
+from .features import EmbeddingTable, cached_tokenizer, tokenize
 from .seeding import SYNTH, stream_rng
 
 __all__ = [
@@ -33,9 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
-    """One question: raw text, derived tokens, weak annotation and deletion label."""
+    """One question: raw text, derived tokens, weak annotation and deletion label.
+    Slotted: no per-instance __dict__. Without tokens, it tokenizes the text."""
 
     id: str
     text: str
@@ -97,16 +98,27 @@ def load_dataset(path) -> Dataset:
     1-based line number; schema violations (bad label, duplicate id, an
     annotation that is NaN, infinite or beyond the float range) raise
     ValidationError naming the line.
+
+    Each line is scanned once by json.loads' scanner; a line it cannot take
+    whole goes through json.loads, so errors keep json's text. Tokens come
+    from a cached_tokenizer made for this call, so no cache outlives it.
     """
     questions = []
     seen: set[str] = set()
+    scan = json.JSONDecoder().scan_once  # json.loads' settings
+    tokens = cached_tokenizer()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    obj = json.loads(line)
+                    try:
+                        obj, end = scan(line, 0)
+                    except StopIteration:  # no value at the start of the line
+                        end = 0
+                    if line[end:] not in ("\n", ""):  # not one whole value: ask json.loads
+                        obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
                 except RecursionError:
@@ -133,9 +145,8 @@ def load_dataset(path) -> Dataset:
                 if qid in seen:
                     raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
                 seen.add(qid)
-                questions.append(
-                    Question(id=qid, text=text, weak_annotation=annotation, label=int(label))
-                )
+                questions.append(Question(id=qid, text=text, weak_annotation=annotation,
+                                          label=int(label), tokens=tokens(text)))
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     del seen  # Dataset checks the ids again; do not hold two id sets at once

@@ -322,6 +322,8 @@ def _read_run_file(path: Path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
         raise ParseError(f"run file {path}: not JSON ({exc})") from None
+    except RecursionError:
+        raise ParseError(f"run file {path}: not JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise ParseError(f"run file {path}: expected a JSON object, got {type(doc).__name__}")
     _check_fields(path, doc, _RUN_FIELDS, "")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import string
 import sys
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "EmbeddingTable",
     "tokenize",
+    "cached_tokenizer",
     "load_embeddings",
     "save_embeddings",
     "featurize_batch",
@@ -51,6 +52,30 @@ def tokenize(text: str) -> list[str]:
         if word:
             out.append(sys.intern(word))
     return out
+
+
+def cached_tokenizer() -> Callable[[str], tuple[str, ...]]:
+    """A tokenize for one corpus load, giving tuples of tokenize's own tokens.
+
+    Its cache maps a raw token (lowercased, whitespace-split) to its token. It
+    learns from texts in which tokenize dropped no raw token, and maps a text
+    through the cache when it can, through tokenize otherwise. Each call makes
+    a new cache, which lives as long as the returned function.
+    """
+    cache: dict[str, str] = {}
+    cached = cache.__getitem__
+
+    def tokens(text: str) -> tuple[str, ...]:
+        raws = text.lower().split()
+        try:
+            return tuple(map(cached, raws))
+        except KeyError:
+            out = tokenize(text)
+            if len(out) == len(raws):
+                cache.update(zip(raws, out))
+            return tuple(out)
+
+    return tokens
 
 
 class EmbeddingTable:
@@ -119,6 +144,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     is recognized as a header and skipped. Duplicate words keep their first
     occurrence, but every line is checked. Malformed lines, and lines that
     are not UTF-8, raise ParseError with the line number of the first one.
+    Words may hold any non-whitespace; the text after the word must be ASCII
+    without underscores, which float would otherwise take ("1_0", "١").
 
     Each entry is parsed straight into the next row of one zeroed buffer,
     which doubles when full; its leading rows become the table's matrix, so
@@ -142,6 +169,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                         f"expected {expected_dim} components for {word!r}, got {len(comps)}",
                         line=lineno,
                     )
+                if "_" in line or not line.isascii():  # float takes 1_0 and non-ASCII digits
+                    rest = line.split(None, 1)[1]  # a word may hold them; a number may not
+                    if "_" in rest or not rest.isascii():
+                        raise ParseError(f"non-numeric component in entry {word!r}", line=lineno)
                 row = len(rows) + 1
                 if row == len(matrix):
                     grown = np.zeros((2 * row, expected_dim))

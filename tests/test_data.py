@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdelnet.features
 from qdelnet.data import (
     Dataset,
     Question,
@@ -12,9 +16,11 @@ from qdelnet.data import (
     split_train_test,
 )
 from qdelnet.errors import ConfigError, ParseError, ValidationError
+from qdelnet.features import tokenize
 from qdelnet.nn import ModelConfig
 from qdelnet.train import TrainConfig, evaluate, train
 from qdelnet import build_model
+from test_features import TEXTS
 
 
 def balanced_dataset(n):
@@ -36,6 +42,16 @@ class TestQuestion:
     def test_tokens_derived_from_text(self):
         q = Question(id="a", text="Hello, World!", weak_annotation=0.1, label=1)
         assert q.tokens == ("hello", "world")
+
+    def test_slotted_and_frozen(self):
+        q = Question(id="a", text="b", weak_annotation=0.5, label=1)
+        assert not hasattr(q, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.label = 0
+        with pytest.raises((AttributeError, TypeError)):
+            q.extra = 1
+        assert q == Question(id="a", text="b", weak_annotation=0.5, label=1)
+        assert hash(q) == hash(Question(id="a", text="b", weak_annotation=0.5, label=1))
 
     def test_label_validated(self):
         with pytest.raises(ValidationError):
@@ -132,6 +148,17 @@ class TestLoadDataset:
         assert first.tokens[0] is second.tokens[1]
         assert first.tokens[1] is second.tokens[2]
 
+    def test_two_loads_share_no_token_cache(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qdelnet.features, "tokenize",
+                            lambda text, real=tokenize: calls.append(text) or real(text))
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(f'{{"id":"q{i}","text":"Same words","label":0}}\n'
+                                for i in range(3)))
+        first, second = load_dataset(path), load_dataset(path)
+        assert calls == ["Same words", "Same words"]  # one miss per load
+        assert first.questions == second.questions
+
     def test_missing_annotation_defaults_to_zero(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id":"q1","text":"a","label":0}\n')
@@ -154,6 +181,92 @@ class TestLoadDataset:
         save_dataset(ds, path)
         keys = list(json.loads(path.read_text()).keys())
         assert keys == ["id", "text", "weak_annotation", "label"]
+
+
+RECORDS = st.lists(
+    st.tuples(TEXTS, st.none() | st.floats(0, 1) | st.integers(0, 1), st.sampled_from([0, 1]),
+              st.booleans(), st.sampled_from(["", " ", "\t"])),
+    max_size=8,
+)
+
+
+def reference_questions(path):
+    """What load_dataset gives on a valid file: a Question built from
+    json.loads of each nonblank line, tokenized by the constructor."""
+    questions = []
+    with open(path, encoding="utf-8") as fh:  # lines split as load_dataset splits them
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                questions.append(Question(obj["id"], obj["text"],
+                                          obj.get("weak_annotation", 0.0), obj["label"]))
+    return questions
+
+
+class TestLoadDatasetFastPath:
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(records=RECORDS)
+    def test_equals_json_loads_and_tokenize(self, tmp_path_factory, records):
+        lines = []
+        for i, (text, annotation, label, ascii_only, pad) in enumerate(records):
+            obj = {"id": f"q{i}", "text": text, "label": label}
+            if annotation is not None:
+                obj["weak_annotation"] = annotation
+            lines.append(pad + json.dumps(obj, ensure_ascii=ascii_only) + pad)
+        path = tmp_path_factory.mktemp("fast-path") / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_dataset(path).questions
+        assert list(loaded) == reference_questions(path)
+        for q in loaded:
+            assert type(q.tokens) is tuple
+            assert all(a is b for a, b in zip(q.tokens, tokenize(q.text), strict=True))
+
+    @pytest.mark.parametrize("bad", [
+        '\ufeff{"id":"b","text":"t","label":0}',
+        '{"id":"b","text":"t","label":0} {"id":"c"}',
+        '{"id":"b","text":"t","label":0}x',
+        '{"id":"b","text":"t","label":0}\u00a0',
+        '"just a string" 1',
+        ' {"id":"b","text":"t","label":0',
+        '\u3000{"id":"b","text":"t","label":0}',
+    ], ids=["bom", "two-objects", "trailing-letter", "trailing-nbsp", "trailing-value",
+            "unterminated-after-space", "leading-ideographic-space"])
+    def test_bad_line_fails_as_json_loads_does(self, tmp_path, bad):
+        try:
+            json.loads(bad)
+        except json.JSONDecodeError as exc:
+            expected = f"line 2: invalid JSON ({exc.msg})"
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","text":"t","label":0}\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert (str(info.value), info.value.line) == (expected, 2)
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_bom_on_the_first_line_fails_as_json_loads_does(self, tmp_path, first):
+        good = '{"id":"a","text":"t","label":0}'
+        path = tmp_path / "d.jsonl"
+        path.write_text("\ufeff" + good + "\n" if first else good + "\n\ufeff" + good + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_dataset(path)
+        assert str(info.value) == (f"line {1 if first else 2}: invalid JSON "
+                                   "(Unexpected UTF-8 BOM (decode using utf-8-sig))")
+
+    def test_deep_nesting_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id":"a","text":"t","label":0}\n' + '{"a":' * 100_000 + "\n")
+        with pytest.raises(ParseError, match="^line 2: invalid JSON \\(nested too deeply\\)$"):
+            load_dataset(path)
+
+    def test_whitespace_around_and_between_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(' \t{"id":"a","text":"A b","label":0} \n \t \n\n'
+                        '{"id":"b","text":"b a","label":1}\r\n\u00a0\n'
+                        '{"id":"c","text":"","label":1}', encoding="utf-8")
+        loaded = load_dataset(path).questions
+        assert [(q.id, q.tokens) for q in loaded] == [("a", ("a", "b")), ("b", ("b", "a")),
+                                                      ("c", ())]
 
 
 class TestCheckBalance:

@@ -2,12 +2,15 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdelnet.features
 from qdelnet.data import Question
 from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
     EmbeddingTable,
+    cached_tokenizer,
     featurize_batch,
     load_embeddings,
     save_embeddings,
@@ -40,6 +43,46 @@ class TestTokenize:
     def test_equal_tokens_are_one_object(self):
         first, second = tokenize("Shared words"), tokenize("the SHARED, words!")
         assert first[0] is second[1] and first[1] is second[2]
+
+
+# Texts with mixed case, punctuation-only tokens, interior apostrophes,
+# repeated words and Unicode whitespace, or any text at all.
+TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["Hello", "hello", "HELLO,", "don't", "DON'T!", "x-ray", "...", "?!",
+                         "'quoted'", "Ünïcode", "ÉCOLE", "ß", "a", "(a)", "'", "3", ":3"]),
+        st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000",
+                         "\u2028"]),
+    ).map("".join),
+    max_size=8,
+).map("".join) | st.text(max_size=12)
+
+
+class TestCachedTokenizer:
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(texts=st.lists(TEXTS, max_size=12))
+    def test_tokens_are_tokenize_s_objects(self, texts):
+        tokens = cached_tokenizer()
+        for text in texts * 2:  # the second pass is served from the cache
+            got, expected = tokens(text), tokenize(text)
+            assert got == tuple(expected)
+            assert all(a is b for a, b in zip(got, expected))
+
+    def test_a_dropped_token_is_never_cached(self):
+        tokens = cached_tokenizer()
+        assert tokens("... (word)") == ("word",)
+        assert tokens("(word) ...") == ("word",)
+        assert tokens("...") == ()
+
+    def test_a_cached_text_does_not_call_tokenize(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qdelnet.features, "tokenize",
+                            lambda text, real=tokenize: calls.append(text) or real(text))
+        tokens = cached_tokenizer()
+        assert tokens("Shared words") == ("shared", "words")
+        assert tokens("WORDS, shared!") == ("words", "shared")
+        assert tokens("shared WORDS, SHARED!") == ("shared", "words", "shared")
+        assert calls == ["Shared words", "WORDS, shared!"]
 
 
 class TestEmbeddingTable:
@@ -79,6 +122,23 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings(path, expected_dim=2)
 
+    @pytest.mark.parametrize("comps", ["1_0 2 3", "\u0661 2 3", "1 2 \uff13", "1\u20032 3",
+                                       "1 2 3\u00a0"],
+                             ids=["underscore", "arabic-indic", "fullwidth", "em-space", "nbsp"])
+    def test_numbers_word2vec_does_not_write_are_rejected(self, tmp_path, comps):
+        # float() takes all of these; "1\u20032" splits on a non-ASCII space.
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1 2 3\nw {comps}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 2: non-numeric component in entry 'w'$"):
+            load_embeddings(path, expected_dim=3)
+
+    def test_words_may_hold_underscores_and_non_ascii(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("new_york 1 2 3\ncafé 4 5 6\n\u0661 7 8 9\n", encoding="utf-8")
+        table = load_embeddings(path, expected_dim=3)
+        assert list(table.words()) == ["new_york", "café", "\u0661"]
+        assert table.vector("café").tolist() == [4.0, 5.0, 6.0]
+
     def test_header_line_skipped(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\ncat 1.0 0.0\ndog 0.0 1.0\n")
@@ -109,7 +169,8 @@ class TestLoadEmbeddings:
 def reference_load_embeddings(path, dim):
     """The per-line loader that load_embeddings replaced: one array per
     entry, copied into the table's matrix at the end, kept here as its
-    oracle. Returns (matrix, word -> row)."""
+    oracle, with the rule that the text after the word is ASCII and holds
+    no underscore. Returns (matrix, word -> row)."""
 
     def is_int(s):
         try:
@@ -131,7 +192,10 @@ def reference_load_embeddings(path, dim):
                 raise ParseError(
                     f"expected {dim} components for {word!r}, got {len(comps)}", line=lineno
                 )
+            rest = line.split(None, 1)[1]
             try:
+                if "_" in rest or not rest.isascii():  # word2vec writes neither
+                    raise ValueError(rest)
                 vec = np.array([float(c) for c in comps])
             except ValueError:
                 raise ParseError(f"non-numeric component in entry {word!r}", line=lineno) from None
@@ -236,9 +300,11 @@ class TestLoadEmbeddingsReference:
 
     def test_dim_1_and_extreme_values(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("z -0.0\ntiny 5e-324\nbig -1.7976931348623157e308\nsep 1_0\nint 7\n")
+        path.write_text("z -0.0\ntiny 5e-324\nbig -1.7976931348623157e308\nint 7\n")
         assert_loads_like_the_reference(path, 1)
-        assert load_embeddings(path, 1).vector("sep").tolist() == [10.0]
+        assert load_embeddings(path, 1).vector("int").tolist() == [7.0]
+        path.write_text("z -0.0\ntiny 5e-324\nbig -1.7976931348623157e308\nsep 1_0\nint 7\n")
+        assert_loads_like_the_reference(path, 1)  # both refuse line 4
 
     @pytest.mark.parametrize(
         "first, second",

@@ -1,12 +1,14 @@
-"""The three files `qdelnet evaluate` reads: a checkpoint, a JSONL corpus and
-an embedding table. A malformed file raises one of the package's errors,
-never a bare ValueError, and through the CLI it exits 2 with that error's
-message and no traceback. The property tests are derandomized, so every run
-draws the same examples."""
+"""The files the CLI reads: the checkpoint, JSONL corpus and embedding table
+of `qdelnet evaluate`, the run files of `qdelnet report` and the config file
+of `--config`. A malformed file raises one of the package's errors, never a
+bare ValueError, and through the CLI it exits 2 with that error's message and
+no traceback. The property tests are derandomized, so every run draws the
+same examples."""
 
 import contextlib
 import io
 import json
+import shutil
 import warnings
 
 import pytest
@@ -14,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdelnet import errors
+from qdelnet import cli
 from qdelnet.cli import parse_and_dispatch
 from qdelnet.data import gen_synthetic, load_dataset, save_dataset
 from qdelnet.errors import ParseError, ValidationError
+from qdelnet.experiment import rows_from_run_files
 from qdelnet.features import load_embeddings, save_embeddings
 from qdelnet.nn import ModelConfig, build_model, load_model, save_model
 
@@ -55,17 +59,21 @@ def files(tmp_path_factory):
     return paths
 
 
+def run_cli(*argv) -> tuple[int, str]:
+    """Exit code and stderr of the qdelnet command `argv`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = parse_and_dispatch([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
 def evaluate_cli(files, **replace) -> tuple[int, str]:
     """Exit code and stderr of `qdelnet evaluate` on the valid files, with
     any of model/data/embeddings replaced by another path."""
     paths = {"model": files["model.json"], "data": files["data.jsonl"],
              "embeddings": files["embeddings.txt"], **replace}
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = parse_and_dispatch(["evaluate", "--model", str(paths["model"]),
-                                   "--data", str(paths["data"]),
-                                   "--embeddings", str(paths["embeddings"]), "--dim", "3"])
-    return code, err.getvalue()
+    return run_cli("evaluate", "--model", paths["model"], "--data", paths["data"],
+                   "--embeddings", paths["embeddings"], "--dim", "3")
 
 
 def assert_load_and_cli_agree(files, load, target):
@@ -225,3 +233,122 @@ class TestLoaderProperties:
     def test_embeddings_of_word2vec_shaped_lines(self, files, lines):
         files["bad"].write_text("\n".join(lines), encoding="utf-8")
         assert_load_and_cli_agree(files, lambda path: load_embeddings(path, 3), "embeddings")
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """A finished sweep of depths 1 and 2 (one repeat each) under `sweep`,
+    with `doc`, its runs/1_0.json as JSON, and `bad`, where a test writes
+    the run file it corrupts."""
+    base = tmp_path_factory.mktemp("report-inputs")
+    code, err = run_cli("sweep", "--synthetic", "--n", "40", "--vocab", "12", "--dim", "3",
+                        "--max-words", "4", "--train-count", "30", "--test-count", "10",
+                        "--depths", "1,2", "--repeats", "1", "--epochs", "1", "--seed", "3",
+                        "--out", base / "sweep")
+    assert code == 0, err
+    shutil.copytree(base / "sweep" / "runs", base / "copy" / "runs")
+    return {"sweep": base / "sweep", "copy": base / "copy", "out": base / "out",
+            "bad": base / "copy" / "runs" / "1_0.json",
+            "doc": json.loads((base / "sweep" / "runs" / "1_0.json").read_text())}
+
+
+def assert_report_agrees(runs):
+    """Read the run files with one of them bad: they load, or raise a package
+    error whose message `qdelnet report` prints before exiting 2."""
+    try:
+        rows_from_run_files(runs["copy"] / "runs")
+    except PACKAGE_ERRORS as exc:
+        assert run_cli("report", "--runs", runs["copy"], "--out", runs["out"]) == (
+            2, f"error: {exc}\n")
+        return
+    code, err = run_cli("report", "--runs", runs["copy"], "--out", runs["out"])
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("error: ")
+
+
+class TestMalformedRunFile:
+    def test_deeply_nested_json_is_parse_error(self, runs):
+        runs["bad"].write_text("[" * 100_000)
+        with pytest.raises(ParseError) as info:
+            rows_from_run_files(runs["copy"] / "runs")
+        assert str(info.value) == f"run file {runs['bad']}: not JSON (nested too deeply)"
+        assert run_cli("report", "--runs", runs["copy"], "--out", runs["out"]) == (
+            2, f"error: {info.value}\n")
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_run_file_with_one_field_replaced(self, runs, data):
+        path = data.draw(st.sampled_from(list(field_paths(runs["doc"]))))
+        runs["bad"].write_text(json.dumps(replaced(runs["doc"], path, data.draw(JSON_VALUES))))
+        assert_report_agrees(runs)
+
+    @PROPERTY
+    @given(raw=st.binary(max_size=300))
+    def test_run_file_of_arbitrary_bytes(self, runs, raw):
+        runs["bad"].write_bytes(raw)
+        assert_report_agrees(runs)
+
+
+class SweepReached(Exception):
+    """Raised in place of the sweep: the config file was accepted."""
+
+
+def reach_sweep(config):
+    raise SweepReached
+
+
+# A valid `qdelnet sweep` config file: a tiny synthetic sweep.
+CONFIG = {"synthetic": "true", "n": "40", "vocab": "12", "dim": "3", "max-words": "4",
+          "train-count": "30", "test-count": "10", "depths": "1,2", "repeats": "1",
+          "epochs": "1", "seed": "3"}
+
+
+def assert_config_agrees(path, out):
+    """Resolve the options of a sweep with a bad config file: they resolve,
+    or a package error is raised whose message `qdelnet sweep` prints before
+    exiting 2. An accepted file reaches the sweep, which is not run."""
+    args = cli._build_parser().parse_args(["sweep", "--config", str(path), "--out", str(out)])
+    try:
+        cli._resolve(args, cli._OPTIONS["sweep"])
+    except PACKAGE_ERRORS as exc:
+        expected = (2, f"error: {exc}\n")
+    else:
+        expected = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_depth_sweep", reach_sweep)
+        try:
+            outcome = run_cli("sweep", "--config", path, "--out", out)
+        except SweepReached:
+            outcome = None
+    if expected is not None:
+        assert outcome == expected
+    elif outcome is not None:  # resolved, then refused by the sweep's own checks
+        assert outcome[0] == 2 and outcome[1].startswith("error: ")
+
+
+class TestMalformedConfigFile:
+    @pytest.mark.parametrize("key, value", [("depths", "abc"), ("synthetic", "maybe"),
+                                            ("n", "abc"), ("lr", "")])
+    def test_value_that_does_not_parse_is_config_error(self, tmp_path, key, value):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(f"{key} = {value}\n")
+        code, err = run_cli("sweep", "--config", path, "--out", tmp_path / "out")
+        assert code == 2
+        assert err.startswith(f"error: config-file key {key!r}: ") and err.count("\n") == 1
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_config_with_one_value_replaced(self, tmp_path_factory, data):
+        key = data.draw(st.sampled_from(sorted(CONFIG)))
+        value = data.draw(st.text(max_size=12) | JSON_VALUES.map(json.dumps))
+        base = tmp_path_factory.mktemp("config")
+        lines = [f"{k} = {value if k == key else v}" for k, v in CONFIG.items()]
+        (base / "sweep.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_config_agrees(base / "sweep.cfg", base / "out")
+
+    @PROPERTY
+    @given(raw=st.binary(max_size=300))
+    def test_config_of_arbitrary_bytes(self, tmp_path_factory, raw):
+        base = tmp_path_factory.mktemp("config")
+        (base / "sweep.cfg").write_bytes(raw)
+        assert_config_agrees(base / "sweep.cfg", base / "out")
