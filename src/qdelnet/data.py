@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError, not_utf8
-from .features import EmbeddingTable, cached_tokenizer, tokenize
+from .features import EmbeddingTable, tokenize
 from .seeding import SYNTH, stream_rng
 
 __all__ = [
@@ -100,13 +100,11 @@ def load_dataset(path) -> Dataset:
     ValidationError naming the line.
 
     Each line is scanned once by json.loads' scanner; a line it cannot take
-    whole goes through json.loads, so errors keep json's text. Tokens come
-    from a cached_tokenizer made for this call, so no cache outlives it.
+    whole goes through json.loads, so errors keep json's text.
     """
     questions = []
     seen: set[str] = set()
     scan = json.JSONDecoder().scan_once  # json.loads' settings
-    tokens = cached_tokenizer()
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -145,8 +143,9 @@ def load_dataset(path) -> Dataset:
                 if qid in seen:
                     raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
                 seen.add(qid)
-                questions.append(Question(id=qid, text=text, weak_annotation=annotation,
-                                          label=int(label), tokens=tokens(text)))
+                questions.append(
+                    Question(id=qid, text=text, weak_annotation=annotation, label=int(label))
+                )
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     del seen  # Dataset checks the ids again; do not hold two id sets at once

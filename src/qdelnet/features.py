@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import string
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "EmbeddingTable",
     "tokenize",
-    "cached_tokenizer",
     "load_embeddings",
     "save_embeddings",
     "featurize_batch",
@@ -52,30 +51,6 @@ def tokenize(text: str) -> list[str]:
         if word:
             out.append(sys.intern(word))
     return out
-
-
-def cached_tokenizer() -> Callable[[str], tuple[str, ...]]:
-    """A tokenize for one corpus load, giving tuples of tokenize's own tokens.
-
-    Its cache maps a raw token (lowercased, whitespace-split) to its token. It
-    learns from texts in which tokenize dropped no raw token, and maps a text
-    through the cache when it can, through tokenize otherwise. Each call makes
-    a new cache, which lives as long as the returned function.
-    """
-    cache: dict[str, str] = {}
-    cached = cache.__getitem__
-
-    def tokens(text: str) -> tuple[str, ...]:
-        raws = text.lower().split()
-        try:
-            return tuple(map(cached, raws))
-        except KeyError:
-            out = tokenize(text)
-            if len(out) == len(raws):
-                cache.update(zip(raws, out))
-            return tuple(out)
-
-    return tokens
 
 
 class EmbeddingTable:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qdelnet.features
 from qdelnet.data import (
     Dataset,
     Question,
@@ -20,7 +19,19 @@ from qdelnet.features import tokenize
 from qdelnet.nn import ModelConfig
 from qdelnet.train import TrainConfig, evaluate, train
 from qdelnet import build_model
-from test_features import TEXTS
+
+
+# Texts with mixed case, punctuation-only tokens, interior apostrophes,
+# repeated words and Unicode whitespace, or any text at all.
+TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(["Hello", "hello", "HELLO,", "don't", "DON'T!", "x-ray", "...", "?!",
+                         "'quoted'", "Ünïcode", "ÉCOLE", "ß", "a", "(a)", "'", "3", ":3"]),
+        st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000",
+                         "\u2028"]),
+    ).map("".join),
+    max_size=8,
+).map("".join) | st.text(max_size=12)
 
 
 def balanced_dataset(n):
@@ -147,17 +158,6 @@ class TestLoadDataset:
         assert second.tokens == ("the", "shared", "words")
         assert first.tokens[0] is second.tokens[1]
         assert first.tokens[1] is second.tokens[2]
-
-    def test_two_loads_share_no_token_cache(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(qdelnet.features, "tokenize",
-                            lambda text, real=tokenize: calls.append(text) or real(text))
-        path = tmp_path / "d.jsonl"
-        path.write_text("".join(f'{{"id":"q{i}","text":"Same words","label":0}}\n'
-                                for i in range(3)))
-        first, second = load_dataset(path), load_dataset(path)
-        assert calls == ["Same words", "Same words"]  # one miss per load
-        assert first.questions == second.questions
 
     def test_missing_annotation_defaults_to_zero(self, tmp_path):
         path = tmp_path / "d.jsonl"

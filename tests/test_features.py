@@ -2,15 +2,12 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import qdelnet.features
 from qdelnet.data import Question
 from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
     EmbeddingTable,
-    cached_tokenizer,
     featurize_batch,
     load_embeddings,
     save_embeddings,
@@ -43,46 +40,6 @@ class TestTokenize:
     def test_equal_tokens_are_one_object(self):
         first, second = tokenize("Shared words"), tokenize("the SHARED, words!")
         assert first[0] is second[1] and first[1] is second[2]
-
-
-# Texts with mixed case, punctuation-only tokens, interior apostrophes,
-# repeated words and Unicode whitespace, or any text at all.
-TEXTS = st.lists(
-    st.tuples(
-        st.sampled_from(["Hello", "hello", "HELLO,", "don't", "DON'T!", "x-ray", "...", "?!",
-                         "'quoted'", "Ünïcode", "ÉCOLE", "ß", "a", "(a)", "'", "3", ":3"]),
-        st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000",
-                         "\u2028"]),
-    ).map("".join),
-    max_size=8,
-).map("".join) | st.text(max_size=12)
-
-
-class TestCachedTokenizer:
-    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
-    @given(texts=st.lists(TEXTS, max_size=12))
-    def test_tokens_are_tokenize_s_objects(self, texts):
-        tokens = cached_tokenizer()
-        for text in texts * 2:  # the second pass is served from the cache
-            got, expected = tokens(text), tokenize(text)
-            assert got == tuple(expected)
-            assert all(a is b for a, b in zip(got, expected))
-
-    def test_a_dropped_token_is_never_cached(self):
-        tokens = cached_tokenizer()
-        assert tokens("... (word)") == ("word",)
-        assert tokens("(word) ...") == ("word",)
-        assert tokens("...") == ()
-
-    def test_a_cached_text_does_not_call_tokenize(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(qdelnet.features, "tokenize",
-                            lambda text, real=tokenize: calls.append(text) or real(text))
-        tokens = cached_tokenizer()
-        assert tokens("Shared words") == ("shared", "words")
-        assert tokens("WORDS, shared!") == ("words", "shared")
-        assert tokens("shared WORDS, SHARED!") == ("shared", "words", "shared")
-        assert calls == ["Shared words", "WORDS, shared!"]
 
 
 class TestEmbeddingTable:

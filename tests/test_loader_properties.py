@@ -72,8 +72,12 @@ def evaluate_cli(files, **replace) -> tuple[int, str]:
     any of model/data/embeddings replaced by another path."""
     paths = {"model": files["model.json"], "data": files["data.jsonl"],
              "embeddings": files["embeddings.txt"], **replace}
-    return run_cli("evaluate", "--model", paths["model"], "--data", paths["data"],
-                   "--embeddings", paths["embeddings"], "--dim", "3")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = parse_and_dispatch(["evaluate", "--model", str(paths["model"]),
+                                   "--data", str(paths["data"]),
+                                   "--embeddings", str(paths["embeddings"]), "--dim", "3"])
+    return code, err.getvalue()
 
 
 def assert_load_and_cli_agree(files, load, target):
