@@ -36,7 +36,6 @@ from .features import (
     save_embeddings,
     tokenize,
 )
-from .linalg import Matrix
 from .nn import (
     Gradients,
     MlpModel,

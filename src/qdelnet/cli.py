@@ -118,7 +118,6 @@ _OPTIONS: dict[str, list[tuple]] = {
         ("repeats", int, 3, "train+evaluate cycles averaged per depth"),
         ("width-max", int, 256, "taper start width"),
         ("width-min", int, 16, "taper end width"),
-        ("workers", int, 1, "concurrent depth x repeat cells (>1 invalidates timing)"),
         ("out", str, None, "output directory (required)"),
     ],
     "report": [
@@ -319,14 +318,7 @@ def _cmd_sweep(opts: dict) -> int:
         dropout_rate=opts["dropout"],
         source=_source(opts),
         output_dir=str(out),
-        workers=opts["workers"],
     )
-    if config.workers > 1:
-        print(
-            "warning: workers > 1 runs cells concurrently; the time-vs-depth "
-            "comparison is not meaningful for this sweep",
-            file=sys.stderr,
-        )
     rows = run_depth_sweep(config)
     write_sweep_csv(rows, out / "sweep.csv")
     if len(rows) >= 2:

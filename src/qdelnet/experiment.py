@@ -11,23 +11,23 @@ the data: it prepares the data once and profiles each depth's initial
 gradients once. grad_flow_report writes the same grad_flow.csv without
 training anything.
 
-Depth x repeat cells are independent and may run concurrently, but wall-clock
-comparisons across depths are only meaningful with one worker.
+Depth x repeat cells run one at a time, so that their wall-clock training
+times can be compared across depths.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings
-from .linalg import Matrix
 from .nn import ModelConfig, build_model, taper_widths
 from .train import TrainConfig, TrainReport, evaluate, initial_gradient_profile, train
 
@@ -85,7 +85,6 @@ class SweepConfig:
     dropout_rate: float = 0.05
     source: Union[SyntheticSource, FileSource] = field(default_factory=SyntheticSource)
     output_dir: str = "sweep-out"
-    workers: int = 1
 
     def __post_init__(self):
         depths = tuple(int(d) for d in self.depths)
@@ -99,8 +98,6 @@ class SweepConfig:
             raise ConfigError(f"depths must be positive, got {depths}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -173,10 +170,10 @@ def _default_profiler(
     training batch."""
     sample = train_set.questions[: config.train_config.batch_size]
     sample_x = featurize_batch(sample, table, max_words)
-    sample_y = Matrix([[float(q.label)] for q in sample])
+    sample_y = np.array([[float(q.label)] for q in sample])
 
     def profiler(depth: int, widths: Sequence[int]) -> list[float]:
-        model_config = _model_config(config, sample_x.cols, widths, config.train_config.seed)
+        model_config = _model_config(config, sample_x.shape[1], widths, config.train_config.seed)
         return initial_gradient_profile(model_config, sample_x, sample_y, config.repeats)
 
     return profiler
@@ -234,16 +231,8 @@ def run_depth_sweep(
 
     depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
-    jobs = [(d, i) for d in config.depths for i in range(config.repeats)]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                job: pool.submit(runner, job[0], depth_widths[job[0]], job[1]) for job in jobs
-            }
-            for job, fut in futures.items():
-                cell_results[job] = fut.result()
-    else:
-        for depth, i in jobs:
+    for depth in config.depths:
+        for i in range(config.repeats):
             cell_results[(depth, i)] = runner(depth, depth_widths[depth], i)
 
     first_norms = {d: norm for d, layer, norm in _profile_depths(config, profiler) if layer == 0}

@@ -7,7 +7,8 @@ question's weak annotation appended as the final element. The table holds
 every vector as a row of one matrix; row 0 is the zero vector, shared by
 words missing from the table and by padding, so the two are
 indistinguishable. featurize_batch builds the features by copying rows of
-that matrix, into a fresh matrix or into a buffer its caller reuses.
+that matrix, into a fresh array or into a buffer its caller reuses, and
+returns them as a read-only float64 array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, ShapeError, not_utf8
-from .linalg import Matrix
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import Question
@@ -192,18 +192,19 @@ def featurize_batch(
     table: EmbeddingTable,
     max_words: int,
     out: np.ndarray | None = None,
-) -> Matrix:
-    """Featurize a nonempty batch of questions into a (batch x D) matrix,
-    D = max_words * dim + 1. Questions longer than max_words are truncated.
+) -> np.ndarray:
+    """Featurize a nonempty batch of questions into a read-only (batch x D)
+    float64 array, D = max_words * dim + 1. Questions longer than max_words
+    are truncated.
 
     Each token is looked up once. Then, slot by slot, the table rows of the
     questions that have a token in that slot are copied into a zeroed
     output, so no temporary is larger than one slot's rows.
 
-    Without `out` the features go into a fresh matrix. With `out`, a
+    Without `out` the features go into a fresh array. With `out`, a
     writable, C-contiguous float64 buffer owned by the caller with at least
     as many rows as the batch and exactly D columns, its leading rows are
-    zeroed and written, and the returned matrix views them until the next
+    zeroed and written, and the returned array views them until the next
     call that writes `out`; any other buffer raises ShapeError.
     """
     if max_words < 1:
@@ -238,4 +239,5 @@ def featurize_batch(
         live = np.flatnonzero(lengths > slot)
         slots[live, slot] = table._matrix[slot_rows[live, slot]]
     out[:, -1] = [q.weak_annotation for q in questions]
-    return Matrix._wrap(out)
+    out.flags.writeable = False  # this array only: a caller's buffer stays writable
+    return out

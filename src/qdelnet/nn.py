@@ -7,8 +7,8 @@ scaled at train time so that evaluation needs no adjustment.
 
 Parameters live in one contiguous float64 vector per model: each layer's
 weights (row-major), then its bias, first layer first. Every layer's
-`weights` and `bias` are read-only views of it, and Gradients lay their
-vector out the same way, so an update is one pass over three vectors.
+`weights` and `bias` are read-only float64 ndarray views of it, and Gradients
+lay their vector out the same way, so an update is one pass over three vectors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import (
     ValidationError,
     not_utf8,
 )
-from .linalg import Matrix
 from .seeding import INIT, stream_rng
 
 __all__ = [
@@ -100,10 +99,12 @@ class ModelConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Layer:
-    weights: Matrix  # out x in
-    bias: Matrix  # 1 x out
+    """One dense layer; weights and bias are read-only float64 ndarray views."""
+
+    weights: np.ndarray  # out x in
+    bias: np.ndarray  # 1 x out
     activation: str  # "relu" or "sigmoid"
 
 
@@ -120,42 +121,57 @@ def _layer_views(flat: np.ndarray, shapes: Shapes) -> list[tuple[np.ndarray, np.
     return views
 
 
-def _wrap_views(views) -> tuple[tuple[Matrix, ...], tuple[Matrix, ...]]:
-    """Read-only weight and bias matrices over (weights, bias) view pairs."""
-    return tuple(Matrix._wrap(w) for w, _ in views), tuple(Matrix._wrap(b) for _, b in views)
+def _read_only_views(flat: np.ndarray, shapes: Shapes):
+    """(weights, biases), read-only views of a parameter vector laid out for
+    `shapes`; its owner may still rewrite it, and the views see that."""
+    frozen = flat.view()
+    frozen.flags.writeable = False
+    return tuple(zip(*_layer_views(frozen, shapes)))
 
 
-def _pack(pairs: Iterable[tuple[Matrix, Matrix]]) -> np.ndarray:
-    """A fresh parameter vector holding (weights, bias) matrix pairs, laid
+def _pack(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """A fresh parameter vector holding (weights, bias) array pairs, laid
     out as MlpModel.params."""
-    return np.concatenate([m.data for pair in pairs for m in pair])
+    return np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=np.float64)
 
 
-@dataclass(frozen=True)
+def _layer_of(index: int, shapes: Shapes) -> int:
+    """The layer whose weights or bias hold element `index` of a parameter
+    vector laid out for `shapes`."""
+    ends = np.cumsum([rows * (cols + 1) for rows, cols in shapes])
+    return int(np.searchsorted(ends, index, side="right"))
+
+
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Read-only stack of dense layers; sgd_step returns a new value.
 
-    Every layer views `params`, the model's one parameter vector. A model
-    built from per-layer matrices is packed into a fresh vector. The vector
-    may be a buffer that its owner rewrites, as train() does.
+    Layers hold read-only float64 ndarray views of `params`, the model's one
+    parameter vector. A model built from per-layer arrays is packed into a
+    fresh vector, where a non-finite parameter raises NumericError naming its
+    layer. The vector may be a buffer that its owner rewrites, as train() does.
     """
 
     config: ModelConfig
     layers: tuple[Layer, ...]
-    params: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _shapes: Shapes = field(init=False, repr=False, compare=False)
+    params: np.ndarray | None = field(default=None, repr=False)
+    _shapes: Shapes = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_shapes", tuple(layer.weights.shape for layer in self.layers))
         if self.params is None:
             params = _pack((layer.weights, layer.bias) for layer in self.layers)
+            bad = np.flatnonzero(~np.isfinite(params))
+            if bad.size:
+                layer = _layer_of(bad[0], self._shapes)
+                raise NumericError(f"layer {layer}: non-finite parameter {params[bad[0]]}")
             object.__setattr__(self, "layers", self.over(params).layers)
             object.__setattr__(self, "params", params)
 
     def over(self, params: np.ndarray) -> "MlpModel":
         """This model's layers over another parameter vector of the same
         layout, which is viewed, not copied."""
-        weights, biases = _wrap_views(_layer_views(params, self._shapes))
+        weights, biases = _read_only_views(params, self._shapes)
         layers = tuple(
             Layer(w, b, layer.activation) for w, b, layer in zip(weights, biases, self.layers)
         )
@@ -163,7 +179,7 @@ class MlpModel:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.cols
+        return self.layers[0].weights.shape[1]
 
     @property
     def hidden_count(self) -> int:
@@ -186,27 +202,28 @@ class ForwardTrace:
     mode: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gradients:
     """Loss gradients, one (dW, db) pair per layer, first layer first.
 
-    Every matrix views `flat`, one vector laid out as MlpModel.params.
-    Gradients built from per-layer matrices are packed into a fresh vector.
+    Every dW and db is a read-only float64 view of `flat`, one vector laid
+    out as MlpModel.params. Gradients built from per-layer arrays are packed
+    into a fresh vector, unchecked.
     """
 
-    d_weights: tuple[Matrix, ...]
-    d_biases: tuple[Matrix, ...]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _shapes: Shapes = field(init=False, repr=False, compare=False)
+    d_weights: tuple[np.ndarray, ...]
+    d_biases: tuple[np.ndarray, ...]
+    flat: np.ndarray | None = field(default=None, repr=False)
+    _shapes: Shapes = field(init=False, repr=False)
     # Writable (dW, db) views of `flat`, which backward(..., out=) fills.
-    _arrays: list = field(init=False, repr=False, compare=False)
+    _arrays: list = field(init=False, repr=False)
 
     def __post_init__(self):
         shapes = tuple(dw.shape for dw in self.d_weights)
         object.__setattr__(self, "_shapes", shapes)
         if self.flat is None:
             flat = _pack(zip(self.d_weights, self.d_biases))
-            d_weights, d_biases = _wrap_views(_layer_views(flat, shapes))
+            d_weights, d_biases = _read_only_views(flat, shapes)
             object.__setattr__(self, "d_weights", d_weights)
             object.__setattr__(self, "d_biases", d_biases)
             object.__setattr__(self, "flat", flat)
@@ -253,14 +270,13 @@ def build_model(config: ModelConfig) -> MlpModel:
     dims = [config.input_dim, *config.hidden_widths, 1]
     shapes = tuple(zip(dims[1:], dims[:-1]))
     params = np.zeros(sum(rows * (cols + 1) for rows, cols in shapes))
-    views = _layer_views(params, shapes)
-    for w, _ in views:
+    for w, _ in _layer_views(params, shapes):
         # The numbers rng.normal(0, std, w.shape) draws, drawn in place.
         rng.standard_normal(out=w)
         w *= math.sqrt(1.0 / w.shape[1])
     layers = tuple(
         Layer(w, b, "relu" if k < len(shapes) - 1 else "sigmoid")
-        for k, (w, b) in enumerate(zip(*_wrap_views(views)))
+        for k, (w, b) in enumerate(zip(*_read_only_views(params, shapes)))
     )
     return MlpModel(config, layers, params)
 
@@ -270,7 +286,7 @@ def param_buffers(model: MlpModel) -> Gradients:
     uninitialized vector. It is the `out` of backward; model.over(set.flat)
     views the same vector as a model, the `out` of sgd_step."""
     flat = np.empty_like(model.params)
-    return Gradients(*_wrap_views(_layer_views(flat, model._shapes)), flat)
+    return Gradients(*_read_only_views(flat, model._shapes), flat)
 
 
 def activation_buffers(model: MlpModel, rows: int, mode: str = "train") -> Activations:
@@ -285,7 +301,7 @@ def activation_buffers(model: MlpModel, rows: int, mode: str = "train") -> Activ
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    widths = [layer.weights.rows for layer in model.layers]
+    widths = [layer.weights.shape[0] for layer in model.layers]
     if mode == "eval":
         flats = [np.empty(rows * max(widths)) for _ in range(2)]
         views = [flats[k % 2][: rows * w].reshape(rows, w) for k, w in enumerate(widths)]
@@ -311,12 +327,14 @@ def _sigmoid_array(z: np.ndarray) -> np.ndarray:
 
 def forward(
     model: MlpModel,
-    batch: Matrix,
+    batch: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     out: Activations | None = None,
-) -> tuple[Matrix, ForwardTrace]:
-    """Run a batch through the model.
+) -> tuple[np.ndarray, ForwardTrace]:
+    """Run a batch, a 2-D float64 array of rows x model.input_dim, through
+    the model and return (predictions, trace): the predictions are a
+    read-only rows x 1 float64 array.
 
     In train mode, inverted-dropout masks drawn from `rng` are applied to
     every hidden activation and recorded in the trace; in eval mode there is
@@ -336,16 +354,18 @@ def forward(
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if batch.cols != model.input_dim:
+    if batch.ndim != 2:
+        raise ShapeError(f"forward: expected a 2-D batch, got {batch.ndim}-D")
+    rows, cols = batch.shape
+    if cols != model.input_dim:
         raise ShapeError(
-            f"forward: batch is {batch.rows}x{batch.cols} but the model expects "
+            f"forward: batch is {rows}x{cols} but the model expects "
             f"{model.input_dim} input columns"
         )
     rate = model.config.dropout_rate
     use_dropout = mode == "train" and rate > 0.0
     if use_dropout and rng is None:
         raise ConfigError("train-mode forward with dropout_rate > 0 requires an rng")
-    rows = batch.rows
     if out is None:
         out = activation_buffers(model, rows)
     elif not isinstance(out, Activations) or out.rows < rows or out._shapes != model._shapes:
@@ -359,15 +379,15 @@ def forward(
         np.divide(draws, 1.0 - rate, out=draws)
         start = 0
 
-    a = batch.array
+    a = batch
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     last = len(model.layers) - 1
     for k, (layer, (z_buf, h_buf)) in enumerate(zip(model.layers, out)):
         z, h = z_buf[:rows], h_buf[:rows]
-        np.matmul(a, layer.weights.array.T, out=z)
-        np.add(z, layer.bias.array, out=z)
+        np.matmul(a, layer.weights.T, out=z)
+        np.add(z, layer.bias, out=z)
         pre.append(z)
         if k < last:
             np.maximum(z, 0.0, out=h)
@@ -387,30 +407,28 @@ def forward(
     if out.masks is None:  # later layers overwrote what these arrays view
         pre, post = [], []
     trace = ForwardTrace(
-        inputs=batch.array,
+        inputs=batch,
         pre_activations=pre,
         post_activations=post,
         dropout_masks=masks,
         mode=mode,
     )
-    return Matrix._wrap(a.copy()), trace
+    predictions = a.copy()
+    predictions.flags.writeable = False
+    return predictions, trace
 
 
-def bce_loss(predictions: Matrix, labels: Matrix) -> float:
+def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     """Mean binary cross-entropy -[y ln p + (1-y) ln(1-p)] over the batch,
-    with p clamped to [BCE_EPS, 1 - BCE_EPS]."""
+    with p clamped to [BCE_EPS, 1 - BCE_EPS]; both arrays are rows x 1."""
     if predictions.shape != labels.shape:
-        raise ShapeError(
-            f"bce_loss: predictions {predictions.rows}x{predictions.cols} vs "
-            f"labels {labels.rows}x{labels.cols}"
-        )
-    p = np.clip(predictions.array, BCE_EPS, 1.0 - BCE_EPS)
-    y = labels.array
+        raise ShapeError(f"bce_loss: predictions {predictions.shape} vs labels {labels.shape}")
+    p, y = np.clip(predictions, BCE_EPS, 1.0 - BCE_EPS), labels
     return float(np.mean(-(y * np.log(p) + (1.0 - y) * np.log1p(-p))))
 
 
 def backward(
-    model: MlpModel, trace: ForwardTrace, labels: Matrix, out: Gradients | None = None
+    model: MlpModel, trace: ForwardTrace, labels: np.ndarray, out: Gradients | None = None
 ) -> Gradients:
     """Exact gradients of bce_loss w.r.t. every weight and bias, honoring the
     dropout masks recorded in the trace.
@@ -430,10 +448,7 @@ def backward(
         raise ShapeError("backward: trace does not match the model's layer structure")
     preds = trace.post_activations[-1]
     if labels.shape != preds.shape:
-        raise ShapeError(
-            f"backward: labels {labels.rows}x{labels.cols} vs predictions "
-            f"{preds.shape[0]}x{preds.shape[1]}"
-        )
+        raise ShapeError(f"backward: labels {labels.shape} vs predictions {preds.shape}")
     if trace.inputs.shape[1] != model.input_dim:
         raise ShapeError("backward: trace inputs do not match the model input width")
     checked = out is None
@@ -443,7 +458,7 @@ def backward(
         raise ShapeError("backward: out does not have the model's layer shapes")
 
     # d(mean BCE)/dz at the sigmoid output.
-    delta = np.subtract(preds, labels.array)
+    delta = np.subtract(preds, labels)
     np.divide(delta, trace.inputs.shape[0], out=delta)
     for k in range(depth - 1, -1, -1):
         a_prev = trace.post_activations[k - 1] if k > 0 else trace.inputs
@@ -453,7 +468,7 @@ def backward(
         if checked and not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise NumericError(f"backward: non-finite gradient in layer {k}")
         if k > 0:
-            grad_h = np.matmul(delta, model.layers[k].weights.array)
+            grad_h = np.matmul(delta, model.layers[k].weights)
             mask = trace.dropout_masks[k - 1]
             if mask is not None:
                 np.multiply(grad_h, mask, out=grad_h)
@@ -489,16 +504,14 @@ def sgd_step(
         np.multiply(step[start:stop], learning_rate, out=block)
         np.subtract(theta[start:stop], block, out=block)
         if not np.isfinite(block).all():
-            first = start + int(np.argmin(np.isfinite(block)))
-            ends = np.cumsum([rows * (cols + 1) for rows, cols in model._shapes])
-            layer = int(np.searchsorted(ends, first, side="right"))
+            layer = _layer_of(start + int(np.argmin(np.isfinite(block))), model._shapes)
             raise NumericError(f"sgd_step: parameter update is non-finite in layer {layer}")
     return out
 
 
 def gradient_layer_norms(grads: Gradients) -> list[float]:
     """L2 norm of each layer's weight gradient, first layer first."""
-    return [float(np.sqrt(np.sum(dw.array * dw.array))) for dw in grads.d_weights]
+    return [float(np.sqrt(np.sum(dw * dw))) for dw in grads.d_weights]
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -516,10 +529,10 @@ def save_model(model: MlpModel, path) -> None:
         "layers": [
             {
                 "activation": layer.activation,
-                "rows": layer.weights.rows,
-                "cols": layer.weights.cols,
-                "weights": layer.weights.data.tolist(),
-                "bias": layer.bias.data.tolist(),
+                "rows": layer.weights.shape[0],
+                "cols": layer.weights.shape[1],
+                "weights": layer.weights.ravel().tolist(),
+                "bias": layer.bias.ravel().tolist(),
             }
             for layer in model.layers
         ],
@@ -539,17 +552,20 @@ def _json_int(value, where: str) -> int:
     return value
 
 
-def _json_matrix(values, rows: int, cols: int, where: str) -> Matrix:
-    """The rows x cols matrix of a checkpoint's flat list of numbers; a bool
-    is never a number, as in _json_int."""
+def _json_matrix(values, rows: int, cols: int, where: str) -> np.ndarray:
+    """The rows x cols float64 array of a checkpoint's flat list of numbers;
+    a bool is never a number, as in _json_int."""
     if type(values) is not list or not {*map(type, values)} <= {int, float}:
         raise ParseError(f"malformed checkpoint: {where} must be a list of numbers")
     try:
-        return Matrix.from_flat(rows, cols, values)
+        data = np.fromiter(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         raise ParseError(
             f"malformed checkpoint: {where} holds a number beyond the float range"
         ) from None
+    if data.size != rows * cols:
+        raise ShapeError(f"{where}: expected {rows * cols} values, got {data.size}")
+    return data.reshape(rows, cols)
 
 
 def load_model(path) -> MlpModel:

@@ -25,7 +25,6 @@ import numpy as np
 from .data import Dataset, _stratified_split
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import EmbeddingTable, featurize_batch
-from .linalg import Matrix
 from .nn import (
     MlpModel,
     ModelConfig,
@@ -151,7 +150,7 @@ def train(
     labels = np.array([[float(q.label)] for q in questions])
     if cache_features is None:
         cache_features = n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES
-    cached = featurize_batch(questions, table, max_words).array if cache_features else None
+    cached = featurize_batch(questions, table, max_words) if cache_features else None
 
     shuffle_rng = stream_rng(config.seed, SHUFFLE)
     dropout_rng = stream_rng(config.seed, DROPOUT)
@@ -174,12 +173,12 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if cached is not None:
-                xb = Matrix._wrap(cached[idx])
+                xb = cached[idx]
             else:
                 xb = featurize_batch(
                     [questions[i] for i in idx], table, max_words, out=batch_features
                 )
-            yb = Matrix._wrap(labels[idx])
+            yb = labels[idx]
             try:
                 preds, trace = forward(model, xb, mode="train", rng=dropout_rng, out=workspace)
                 loss = bce_loss(preds, yb)
@@ -255,15 +254,15 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_siz
     for start in range(0, len(questions), chunk_size):
         x = featurize_batch(questions[start : start + chunk_size], table, max_words, out=features)
         preds, _ = forward(model, x, mode="eval", out=workspace)
-        predicted = preds.array[:, 0] >= 0.5
+        predicted = preds[:, 0] >= 0.5
         correct += int(np.sum(predicted == actual[start : start + chunk_size]))
     return 100.0 * correct / len(questions)
 
 
 def initial_gradient_profile(
     config: ModelConfig,
-    sample: Matrix,
-    labels: Matrix,
+    sample: np.ndarray,
+    labels: np.ndarray,
     repeats: int,
 ) -> list[float]:
     """Mean per-layer gradient norms at initialization.

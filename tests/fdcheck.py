@@ -8,7 +8,6 @@ a safe margin from zero (asserted by the caller via the returned margin).
 
 import numpy as np
 
-from qdelnet.linalg import Matrix
 from qdelnet.nn import Layer, MlpModel, ModelConfig, backward, bce_loss, build_model, forward
 
 
@@ -21,8 +20,8 @@ def random_case(seed):
     batch = int(rng.integers(8, 17))
     config = ModelConfig(input_dim=input_dim, hidden_widths=tuple(widths),
                          dropout_rate=0.0, seed=seed)
-    x = Matrix(rng.normal(size=(batch, input_dim)))
-    y = Matrix(rng.integers(0, 2, size=(batch, 1)).astype(float))
+    x = rng.normal(size=(batch, input_dim))
+    y = rng.integers(0, 2, size=(batch, 1)).astype(float)
     return config, x, y
 
 
@@ -44,8 +43,8 @@ def worst_relative_error(config, x, y, h=1e-5):
     worst = 0.0
     for li, layer in enumerate(model.layers):
         for attr, grad in (("weights", grads.d_weights[li]), ("bias", grads.d_biases[li])):
-            base = getattr(layer, attr).array
-            analytic = grad.array
+            base = getattr(layer, attr)
+            analytic = grad
             for idx in np.ndindex(*base.shape):
                 plus, minus = base.copy(), base.copy()
                 plus[idx] += h
@@ -54,9 +53,9 @@ def worst_relative_error(config, x, y, h=1e-5):
                 for perturbed in (plus, minus):
                     layers = list(model.layers)
                     if attr == "weights":
-                        layers[li] = Layer(Matrix(perturbed), layer.bias, layer.activation)
+                        layers[li] = Layer(perturbed, layer.bias, layer.activation)
                     else:
-                        layers[li] = Layer(layer.weights, Matrix(perturbed), layer.activation)
+                        layers[li] = Layer(layer.weights, perturbed, layer.activation)
                     fd_vals.append(loss_with(layers))
                 fd = (fd_vals[0] - fd_vals[1]) / (2 * h)
                 a = analytic[idx]

@@ -25,7 +25,6 @@ from qdelnet.experiment import (
     write_sweep_csv,
 )
 from qdelnet.features import EmbeddingTable, featurize_batch
-from qdelnet.linalg import Matrix
 from qdelnet.train import TrainConfig
 
 from test_experiment import REFERENCE_ROWS, decode_polyline
@@ -65,7 +64,7 @@ def test_loss_baseline():
     corpus, table = q.gen_synthetic(2000, 200, 16, 12, 0.15, seed=0)
     batch = corpus.questions[:256]
     x = featurize_batch(batch, table, 12)
-    y = Matrix([[float(item.label)] for item in batch])
+    y = np.array([[float(item.label)] for item in batch])
     losses = []
     for seed in range(10):
         config = q.ModelConfig(
@@ -86,14 +85,14 @@ def test_featurizer_dimension():
     length law max_words*dim + 1 holds for 50 random (dim, max_words) pairs."""
     table = EmbeddingTable(300, {})
     question = q.Question(id="x", text="what is a question", weak_annotation=0.5, label=0)
-    assert featurize_batch([question], table, max_words=240).cols == 72_001
+    assert featurize_batch([question], table, max_words=240).shape[1] == 72_001
 
     rng = np.random.default_rng(123)
     for _ in range(50):
         dim = int(rng.integers(1, 64))
         max_words = int(rng.integers(1, 64))
         vec = featurize_batch([question], EmbeddingTable(dim, {}), max_words)
-        assert vec.cols == max_words * dim + 1
+        assert vec.shape[1] == max_words * dim + 1
     report("featurizer dimension (72,001 and 50 random pairs)")
 
 

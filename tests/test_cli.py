@@ -269,10 +269,14 @@ class TestConfigFile:
         resolved = json.loads((out2 / "resolved_config.json").read_text())
         assert resolved["epochs"] == 2 and resolved["batch_size"] == 8
 
-    def test_unknown_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, key", [("train", "no-such-option"), ("sweep", "workers")]
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, command, key):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("no-such-option = 1\n")
-        assert run("train", "--synthetic", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        cfg.write_text(f"{key} = 2\n")
+        assert run(command, "--synthetic", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: unknown config-file key {key!r}\n"
 
 
 class TestSweepAndReport:
@@ -336,11 +340,3 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "1_0.json" in err
-
-    def test_workers_warning(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        code = run("sweep", "--synthetic", *TINY_SYNTH, "--train-count", "30",
-                   "--test-count", "10", "--depths", "1,2", "--repeats", "1",
-                   "--epochs", "1", "--workers", "2", "--out", str(out))
-        assert code == 0
-        assert "time-vs-depth" in capsys.readouterr().err

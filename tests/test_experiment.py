@@ -194,23 +194,6 @@ class TestRunDepthSweep:
         rebuilt = rows_from_run_files(tmp_path / "runs")
         assert rebuilt == rows
 
-    def test_workers_do_not_change_metrics(self, tmp_path):
-        rows1 = run_depth_sweep(tiny_sweep_config(tmp_path / "w1"))
-        config2 = SweepConfig(
-            **{
-                **tiny_sweep_config(tmp_path / "w2").__dict__,
-                "workers": 2,
-                "output_dir": str(tmp_path / "w2"),
-            }
-        )
-        rows2 = run_depth_sweep(config2)
-        for a, b in zip(rows1, rows2):
-            assert a.depth == b.depth
-            assert a.train_accuracy_pct == b.train_accuracy_pct
-            assert a.validation_accuracy_pct == b.validation_accuracy_pct
-            assert a.test_accuracy_pct == b.test_accuracy_pct
-            assert a.first_layer_grad_norm_init == b.first_layer_grad_norm_init
-
 
 class TestSweepCsv:
     def test_header_and_formats(self, tmp_path):

@@ -295,18 +295,18 @@ class TestFeaturize:
     def test_paper_scale_dimension(self):
         table = EmbeddingTable(300, {})
         q = Question(id="q", text="", weak_annotation=0.0, label=0)
-        assert featurize_batch([q], table, max_words=240).cols == 72_001
+        assert featurize_batch([q], table, max_words=240).shape[1] == 72_001
 
     def test_all_padding_case(self):
         table = EmbeddingTable(2, {})
         q = Question(id="q", text="", weak_annotation=0.7, label=0)
-        vec = featurize_batch([q], table, max_words=3).array[0]
+        vec = featurize_batch([q], table, max_words=3)[0]
         assert vec.tolist() == [0, 0, 0, 0, 0, 0, 0.7]
 
     def test_hand_concatenation(self):
         table = EmbeddingTable(2, {"cat": [1.0, 0.0], "dog": [0.0, 1.0]})
         q = Question(id="q", text="cat dog", weak_annotation=1.0, label=1)
-        vec = featurize_batch([q], table, max_words=3).array[0]
+        vec = featurize_batch([q], table, max_words=3)[0]
         assert vec.tolist() == [1, 0, 0, 1, 0, 0, 1]
 
     def test_length_invariant_random_pairs(self):
@@ -316,7 +316,7 @@ class TestFeaturize:
             max_words = int(rng.integers(1, 60))
             table = EmbeddingTable(dim, {})
             q = Question(id="q", text="a b c", weak_annotation=0.5, label=0)
-            assert featurize_batch([q], table, max_words).cols == max_words * dim + 1
+            assert featurize_batch([q], table, max_words).shape[1] == max_words * dim + 1
 
     def test_truncation_prefix_property(self):
         table = EmbeddingTable(2, {f"w{i}": [float(i), 1.0] for i in range(10)})
@@ -325,25 +325,25 @@ class TestFeaturize:
         prefix_q = Question(id="b", text=" ".join(f"w{i}" for i in range(4)),
                             weak_annotation=0.3, label=0)
         np.testing.assert_array_equal(
-            featurize_batch([long_q], table, max_words=4).array[0],
-            featurize_batch([prefix_q], table, max_words=4).array[0],
+            featurize_batch([long_q], table, max_words=4)[0],
+            featurize_batch([prefix_q], table, max_words=4)[0],
         )
 
     def test_padding_slots_are_exactly_zero(self):
         table = EmbeddingTable(3, {"x": [1.0, 2.0, 3.0]})
         q = Question(id="q", text="x", weak_annotation=0.2, label=0)
-        vec = featurize_batch([q], table, max_words=5).array[0]
+        vec = featurize_batch([q], table, max_words=5)[0]
         assert not vec[3:-1].any()
 
     def test_annotation_slot_exact(self):
         table = EmbeddingTable(2, {})
         q = Question(id="q", text="hi", weak_annotation=0.123456789, label=0)
-        assert featurize_batch([q], table, max_words=2).array[0, -1] == 0.123456789
+        assert featurize_batch([q], table, max_words=2)[0, -1] == 0.123456789
 
     def test_oov_words_map_to_zero(self):
         table = EmbeddingTable(2, {"known": [1.0, 1.0]})
         q = Question(id="q", text="unknown known", weak_annotation=0.0, label=0)
-        vec = featurize_batch([q], table, max_words=2).array[0]
+        vec = featurize_batch([q], table, max_words=2)[0]
         assert vec[:2].tolist() == [0.0, 0.0]
         assert vec[2:4].tolist() == [1.0, 1.0]
 
@@ -354,8 +354,8 @@ class TestFeaturize:
             Question(id="2", text="b", weak_annotation=0.9, label=1),
         ]
         batch = featurize_batch(qs, table, max_words=3)
-        for row, q in zip(batch.to_lists(), qs):
-            assert row == featurize_batch([q], table, max_words=3).array[0].tolist()
+        for row, q in zip(batch.tolist(), qs):
+            assert row == featurize_batch([q], table, max_words=3)[0].tolist()
 
     def test_max_words_must_be_positive(self):
         table = EmbeddingTable(2, {})
@@ -425,7 +425,7 @@ class TestFeaturizeBatchReference:
     def test_bit_equal_to_the_per_word_loop(self, n, dim, max_words, max_len):
         rng = np.random.default_rng(n * 100 + dim)
         questions, table = random_corpus(rng, n, vocab=30, known=20, dim=dim, max_len=max_len)
-        got = featurize_batch(questions, table, max_words).array
+        got = featurize_batch(questions, table, max_words)
         expected = reference_featurize(questions, table, max_words)
         assert got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
@@ -437,21 +437,21 @@ class TestFeaturizeBatchReference:
             Question(id="b", text="", weak_annotation=0.25, label=1),
             Question(id="c", text="!!", weak_annotation=1.0, label=0),
         ]
-        got = featurize_batch(questions, table, max_words=3).array
+        got = featurize_batch(questions, table, max_words=3)
         assert got.tobytes() == reference_featurize(questions, table, 3).tobytes()
         assert not got[:, :-1].any()
 
     def test_negative_zero_and_extremes_survive(self):
         table = EmbeddingTable(3, {"a": [-0.0, 1e-308, -1.7976931348623157e308]})
         q = Question(id="q", text="a b a", weak_annotation=0.0, label=0)
-        got = featurize_batch([q], table, max_words=4).array
+        got = featurize_batch([q], table, max_words=4)
         assert got.tobytes() == reference_featurize([q], table, 4).tobytes()
 
     def test_out_prefilled_with_nan_is_written_everywhere(self):
         rng = np.random.default_rng(61)
         questions, table = random_corpus(rng, 40, vocab=30, known=20, dim=3, max_len=10)
         buffer = np.full((40, 6 * 3 + 1), np.nan)
-        got = featurize_batch(questions, table, 6, out=buffer).array
+        got = featurize_batch(questions, table, 6, out=buffer)
         assert np.shares_memory(got, buffer)
         assert got.tobytes() == reference_featurize(questions, table, 6).tobytes()
 
@@ -474,9 +474,9 @@ class TestFeaturizeBatchReference:
 
         long_qs, short_qs = chunk(12, (6, 10), "long"), chunk(7, (0, 2), "short")
         buffer = np.empty((12, max_words * dim + 1))
-        got = featurize_batch(long_qs, table, max_words, out=buffer).array
+        got = featurize_batch(long_qs, table, max_words, out=buffer)
         assert got.tobytes() == reference_featurize(long_qs, table, max_words).tobytes()
-        got = featurize_batch(short_qs, table, max_words, out=buffer).array
+        got = featurize_batch(short_qs, table, max_words, out=buffer)
         assert got.shape == (7, max_words * dim + 1)
         assert got.tobytes() == reference_featurize(short_qs, table, max_words).tobytes()
 
@@ -484,10 +484,20 @@ class TestFeaturizeBatchReference:
         rng = np.random.default_rng(63)
         questions, table = random_corpus(rng, 13, vocab=30, known=20, dim=2, max_len=8)
         buffer = np.full((50, 5 * 2 + 1), np.nan)
-        got = featurize_batch(questions, table, 5, out=buffer).array
+        got = featurize_batch(questions, table, 5, out=buffer)
         assert got.shape == (13, 11)
         assert got.tobytes() == reference_featurize(questions, table, 5).tobytes()
         assert np.isnan(buffer[13:]).all()
+
+    def test_features_are_read_only_and_out_stays_writable(self):
+        rng = np.random.default_rng(65)
+        questions, table = random_corpus(rng, 6, vocab=10, known=8, dim=2, max_len=4)
+        buffer = np.empty((8, 3 * 2 + 1))
+        for got in (featurize_batch(questions, table, 3),
+                    featurize_batch(questions, table, 3, out=buffer)):
+            with pytest.raises(ValueError, match="read-only"):
+                got[0, 0] = 1.0
+        assert buffer.flags.writeable
 
     @pytest.mark.parametrize(
         "buffer",

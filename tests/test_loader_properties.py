@@ -19,7 +19,7 @@ from qdelnet import errors
 from qdelnet import cli
 from qdelnet.cli import parse_and_dispatch
 from qdelnet.data import gen_synthetic, load_dataset, save_dataset
-from qdelnet.errors import ParseError, ValidationError
+from qdelnet.errors import NumericError, ParseError, ValidationError
 from qdelnet.experiment import rows_from_run_files
 from qdelnet.features import load_embeddings, save_embeddings
 from qdelnet.nn import ModelConfig, build_model, load_model, save_model
@@ -149,14 +149,27 @@ MALFORMED_IDS = [
     "weights-str", "bias-bool", "rows-bool",
 ]
 
+# Every malformed checkpoint above is a ParseError. A NaN or Infinity in a
+# weight list parses, and is a NumericError naming the layer.
+CHECKPOINT_ERRORS = [
+    *(pytest.param(path, value, ParseError, f"malformed checkpoint: {message}", id=name)
+      for (path, value, message), name in zip(MALFORMED, MALFORMED_IDS)),
+    pytest.param(("layers", 0, "weights", 5), float("nan"), NumericError,
+                 "layer 0: non-finite parameter nan", id="weight-NaN"),
+    pytest.param(("layers", 1, "bias", 1), float("inf"), NumericError,
+                 "layer 1: non-finite parameter inf", id="bias-Infinity"),
+    pytest.param(("layers", 2, "weights", 0), float("-inf"), NumericError,
+                 "layer 2: non-finite parameter -inf", id="weight-minus-Infinity"),
+]
+
 
 class TestMalformedCheckpoint:
-    @pytest.mark.parametrize("path, value, message", MALFORMED, ids=MALFORMED_IDS)
-    def test_parse_error_names_the_layer_and_field(self, files, path, value, message):
+    @pytest.mark.parametrize("path, value, error, message", CHECKPOINT_ERRORS)
+    def test_parse_error_names_the_layer_and_field(self, files, path, value, error, message):
         files["bad"].write_text(json.dumps(replaced(files["doc"], path, value)))
-        with pytest.raises(ParseError) as info:
+        with pytest.raises(error) as info:
             load_model(files["bad"])
-        assert str(info.value) == f"malformed checkpoint: {message}"
+        assert str(info.value) == message
         assert evaluate_cli(files, model=files["bad"]) == (2, f"error: {info.value}\n")
 
     def test_version_true_is_not_version_1(self, files):

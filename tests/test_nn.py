@@ -9,7 +9,6 @@ import pytest
 from fdcheck import random_case, worst_relative_error
 from qdelnet import nn
 from qdelnet.errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
-from qdelnet.linalg import Matrix
 from qdelnet.nn import (
     ForwardTrace,
     Gradients,
@@ -38,8 +37,8 @@ def ones_model(input_dim, width):
     return MlpModel(
         config=config,
         layers=(
-            Layer(Matrix(np.ones((width, input_dim))), Matrix(np.zeros((1, width))), "relu"),
-            Layer(Matrix(np.ones((1, width))), Matrix(np.zeros((1, 1))), "sigmoid"),
+            Layer(np.ones((width, input_dim)), np.zeros((1, width)), "relu"),
+            Layer(np.ones((1, width)), np.zeros((1, 1)), "sigmoid"),
         ),
     )
 
@@ -74,13 +73,13 @@ class TestBuildModel:
     def test_biases_start_at_zero(self):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(3,), seed=2))
         for layer in model.layers:
-            assert not layer.bias.array.any()
+            assert not layer.bias.any()
 
     def test_equal_configs_give_identical_models(self):
         a = build_model(ModelConfig(input_dim=6, hidden_widths=(4, 2), seed=9))
         b = build_model(ModelConfig(input_dim=6, hidden_widths=(4, 2), seed=9))
         for la, lb in zip(a.layers, b.layers):
-            assert la.weights == lb.weights and la.bias == lb.bias
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_parameter_layer_count_is_depth_plus_one(self):
         for depth in range(6):
@@ -121,11 +120,11 @@ class TestActivations:
         model = MlpModel(
             config=config,
             layers=(
-                Layer(Matrix(np.eye(3)), Matrix.zeros(1, 3), "relu"),
-                Layer(Matrix.zeros(1, 3), Matrix.zeros(1, 1), "sigmoid"),
+                Layer(np.eye(3), np.zeros((1, 3)), "relu"),
+                Layer(np.zeros((1, 3)), np.zeros((1, 1)), "sigmoid"),
             ),
         )
-        _, trace = forward(model, Matrix([[-3.0, 5.0, 0.0]]), mode="eval")
+        _, trace = forward(model, np.array([[-3.0, 5.0, 0.0]]), mode="eval")
         assert trace.post_activations[0].tolist() == [[0.0, 5.0, 0.0]]
 
     def test_sigmoid_midpoint(self):
@@ -151,53 +150,54 @@ class TestActivations:
 class TestForward:
     def test_dropout_zero_train_equals_eval(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.0, seed=1))
-        x = Matrix(np.random.default_rng(0).normal(size=(5, 4)))
+        x = np.random.default_rng(0).normal(size=(5, 4))
         train_preds, _ = forward(model, x, mode="train")
         eval_preds, _ = forward(model, x, mode="eval")
-        assert train_preds == eval_preds
+        assert np.array_equal(train_preds, eval_preds)
 
     def test_zero_parameters_give_half(self):
         config = ModelConfig(input_dim=3, hidden_widths=(2,), dropout_rate=0.0, seed=0)
         model = MlpModel(
             config=config,
             layers=(
-                Layer(Matrix.zeros(2, 3), Matrix.zeros(1, 2), "relu"),
-                Layer(Matrix.zeros(1, 2), Matrix.zeros(1, 1), "sigmoid"),
+                Layer(np.zeros((2, 3)), np.zeros((1, 2)), "relu"),
+                Layer(np.zeros((1, 2)), np.zeros((1, 1)), "sigmoid"),
             ),
         )
-        preds, _ = forward(model, Matrix(np.ones((4, 3))), mode="eval")
-        assert preds.to_lists() == [[0.5]] * 4
+        preds, _ = forward(model, np.ones((4, 3)), mode="eval")
+        assert preds.tolist() == [[0.5]] * 4
 
     def test_hand_computed_single_hidden_layer(self):
         model = ones_model(input_dim=2, width=2)
-        preds, _ = forward(model, Matrix([[1.0, 1.0]]), mode="eval")
+        preds, _ = forward(model, np.array([[1.0, 1.0]]), mode="eval")
         assert preds[0, 0] == pytest.approx(sigmoid(4.0), abs=1e-15)
         assert preds[0, 0] == pytest.approx(0.9820137900379085, abs=1e-12)
 
-    def test_column_mismatch_is_shape_error(self):
+    @pytest.mark.parametrize("shape", [(3, 5), (4,), (2, 3, 4)], ids=["columns", "1-D", "3-D"])
+    def test_column_mismatch_is_shape_error(self, shape):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(2,)))
         with pytest.raises(ShapeError):
-            forward(model, Matrix(np.ones((3, 5))), mode="eval")
+            forward(model, np.ones(shape), mode="eval")
 
     def test_predictions_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(8)
         model = build_model(ModelConfig(input_dim=6, hidden_widths=(5, 4), seed=8))
-        preds, _ = forward(model, Matrix(rng.normal(size=(64, 6), scale=50)), mode="eval")
-        assert np.all(preds.array > 0.0) and np.all(preds.array < 1.0)
+        preds, _ = forward(model, rng.normal(size=(64, 6), scale=50), mode="eval")
+        assert np.all(preds > 0.0) and np.all(preds < 1.0)
 
     def test_bitwise_deterministic_with_same_rng_seed(self):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(4,), dropout_rate=0.3, seed=3))
-        x = Matrix(np.random.default_rng(1).normal(size=(6, 5)))
+        x = np.random.default_rng(1).normal(size=(6, 5))
         p1, t1 = forward(model, x, mode="train", rng=stream_rng(7, 99))
         p2, t2 = forward(model, x, mode="train", rng=stream_rng(7, 99))
-        assert p1 == p2
+        assert np.array_equal(p1, p2)
         for m1, m2 in zip(t1.dropout_masks, t2.dropout_masks):
             np.testing.assert_array_equal(m1, m2)
 
     def test_train_mode_with_dropout_requires_rng(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.5))
         with pytest.raises(ConfigError):
-            forward(model, Matrix(np.ones((2, 4))), mode="train")
+            forward(model, np.ones((2, 4)), mode="train")
 
 
 def trace_arrays(trace):
@@ -207,7 +207,7 @@ def trace_arrays(trace):
 
 def assert_same_forward(got, expected):
     (got_preds, got_trace), (exp_preds, exp_trace) = got, expected
-    assert got_preds.array.tobytes() == exp_preds.array.tobytes()
+    assert got_preds.tobytes() == exp_preds.tobytes()
     assert got_trace.mode == exp_trace.mode
     assert [m is None for m in got_trace.dropout_masks] == [
         m is None for m in exp_trace.dropout_masks
@@ -224,7 +224,7 @@ class TestForwardOut:
     @pytest.mark.parametrize("mode", ["eval", "train"])
     def test_bit_identical_to_fresh_arrays(self, mode):
         model = build_model(self.MODEL)
-        x = Matrix(np.random.default_rng(1).normal(size=(11, 7)))
+        x = np.random.default_rng(1).normal(size=(11, 7))
         expected = forward(model, x, mode=mode, rng=stream_rng(4, 1))
         got = forward(model, x, mode=mode, rng=stream_rng(4, 1), out=activation_buffers(model, 11))
         assert_same_forward(got, expected)
@@ -238,18 +238,18 @@ class TestForwardOut:
         workspace = activation_buffers(model, 8)
         fresh_rng, out_rng = stream_rng(6, 2), stream_rng(6, 2)
         for start in range(0, 19, 8):
-            chunk = Matrix(x[start : start + 8])
+            chunk = np.array(x[start : start + 8])
             expected = forward(model, chunk, mode=mode, rng=fresh_rng)
             got = forward(model, chunk, mode=mode, rng=out_rng, out=workspace)
             assert_same_forward(got, expected)
             _, trace = got
             for act, (pre_buf, post_buf) in zip(trace.pre_activations, workspace):
                 assert np.shares_memory(act, pre_buf)
-            assert not np.shares_memory(got[0].array, workspace[-1][1])
+            assert not np.shares_memory(got[0], workspace[-1][1])
 
     def test_out_that_does_not_fit_is_shape_error(self):
         model = build_model(self.MODEL)
-        x = Matrix(np.ones((5, 7)))
+        x = np.ones((5, 7))
         too_short = activation_buffers(model, 4)
         other = build_model(dataclasses.replace(self.MODEL, hidden_widths=(9, 6, 5, 3)))
         wrong_width = activation_buffers(other, 5)
@@ -264,8 +264,8 @@ class TestForwardOut:
 
 
 def eval_predictions(model, x, out=None):
-    preds, _ = forward(model, Matrix(x), mode="eval", out=out)
-    return preds.array.tobytes()
+    preds, _ = forward(model, np.array(x), mode="eval", out=out)
+    return preds.tobytes()
 
 
 class TestEvalWorkspace:
@@ -285,8 +285,8 @@ class TestEvalWorkspace:
         dims = [4, 3, 9, 5, 1]
         layers = tuple(
             Layer(
-                Matrix(rng.normal(size=(out_dim, in_dim))),
-                Matrix(rng.normal(size=(1, out_dim))),
+                rng.normal(size=(out_dim, in_dim)),
+                rng.normal(size=(1, out_dim)),
                 "relu" if out_dim > 1 else "sigmoid",
             )
             for in_dim, out_dim in zip(dims, dims[1:])
@@ -316,17 +316,17 @@ class TestEvalWorkspace:
 
     def test_trace_has_no_activations_and_backward_rejects_it(self):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(4, 3), seed=1))
-        x = Matrix(np.ones((2, 5)))
+        x = np.ones((2, 5))
         _, trace = forward(model, x, mode="eval", out=activation_buffers(model, 2, mode="eval"))
         assert trace.pre_activations == [] and trace.post_activations == []
         with pytest.raises(ShapeError):
-            backward(model, trace, Matrix(np.ones((2, 1))))
+            backward(model, trace, np.ones((2, 1)))
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_train_mode_with_an_eval_workspace_is_config_error(self, rate):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(4,), dropout_rate=rate, seed=1))
         workspace = activation_buffers(model, 2, mode="eval")
-        x = Matrix(np.ones((2, 5)))
+        x = np.ones((2, 5))
         with pytest.raises(ConfigError, match="eval workspace"):
             forward(model, x, mode="train", rng=stream_rng(0, 1), out=workspace)
 
@@ -340,19 +340,19 @@ class TestDropout:
     def test_masks_contain_only_zero_and_inverse_keep(self):
         rate = 0.25
         model = build_model(ModelConfig(input_dim=6, hidden_widths=(16, 8), dropout_rate=rate, seed=4))
-        x = Matrix(np.random.default_rng(2).normal(size=(10, 6)))
+        x = np.random.default_rng(2).normal(size=(10, 6))
         _, trace = forward(model, x, mode="train", rng=stream_rng(0, 1))
         for mask in trace.dropout_masks:
             assert set(np.unique(mask)) <= {0.0, 1.0 / (1.0 - rate)}
 
     def test_no_mask_on_output_layer(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), dropout_rate=0.5, seed=0))
-        _, trace = forward(model, Matrix(np.ones((2, 4))), mode="train", rng=stream_rng(0, 1))
+        _, trace = forward(model, np.ones((2, 4)), mode="train", rng=stream_rng(0, 1))
         assert len(trace.dropout_masks) == len(model.layers) - 1
 
     def test_eval_mode_applies_no_masks(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.5, seed=0))
-        _, trace = forward(model, Matrix(np.ones((2, 4))), mode="eval")
+        _, trace = forward(model, np.ones((2, 4)), mode="eval")
         assert trace.dropout_masks == [None]
 
     def test_train_mode_expectation_matches_eval(self):
@@ -360,7 +360,7 @@ class TestDropout:
         converge to the eval-mode activations (within 2% relative)."""
         rate = 0.3
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(8,), dropout_rate=rate, seed=6))
-        x = Matrix(np.abs(np.random.default_rng(3).normal(size=(4, 5))) + 0.5)
+        x = np.abs(np.random.default_rng(3).normal(size=(4, 5))) + 0.5
         _, eval_trace = forward(model, x, mode="eval")
         eval_hidden = eval_trace.post_activations[0]
         rng = stream_rng(123, 1)
@@ -376,40 +376,40 @@ class TestDropout:
 
 class TestBceLoss:
     def test_uniform_ignorance_is_ln2(self):
-        preds = Matrix([[0.5]] * 4)
-        labels = Matrix([[1.0], [0.0], [1.0], [0.0]])
+        preds = np.array([[0.5]] * 4)
+        labels = np.array([[1.0], [0.0], [1.0], [0.0]])
         assert bce_loss(preds, labels) == pytest.approx(math.log(2), abs=1e-15)
 
     def test_perfect_predictions_clamp_to_near_zero(self):
-        preds = Matrix([[1.0], [0.0]])
-        labels = Matrix([[1.0], [0.0]])
+        preds = np.array([[1.0], [0.0]])
+        labels = np.array([[1.0], [0.0]])
         loss = bce_loss(preds, labels)
         assert 0.0 <= loss <= 1.1e-12
 
     def test_hand_value(self):
-        assert bce_loss(Matrix([[0.9]]), Matrix([[1.0]])) == pytest.approx(-math.log(0.9), abs=1e-15)
-        assert bce_loss(Matrix([[0.9]]), Matrix([[1.0]])) == pytest.approx(0.10536051565782628, abs=1e-15)
+        assert bce_loss(np.array([[0.9]]), np.array([[1.0]])) == pytest.approx(-math.log(0.9), abs=1e-15)
+        assert bce_loss(np.array([[0.9]]), np.array([[1.0]])) == pytest.approx(0.10536051565782628, abs=1e-15)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            bce_loss(Matrix([[0.5], [0.5]]), Matrix([[1.0]]))
+            bce_loss(np.array([[0.5], [0.5]]), np.array([[1.0]]))
 
 
 class TestBackward:
     def test_zero_gradient_when_predictions_equal_labels(self):
         model = ones_model(input_dim=2, width=2)
-        labels = Matrix([[0.25], [0.75]])
+        labels = np.array([[0.25], [0.75]])
         trace = ForwardTrace(
             inputs=np.array([[1.0, 0.0], [0.0, 1.0]]),
             pre_activations=[np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[2.0], [2.0]])],
-            post_activations=[np.array([[1.0, 1.0], [1.0, 1.0]]), labels.array.copy()],
+            post_activations=[np.array([[1.0, 1.0], [1.0, 1.0]]), labels.copy()],
             dropout_masks=[None],
             mode="train",
         )
         grads = backward(model, trace, labels)
         for dw, db in zip(grads.d_weights, grads.d_biases):
-            assert np.max(np.abs(dw.array)) < 1e-9
-            assert np.max(np.abs(db.array)) < 1e-9
+            assert np.max(np.abs(dw)) < 1e-9
+            assert np.max(np.abs(db)) < 1e-9
 
     def test_matches_finite_differences_on_random_nets(self):
         """Keystone property: analytic gradients agree with central
@@ -425,24 +425,24 @@ class TestBackward:
         rng = np.random.default_rng(12)
         config = ModelConfig(input_dim=5, hidden_widths=(), dropout_rate=0.0, seed=12)
         model = build_model(config)
-        x = Matrix(rng.normal(size=(9, 5)))
-        y = Matrix(rng.integers(0, 2, size=(9, 1)).astype(float))
+        x = rng.normal(size=(9, 5))
+        y = rng.integers(0, 2, size=(9, 1)).astype(float)
         preds, trace = forward(model, x, mode="train")
         grads = backward(model, trace, y)
-        expected_dw = x.array.T @ (preds.array - y.array) / 9
-        np.testing.assert_allclose(grads.d_weights[0].array, expected_dw.T, atol=1e-12)
+        expected_dw = x.T @ (preds - y) / 9
+        np.testing.assert_allclose(grads.d_weights[0], expected_dw.T, atol=1e-12)
 
     def test_respects_dropout_masks(self):
         """Zeroed units must contribute exactly zero gradient to their
         incoming weights."""
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(6,), dropout_rate=0.5, seed=5))
-        x = Matrix(np.abs(np.random.default_rng(4).normal(size=(1, 4))) + 0.1)
-        y = Matrix([[1.0]])
+        x = np.abs(np.random.default_rng(4).normal(size=(1, 4))) + 0.1
+        y = np.array([[1.0]])
         _, trace = forward(model, x, mode="train", rng=stream_rng(2, 2))
         grads = backward(model, trace, y)
         dropped = trace.dropout_masks[0][0] == 0.0
         assert dropped.any()
-        assert not grads.d_weights[0].array[dropped, :].any()
+        assert not grads.d_weights[0][dropped, :].any()
 
     def test_non_finite_gradient_raises_unless_out_is_given(self):
         """Public callers get NumericError; a caller that passes its own
@@ -455,53 +455,54 @@ class TestBackward:
             dropout_masks=[],
             mode="train",
         )
-        labels = Matrix([[0.0]])
+        labels = np.array([[0.0]])
         with pytest.raises(NumericError, match="layer 0"):
             backward(model, trace, labels)
         grads = backward(model, trace, labels, out=param_buffers(model))
-        assert grads.d_weights[0].array[0, 0] == np.inf
+        assert grads.d_weights[0][0, 0] == np.inf
         with pytest.raises(NumericError):
             sgd_step(model, grads, 0.1)
 
     def test_out_buffers_give_identical_gradients(self):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(4, 3), dropout_rate=0.2, seed=6))
-        x = Matrix(np.random.default_rng(6).normal(size=(7, 5)))
-        y = Matrix([[1.0], [0.0]] * 3 + [[1.0]])
+        x = np.random.default_rng(6).normal(size=(7, 5))
+        y = np.array([[1.0], [0.0]] * 3 + [[1.0]])
         _, trace = forward(model, x, mode="train", rng=stream_rng(6, 1))
         fresh = backward(model, trace, y)
         buffers = param_buffers(model)
         owned = backward(model, trace, y, out=buffers)
         assert owned is buffers
         for a, b in zip(fresh.d_weights + fresh.d_biases, owned.d_weights + owned.d_biases):
-            assert a.array.tobytes() == b.array.tobytes()
+            assert a.tobytes() == b.tobytes()
         assert fresh.flat.tobytes() == buffers.flat.tobytes()
 
     def test_trace_mismatch_is_error(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,)))
         other = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2)))
-        _, trace = forward(other, Matrix(np.ones((2, 4))), mode="eval")
+        _, trace = forward(other, np.ones((2, 4)), mode="eval")
         with pytest.raises(ShapeError):
-            backward(model, trace, Matrix([[1.0], [0.0]]))
+            backward(model, trace, np.array([[1.0], [0.0]]))
 
 
 class TestSgdStep:
     def test_zero_learning_rate_is_identity(self):
         model = build_model(ModelConfig(input_dim=3, hidden_widths=(2,), dropout_rate=0.0, seed=1))
-        x = Matrix(np.ones((2, 3)))
-        y = Matrix([[1.0], [0.0]])
+        x = np.ones((2, 3))
+        y = np.array([[1.0], [0.0]])
         _, trace = forward(model, x, mode="train")
         grads = backward(model, trace, y)
         stepped = sgd_step(model, grads, 0.0)
         for before, after in zip(model.layers, stepped.layers):
-            assert before.weights == after.weights and before.bias == after.bias
+            assert np.array_equal(before.weights, after.weights)
+            assert np.array_equal(before.bias, after.bias)
 
     def test_scalar_arithmetic(self):
         config = ModelConfig(input_dim=1, hidden_widths=(), dropout_rate=0.0, seed=0)
         model = MlpModel(
             config=config,
-            layers=(Layer(Matrix([[1.0]]), Matrix([[0.0]]), "sigmoid"),),
+            layers=(Layer(np.array([[1.0]]), np.array([[0.0]]), "sigmoid"),),
         )
-        grads = Gradients((Matrix([[0.5]]),), (Matrix([[0.0]]),))
+        grads = Gradients((np.array([[0.5]]),), (np.array([[0.0]]),))
         stepped = sgd_step(model, grads, 0.1)
         assert stepped.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
@@ -509,8 +510,8 @@ class TestSgdStep:
         rng = np.random.default_rng(3)
         config = ModelConfig(input_dim=1, hidden_widths=(), dropout_rate=0.0, seed=3)
         model = build_model(config)
-        x = Matrix(np.concatenate([rng.normal(-2, 0.5, (20, 1)), rng.normal(2, 0.5, (20, 1))]))
-        y = Matrix([[0.0]] * 20 + [[1.0]] * 20)
+        x = np.concatenate([rng.normal(-2, 0.5, (20, 1)), rng.normal(2, 0.5, (20, 1))])
+        y = np.array([[0.0]] * 20 + [[1.0]] * 20)
         preds, trace = forward(model, x, mode="train")
         before = bce_loss(preds, y)
         stepped = sgd_step(model, backward(model, trace, y), 0.5)
@@ -519,25 +520,25 @@ class TestSgdStep:
 
     def test_non_finite_gradient_rejected(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(), seed=0))
-        bad = Gradients((Matrix._wrap(np.array([[np.inf, 1.0]])),), (Matrix([[0.0]]),))
+        bad = Gradients((np.array([[np.inf, 1.0]]),), (np.array([[0.0]]),))
         with pytest.raises(NumericError):
             sgd_step(model, bad, 0.1)
 
     def test_original_model_untouched(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), dropout_rate=0.0, seed=7))
-        snapshot = [layer.weights.to_lists() for layer in model.layers]
-        _, trace = forward(model, Matrix(np.ones((3, 2))), mode="train")
-        grads = backward(model, trace, Matrix([[1.0], [0.0], [1.0]]))
+        snapshot = [layer.weights.tolist() for layer in model.layers]
+        _, trace = forward(model, np.ones((3, 2)), mode="train")
+        grads = backward(model, trace, np.array([[1.0], [0.0], [1.0]]))
         sgd_step(model, grads, 0.5)
-        assert [layer.weights.to_lists() for layer in model.layers] == snapshot
+        assert [layer.weights.tolist() for layer in model.layers] == snapshot
 
 
     def test_update_into_the_gradient_buffers_is_bit_identical(self):
         """sgd_step may write the update over the arrays its gradients view,
         which is how train() uses it."""
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.0, seed=2))
-        x = Matrix(np.random.default_rng(2).normal(size=(5, 4)))
-        y = Matrix([[1.0], [0.0], [1.0], [1.0], [0.0]])
+        x = np.random.default_rng(2).normal(size=(5, 4))
+        y = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
         _, trace = forward(model, x, mode="train")
         expected = sgd_step(model, backward(model, trace, y), 0.3)
         buffers = param_buffers(model)
@@ -546,14 +547,14 @@ class TestSgdStep:
         assert stepped is target
         assert stepped.params.tobytes() == expected.params.tobytes() == buffers.flat.tobytes()
         for want, got in zip(expected.layers, stepped.layers):
-            assert got.weights.array.tobytes() == want.weights.array.tobytes()
-            assert got.bias.array.tobytes() == want.bias.array.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.bias.tobytes() == want.bias.tobytes()
 
     def test_out_length_must_match_layers(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), seed=0))
         grads = Gradients(
-            tuple(Matrix.zeros(*l.weights.shape) for l in model.layers),
-            tuple(Matrix.zeros(*l.bias.shape) for l in model.layers),
+            tuple(np.zeros(l.weights.shape) for l in model.layers),
+            tuple(np.zeros(l.bias.shape) for l in model.layers),
         )
         deeper = build_model(ModelConfig(input_dim=2, hidden_widths=(2, 2), seed=0))
         with pytest.raises(ShapeError):
@@ -562,19 +563,19 @@ class TestSgdStep:
 
 class TestGradientLayerNorms:
     def test_zero_gradients(self):
-        grads = Gradients((Matrix.zeros(2, 3),), (Matrix.zeros(1, 2),))
+        grads = Gradients((np.zeros((2, 3)),), (np.zeros((1, 2)),))
         assert gradient_layer_norms(grads) == [0.0]
 
     def test_three_four_five(self):
-        grads = Gradients((Matrix([[3.0, 4.0]]),), (Matrix([[0.0]]),))
+        grads = Gradients((np.array([[3.0, 4.0]]),), (np.array([[0.0]]),))
         assert gradient_layer_norms(grads) == [5.0]
 
     def test_matches_sum_of_squares_oracle(self):
         rng = np.random.default_rng(10)
         arrays = [rng.normal(size=(4, 3)), rng.normal(size=(2, 4))]
         grads = Gradients(
-            tuple(Matrix(a) for a in arrays),
-            (Matrix.zeros(1, 4), Matrix.zeros(1, 2)),
+            tuple(arrays),
+            (np.zeros((1, 4)), np.zeros((1, 2))),
         )
         expected = [math.sqrt(sum(v * v for v in a.ravel())) for a in arrays]
         np.testing.assert_allclose(gradient_layer_norms(grads), expected, rtol=1e-12)
@@ -594,8 +595,8 @@ class TestCheckpoint:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
-        x = Matrix(np.random.default_rng(0).normal(size=(5, 6)))
-        assert forward(model, x)[0] == forward(loaded, x)[0]
+        x = np.random.default_rng(0).normal(size=(5, 6))
+        assert np.array_equal(forward(model, x)[0], forward(loaded, x)[0])
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "other.json"
@@ -652,11 +653,11 @@ class TestFlatParameters:
         shapes = [layer.weights.shape for layer in model.layers]
         assert model.params.shape == (layer_param_count(shapes),)
         assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
-        expected = np.concatenate([a for l in model.layers for a in (l.weights.data, l.bias.data)])
+        expected = np.concatenate([a for l in model.layers for a in (l.weights.ravel(), l.bias.ravel())])
         assert model.params.tobytes() == expected.tobytes()
         for layer in model.layers:
-            assert np.shares_memory(layer.weights.array, model.params)
-            assert np.shares_memory(layer.bias.array, model.params)
+            assert np.shares_memory(layer.weights, model.params)
+            assert np.shares_memory(layer.bias, model.params)
 
     def test_build_model(self):
         self.assert_views_vector(build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1)))
@@ -667,8 +668,8 @@ class TestFlatParameters:
 
     def test_sgd_step_returns_a_model_over_a_fresh_vector(self):
         model = build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1))
-        _, trace = forward(model, Matrix(np.ones((2, 6))), mode="eval")
-        stepped = sgd_step(model, backward(model, trace, Matrix([[1.0], [0.0]])), 0.1)
+        _, trace = forward(model, np.ones((2, 6)), mode="eval")
+        stepped = sgd_step(model, backward(model, trace, np.array([[1.0], [0.0]])), 0.1)
         self.assert_views_vector(stepped)
         assert not np.shares_memory(stepped.params, model.params)
 
@@ -677,7 +678,7 @@ class TestFlatParameters:
         model = ones_model(3, 2)
         built = MlpModel(
             config=model.config,
-            layers=(Layer(Matrix(weights), Matrix([[7.0, 8.0]]), "relu"), model.layers[1]),
+            layers=(Layer(np.array(weights), np.array([[7.0, 8.0]]), "relu"), model.layers[1]),
         )
         self.assert_views_vector(built)
         assert built.params.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 1.0, 1.0, 0.0]
@@ -685,14 +686,14 @@ class TestFlatParameters:
 
     def test_gradients_from_backward_and_by_hand_view_one_vector(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
-        _, trace = forward(model, Matrix(np.ones((2, 4))), mode="eval")
-        by_hand = Gradients((Matrix(np.ones((3, 4))), Matrix([[2.0, 2.0, 2.0]])),
-                            (Matrix([[3.0, 3.0, 3.0]]), Matrix([[4.0]])))
+        _, trace = forward(model, np.ones((2, 4)), mode="eval")
+        by_hand = Gradients((np.ones((3, 4)), np.array([[2.0, 2.0, 2.0]])),
+                            (np.array([[3.0, 3.0, 3.0]]), np.array([[4.0]])))
         assert by_hand.flat.tolist() == [1.0] * 12 + [3.0] * 3 + [2.0] * 3 + [4.0]
-        for grads in (backward(model, trace, Matrix([[1.0], [0.0]])), by_hand):
+        for grads in (backward(model, trace, np.array([[1.0], [0.0]])), by_hand):
             assert grads.flat.shape == model.params.shape
             for m in grads.d_weights + grads.d_biases:
-                assert np.shares_memory(m.array, grads.flat)
+                assert np.shares_memory(m, grads.flat)
 
     def test_param_buffers_is_a_fresh_set_of_the_models_layout(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
@@ -703,6 +704,30 @@ class TestFlatParameters:
         assert [m.shape for m in buffers.d_weights] == [l.weights.shape for l in model.layers]
         view = model.over(buffers.flat)
         assert view.params is buffers.flat and view.config == model.config
+
+    def test_hand_built_non_finite_parameter_names_its_layer(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), seed=2))
+        bias = np.array(model.layers[1].bias)
+        bias[0, 1] = np.nan
+        layers = (model.layers[0], Layer(model.layers[1].weights, bias, "relu"), model.layers[2])
+        with pytest.raises(NumericError, match=r"^layer 1: non-finite parameter nan$"):
+            MlpModel(config=model.config, layers=layers)
+
+    def test_parameters_and_outputs_are_read_only(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        preds, trace = forward(model, np.ones((2, 4)), mode="eval")
+        grads = backward(model, trace, np.array([[1.0], [0.0]]))
+        for array in (model.layers[0].weights, model.layers[1].bias, grads.d_weights[0], preds):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_rewriting_the_viewed_vector_is_seen_through_the_layers(self):
+        model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        buffer = np.zeros_like(model.params)
+        view = model.over(buffer)
+        buffer[:] = np.arange(buffer.size)
+        assert view.layers[0].weights[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert view.layers[1].bias.tolist() == [[buffer.size - 1.0]]
 
     def test_over_rejects_a_vector_of_another_size(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
@@ -719,12 +744,12 @@ def random_model_and_gradients(config, seed):
     base = build_model(config)
     shapes = [(l.weights.shape, l.bias.shape) for l in base.layers]
     layers = tuple(
-        Layer(Matrix(rng.normal(size=ws)), Matrix(rng.normal(size=bs)), l.activation)
+        Layer(rng.normal(size=ws), rng.normal(size=bs), l.activation)
         for (ws, bs), l in zip(shapes, base.layers)
     )
     grads = Gradients(
-        tuple(Matrix(rng.normal(size=ws)) for ws, _ in shapes),
-        tuple(Matrix(rng.normal(size=bs)) for _, bs in shapes),
+        tuple(rng.normal(size=ws) for ws, _ in shapes),
+        tuple(rng.normal(size=bs) for _, bs in shapes),
     )
     return MlpModel(config=config, layers=layers), grads
 
@@ -757,15 +782,15 @@ class TestBlockedUpdate:
         model, grads = random_model_and_gradients(BLOCK_CONFIGS[name], seed=len(name))
         lr = 0.037
         expected = [
-            (l.weights.array - lr * dw.array, l.bias.array - lr * db.array)
+            (l.weights - lr * dw, l.bias - lr * db)
             for l, dw, db in zip(model.layers, grads.d_weights, grads.d_biases)
         ]
         before = model.params.tobytes()
         out = model.over(grads.flat) if into_gradients else None
         stepped = sgd_step(model, grads, lr, out=out)
         for layer, (w, b) in zip(stepped.layers, expected):
-            assert layer.weights.array.tobytes() == w.tobytes()
-            assert layer.bias.array.tobytes() == b.tobytes()
+            assert layer.weights.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == b.tobytes()
         assert model.params.tobytes() == before
 
     @pytest.mark.parametrize("name", ["straddling-layers", "three-blocks"])
@@ -818,12 +843,12 @@ class TestOneDrawMasks:
     def test_equal_to_per_layer_draws(self, rows):
         model = build_model(self.CONFIG)
         workspace = activation_buffers(model, 10)
-        x = Matrix(np.random.default_rng(5).normal(size=(rows, 6)))
+        x = np.random.default_rng(5).normal(size=(rows, 6))
         one_draw, per_layer = stream_rng(9, 1), stream_rng(9, 1)
         for _ in range(2):  # reuses the workspace
             _, trace = forward(model, x, mode="train", rng=one_draw, out=workspace)
             for mask, layer in zip(trace.dropout_masks, model.layers):
-                expected = (per_layer.random((rows, layer.weights.rows)) >= 0.3) / (1.0 - 0.3)
+                expected = (per_layer.random((rows, layer.weights.shape[0])) >= 0.3) / (1.0 - 0.3)
                 assert mask.tobytes() == expected.tobytes()
                 assert np.shares_memory(mask, workspace.masks)
         assert one_draw.random() == per_layer.random()
@@ -831,5 +856,5 @@ class TestOneDrawMasks:
     def test_eval_mode_leaves_the_generator_alone(self):
         model = build_model(self.CONFIG)
         rng = stream_rng(9, 1)
-        forward(model, Matrix(np.ones((3, 6))), mode="eval", rng=rng, out=activation_buffers(model, 3))
+        forward(model, np.ones((3, 6)), mode="eval", rng=rng, out=activation_buffers(model, 3))
         assert rng.random() == stream_rng(9, 1).random()

@@ -9,7 +9,6 @@ import pytest
 from qdelnet.data import Dataset, Question, gen_synthetic, split_train_test
 from qdelnet.errors import ConfigError, InputError
 from qdelnet.features import EmbeddingTable, featurize_batch
-from qdelnet.linalg import Matrix
 from qdelnet.nn import (
     Layer,
     MlpModel,
@@ -42,7 +41,7 @@ def balanced_dataset(n, name="bal"):
 
 
 def param_bytes(model):
-    return [(layer.weights.array.tobytes(), layer.bias.array.tobytes()) for layer in model.layers]
+    return [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
 
 
 def hand_loop(model, dataset, config, table, max_words):
@@ -51,7 +50,7 @@ def hand_loop(model, dataset, config, table, max_words):
     model, the loss curve and the per-epoch mean gradient norms."""
     fit_set, _ = split_train_val(dataset, config.validation_fraction, config.seed)
     questions = fit_set.questions
-    x = featurize_batch(questions, table, max_words).array
+    x = featurize_batch(questions, table, max_words)
     y = np.array([[float(q.label)] for q in questions])
     shuffle_rng = stream_rng(config.seed, SHUFFLE)
     dropout_rng = stream_rng(config.seed, DROPOUT)
@@ -61,8 +60,8 @@ def hand_loop(model, dataset, config, table, max_words):
         loss_sum, norm_sums, batches = 0.0, np.zeros(len(model.layers)), 0
         for start in range(0, len(questions), config.batch_size):
             idx = order[start : start + config.batch_size]
-            yb = Matrix(y[idx])
-            preds, trace = forward(model, Matrix(x[idx]), mode="train", rng=dropout_rng)
+            yb = y[idx]
+            preds, trace = forward(model, x[idx], mode="train", rng=dropout_rng)
             loss = bce_loss(preds, yb)
             grads = backward(model, trace, yb)
             norm_sums += gradient_layer_norms(grads)
@@ -150,7 +149,7 @@ class TestTrain:
         out, report = train(model, ds, TrainConfig(epochs=0, seed=1), table)
         assert report.loss_curve == []
         for before, after in zip(model.layers, out.layers):
-            assert before.weights == after.weights
+            assert np.array_equal(before.weights, after.weights)
         assert not report.diverged
 
     def test_separable_toy_reaches_99_percent(self):
@@ -183,7 +182,7 @@ class TestTrain:
         assert r1.final_train_accuracy == r2.final_train_accuracy
         assert r1.final_validation_accuracy == r2.final_validation_accuracy
         for l1, l2 in zip(m1.layers, m2.layers):
-            assert l1.weights == l2.weights and l1.bias == l2.bias
+            assert np.array_equal(l1.weights, l2.weights) and np.array_equal(l1.bias, l2.bias)
 
     def test_streaming_and_cached_paths_identical(self):
         ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=6)
@@ -192,7 +191,7 @@ class TestTrain:
         m2, r2 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table, cache_features=False)
         assert r1.loss_curve == r2.loss_curve
         for l1, l2 in zip(m1.layers, m2.layers):
-            assert l1.weights == l2.weights
+            assert np.array_equal(l1.weights, l2.weights)
 
     def test_divergence_aborts_and_flags(self):
         """A model poised at the float ceiling overflows in its first forward
@@ -206,7 +205,7 @@ class TestTrain:
         poisoned = MlpModel(
             config=config,
             layers=tuple(
-                Layer(Matrix(layer.weights.array * 1e160), layer.bias, layer.activation)
+                Layer(layer.weights * 1e160, layer.bias, layer.activation)
                 for layer in base.layers
             ),
         )
@@ -215,7 +214,7 @@ class TestTrain:
         assert report.diverged_epoch == 0
         assert report.loss_curve == []
         for layer in model.layers:
-            assert np.isfinite(layer.weights.array).all()
+            assert np.isfinite(layer.weights).all()
         assert 0.0 <= report.final_train_accuracy <= 100.0
 
     def test_divergence_in_the_update_keeps_the_last_finite_model(self):
@@ -229,7 +228,7 @@ class TestTrain:
         first = base.layers[0]
         model = MlpModel(
             config=config,
-            layers=(Layer(Matrix(first.weights.array * 1e3), first.bias, "relu"), base.layers[1]),
+            layers=(Layer(first.weights * 1e3, first.bias, "relu"), base.layers[1]),
         )
         evaluate(model, ds, table)  # raises NumericError if the forward pass overflowed
         before = param_bytes(model)
@@ -258,7 +257,7 @@ class TestTrain:
         first = base.layers[0]
         model = MlpModel(
             config=config,
-            layers=(Layer(Matrix(first.weights.array * 1e3), first.bias, "relu"), base.layers[1]),
+            layers=(Layer(first.weights * 1e3, first.bias, "relu"), base.layers[1]),
         )
         before = model.params.tobytes()
         out, report = train(model, ds, TrainConfig(epochs=2, learning_rate=learning_rate, seed=3), table)
@@ -380,7 +379,7 @@ class TestEvaluate:
         config = ModelConfig(input_dim=2 * 2 + 1, hidden_widths=(), dropout_rate=0.0, seed=0)
         model = MlpModel(
             config=config,
-            layers=(Layer(Matrix.zeros(1, 5), Matrix.zeros(1, 1), "sigmoid"),),
+            layers=(Layer(np.zeros((1, 5)), np.zeros((1, 1)), "sigmoid"),),
         )
         assert evaluate(model, ds, table) == 50.0
 
@@ -408,7 +407,7 @@ class TestEvaluate:
         for start in range(0, len(ds), 512):
             chunk = ds.questions[start : start + 512]
             preds, _ = forward(model, featurize_batch(chunk, table, 5), mode="eval")
-            predicted = preds.array[:, 0] >= 0.5
+            predicted = preds[:, 0] >= 0.5
             predicted_classes.update(predicted.tolist())
             correct += int(np.sum(predicted == np.array([q.label == 1 for q in chunk])))
         assert predicted_classes == {True, False}
@@ -454,7 +453,7 @@ class TestEvaluate:
 
         def forward_copy(*args, **kwargs):
             result = forward(*args, **kwargs)
-            preds.append(result[0].array[:, 0].copy())
+            preds.append(result[0][:, 0].copy())
             return result
 
         monkeypatch.setattr(train_module, "featurize_batch", featurize)
@@ -482,14 +481,14 @@ class TestEvaluate:
             chunk = ds.questions[start : start + 256]
             out, _ = forward(model, featurize_batch(chunk, table, 96), mode="eval")
             actual = np.array([q.label == 1 for q in chunk])
-            correct += int(np.sum((out.array[:, 0] >= 0.5) == actual))
+            correct += int(np.sum((out[:, 0] >= 0.5) == actual))
         assert accuracy == 100.0 * correct / len(ds)
         # The full chunks predict bit for bit what 512-row chunks predict.
         for start in (0, 512):
             x = featurize_batch(ds.questions[start : start + 512], table, 96)
             out, _ = forward(model, x, mode="eval")
             halves = np.concatenate(preds[start // 256 : start // 256 + 2])
-            assert halves.tobytes() == out.array[:, 0].tobytes()
+            assert halves.tobytes() == out[:, 0].tobytes()
 
     def test_narrow_input_keeps_512_row_chunks_at_the_default_cap(self, monkeypatch):
         corpus, table = gen_synthetic(1026, 200, 16, 12, 0.15, seed=3)
@@ -545,7 +544,7 @@ class TestInitialGradientProfile:
     def _sample(depth_dim=13, batch=16, seed=0):
         ds, table = gen_synthetic(64, 12, 3, 4, 0.15, seed=seed)
         x = featurize_batch(ds.questions[:batch], table, 4)
-        y = Matrix([[float(q.label)] for q in ds.questions[:batch]])
+        y = np.array([[float(q.label)] for q in ds.questions[:batch]])
         return x, y
 
     def test_profile_length_is_layer_count(self):
@@ -567,7 +566,7 @@ class TestInitialGradientProfile:
         magnitude between depth 5 and depth 50, for every seed."""
         ds, table = gen_synthetic(200, 40, 8, 6, 0.15, seed=0)
         x = featurize_batch(ds.questions[:32], table, 6)
-        y = Matrix([[float(q.label)] for q in ds.questions[:32]])
+        y = np.array([[float(q.label)] for q in ds.questions[:32]])
         for seed in range(5):
             norms = {}
             for depth in (5, 50):

@@ -19,8 +19,8 @@ from qdelnet.train import TrainConfig, train
 def param_digest(model) -> str:
     h = hashlib.sha256()
     for layer in model.layers:
-        h.update(layer.weights.array.tobytes())
-        h.update(layer.bias.array.tobytes())
+        h.update(layer.weights.tobytes())
+        h.update(layer.bias.tobytes())
     return h.hexdigest()
 
 
