@@ -2,9 +2,9 @@
 run the depth sweep, regenerate reports.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error (I/O, parsing,
-numeric divergence). Option precedence: command-line flags beat config-file
-values beat built-in defaults; every run persists its fully resolved
-configuration next to its outputs.
+numeric divergence), 130 interrupted (Ctrl-C). Option precedence:
+command-line flags beat config-file values beat built-in defaults; every
+run persists its fully resolved configuration next to its outputs.
 """
 
 from __future__ import annotations
@@ -53,20 +53,20 @@ def _parse_int_list(s: str) -> list[int]:
     return values
 
 
-# Per-subcommand option tables: (flag, parser, default, help). Data defaults
-# come from the source classes; a None default is not shown in the help.
+# Per-subcommand option tables: (flag, parser, default, help). Defaults come from
+# the source and config classes that hold them; a None default is not shown.
 _SYNTH_OPTS = [
     ("n", int, SyntheticSource.n, "number of synthetic questions (even)"),
     ("vocab", int, SyntheticSource.vocab_size, "synthetic vocabulary size"),
     ("noise", float, SyntheticSource.noise, "synthetic label/token corruption rate in [0, 1]"),
 ]
 _PROTOCOL_OPTS = [
-    ("epochs", int, 150, "training epochs"),
-    ("batch-size", int, 32, "mini-batch size"),
-    ("lr", float, 0.01, "SGD learning rate"),
-    ("val-fraction", float, 0.10, "fraction of training data held out for validation"),
-    ("dropout", float, 0.05, "dropout rate on hidden activations"),
-    ("seed", int, 0, "root seed for every stochastic stage"),
+    ("epochs", int, TrainConfig.epochs, "training epochs"),
+    ("batch-size", int, TrainConfig.batch_size, "mini-batch size"),
+    ("lr", float, TrainConfig.learning_rate, "SGD learning rate"),
+    ("val-fraction", float, TrainConfig.validation_fraction, "share held out for validation"),
+    ("dropout", float, ModelConfig.dropout_rate, "dropout rate on hidden activations"),
+    ("seed", int, TrainConfig.seed, "root seed for every stochastic stage"),
 ]
 _SOURCE_OPTS = [
     ("synthetic", _FLAG, False, "generate the corpus instead of loading files"),
@@ -99,8 +99,8 @@ _OPTIONS: dict[str, list[tuple]] = {
         *_PROTOCOL_OPTS,
         ("depth", int, 5, "number of hidden layers (tapered widths)"),
         ("widths", _parse_int_list, None, "explicit hidden widths, e.g. 256,64,16 (overrides --depth)"),
-        ("width-max", int, 256, "taper start width"),
-        ("width-min", int, 16, "taper end width"),
+        ("width-max", int, SweepConfig.width_max, "taper start width"),
+        ("width-min", int, SweepConfig.width_min, "taper end width"),
         ("record-grad-norms", _FLAG, False, "record per-epoch gradient norms in the report"),
         ("out", str, None, "output directory (required)"),
     ],
@@ -114,10 +114,10 @@ _OPTIONS: dict[str, list[tuple]] = {
         *_SOURCE_OPTS,
         *_SYNTH_OPTS,
         *_PROTOCOL_OPTS,
-        ("depths", _parse_int_list, [1, 2, 3, 5, 10, 25, 50, 100], "hidden-layer counts to sweep"),
-        ("repeats", int, 3, "train+evaluate cycles averaged per depth"),
-        ("width-max", int, 256, "taper start width"),
-        ("width-min", int, 16, "taper end width"),
+        ("depths", _parse_int_list, SweepConfig.depths, "hidden-layer counts to sweep"),
+        ("repeats", int, SweepConfig.repeats, "train+evaluate cycles averaged per depth"),
+        ("width-max", int, SweepConfig.width_max, "taper start width"),
+        ("width-min", int, SweepConfig.width_min, "taper end width"),
         ("out", str, None, "output directory (required)"),
     ],
     "report": [
@@ -371,6 +371,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

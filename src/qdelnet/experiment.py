@@ -23,8 +23,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings
@@ -82,7 +80,7 @@ class SweepConfig:
     train_config: TrainConfig = field(default_factory=TrainConfig)
     width_max: int = 256
     width_min: int = 16
-    dropout_rate: float = 0.05
+    dropout_rate: float = ModelConfig.dropout_rate
     source: Union[SyntheticSource, FileSource] = field(default_factory=SyntheticSource)
     output_dir: str = "sweep-out"
 
@@ -168,9 +166,9 @@ def _default_profiler(
 ):
     """The default profiler over a training set; its sample is the first
     training batch."""
-    sample = train_set.questions[: config.train_config.batch_size]
-    sample_x = featurize_batch(sample, table, max_words)
-    sample_y = np.array([[float(q.label)] for q in sample])
+    batch_size = config.train_config.batch_size
+    sample_x = featurize_batch(train_set.questions[:batch_size], table, max_words)
+    sample_y = train_set.labels()[:batch_size, None]
 
     def profiler(depth: int, widths: Sequence[int]) -> list[float]:
         model_config = _model_config(config, sample_x.shape[1], widths, config.train_config.seed)
@@ -214,9 +212,10 @@ def run_depth_sweep(
 ) -> list[SweepRow]:
     """Run `repeats` train+evaluate cycles per depth (seeds seed+i), average
     metrics over runs that finished, and persist every cell's report under
-    output_dir/runs/. After the cells, profile each depth's initial gradients
-    once: layer 0 goes into the rows and run files, every layer into
-    output_dir/grad_flow.csv. Returns rows in depth order.
+    output_dir/runs/, whose earlier run files are removed first. After the
+    cells, profile each depth's initial gradients once: layer 0 goes into the
+    rows and run files, every layer into output_dir/grad_flow.csv. Returns
+    rows in depth order.
 
     `runner` and `profiler` exist for unit-level stubbing; by default they
     train and profile real models on the configured data source, prepared
@@ -228,6 +227,8 @@ def run_depth_sweep(
     out_dir = Path(config.output_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
+    for stale in runs_dir.glob("*_*.json"):  # `report` would mix them with this sweep's
+        stale.unlink()
 
     depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
@@ -306,7 +307,8 @@ _OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch")  # TrainR
 
 def _read_run_file(path: Path) -> dict:
     """A run file's document; raises ParseError naming the file if it is not
-    a JSON object or a field is missing or of the wrong type."""
+    a JSON object, a field is missing or of the wrong type, a number is not
+    finite, depth is below 1 or repeat below 0."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -317,6 +319,9 @@ def _read_run_file(path: Path) -> dict:
         raise ParseError(f"run file {path}: expected a JSON object, got {type(doc).__name__}")
     _check_fields(path, doc, _RUN_FIELDS, "")
     _check_fields(path, doc["train_report"], _REPORT_FIELDS, "train_report.")
+    for key, low in (("depth", 1), ("repeat", 0)):
+        if doc[key] < low:
+            raise ParseError(f"run file {path}: field {key} must be >= {low}, got {doc[key]}")
     return doc
 
 
@@ -333,6 +338,15 @@ def _check_fields(path: Path, doc: dict, fields: dict, prefix: str) -> None:
         # bool is an int to Python, but never a number or a count here.
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise ParseError(f"run file {path}: field {prefix}{key} is a {type(value).__name__}")
+        if isinstance(value, _NUMBER) and not _finite(value):
+            raise ParseError(f"run file {path}: field {prefix}{key} is not finite")
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _fmt_general(v: float) -> str:

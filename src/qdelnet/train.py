@@ -48,10 +48,12 @@ __all__ = [
     "initial_gradient_profile",
 ]
 
-# Feature matrices smaller than this are precomputed once; larger corpora are
-# featurized batch-by-batch inside the epoch loop.
+# train() precomputes a feature matrix of at most this many bytes once; larger
+# fit sets are featurized batch by batch inside the epoch loop.
 _CACHE_LIMIT_BYTES = 1 << 30
-# evaluate() halves its chunk while one chunk's features would be larger.
+# evaluate() scores this many questions at a time, halving the chunk while
+# one chunk's features would be larger than _EVAL_CHUNK_BYTES.
+_EVAL_CHUNK_ROWS = 512
 _EVAL_CHUNK_BYTES = 1 << 28
 
 
@@ -130,15 +132,15 @@ def train(
     train_set: Dataset,
     config: TrainConfig,
     table: EmbeddingTable,
-    cache_features: bool | None = None,
 ) -> tuple[MlpModel, TrainReport]:
     """Run the full training protocol and return (final model, report).
 
     A validation split of config.validation_fraction is carved out of
     train_set first. Each epoch reshuffles the remaining examples with a
-    seeded generator and applies one SGD step per mini-batch. When
-    cache_features is None, the feature matrix is precomputed only if it
-    fits comfortably in memory; both paths produce identical results.
+    seeded generator and applies one SGD step per mini-batch. The fit set's
+    feature matrix is precomputed when it takes at most _CACHE_LIMIT_BYTES;
+    otherwise every batch is featurized in the loop. Both paths produce
+    identical results.
     """
     if len(train_set) == 0:
         raise InputError("cannot train on an empty dataset")
@@ -147,9 +149,8 @@ def train(
 
     n = len(fit_set)
     questions = fit_set.questions
-    labels = np.array([[float(q.label)] for q in questions])
-    if cache_features is None:
-        cache_features = n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES
+    labels = fit_set.labels()[:, None]
+    cache_features = n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES
     cached = featurize_batch(questions, table, max_words) if cache_features else None
 
     shuffle_rng = stream_rng(config.seed, SHUFFLE)
@@ -223,39 +224,38 @@ def train(
     return model, report
 
 
-def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable, chunk_size: int = 512) -> float:
+def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable) -> float:
     """Accuracy (percent) under the 0.5 threshold; a prediction of exactly
     0.5 counts as the positive (deleted) class. Eval-mode forward: no dropout.
 
     The dataset is featurized and scored a chunk of questions at a time. The
-    chunk is chunk_size questions, halved while one chunk's features would
-    take more than 256 MiB (_EVAL_CHUNK_BYTES): 256 rows at the paper's
-    72,001 inputs. Halving a power-of-two chunk_size keeps every boundary
-    of the full-size chunks. One feature buffer and one eval activation
-    workspace, both sized for the first chunk, are allocated per call and
-    reused by every chunk, so the features of at most one chunk are ever
-    alive. The workspace is two buffers of a chunk's rows x the widest
+    chunk is _EVAL_CHUNK_ROWS (512) questions, halved while one chunk's
+    features would take more than 256 MiB (_EVAL_CHUNK_BYTES): 256 rows at
+    the paper's 72,001 inputs. Halving the power-of-two chunk keeps every
+    boundary of the full-size chunks. One feature buffer and one eval
+    activation workspace, both sized for the first chunk, are allocated per
+    call and reused by every chunk, so the features of at most one chunk are
+    ever alive. The workspace is two buffers of a chunk's rows x the widest
     layer, so scoring memory does not grow with depth.
     """
-    if chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
     if len(dataset) == 0:
         raise InputError("cannot evaluate on an empty dataset")
     max_words = _derive_max_words(model, table)
     questions = dataset.questions
     actual = dataset.labels() == 1.0
-    rows = min(chunk_size, len(questions))
+    chunk = _EVAL_CHUNK_ROWS
+    rows = min(chunk, len(questions))
     while rows > 1 and rows * model.input_dim * 8 > _EVAL_CHUNK_BYTES:
-        chunk_size //= 2
-        rows = min(chunk_size, len(questions))
+        chunk //= 2
+        rows = min(chunk, len(questions))
     features = np.empty((rows, model.input_dim))
     workspace = activation_buffers(model, rows, mode="eval")
     correct = 0
-    for start in range(0, len(questions), chunk_size):
-        x = featurize_batch(questions[start : start + chunk_size], table, max_words, out=features)
+    for start in range(0, len(questions), chunk):
+        x = featurize_batch(questions[start : start + chunk], table, max_words, out=features)
         preds, _ = forward(model, x, mode="eval", out=workspace)
         predicted = preds[:, 0] >= 0.5
-        correct += int(np.sum(predicted == actual[start : start + chunk_size]))
+        correct += int(np.sum(predicted == actual[start : start + chunk]))
     return 100.0 * correct / len(questions)
 
 

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from qdelnet import cli
 from qdelnet.cli import parse_and_dispatch
 from qdelnet.data import load_dataset
+from qdelnet.experiment import SweepRow
 from qdelnet.features import load_embeddings
 
 
@@ -66,9 +68,11 @@ class TestTrain:
         assert len(report["loss_curve"]) == 3
         assert not report["diverged"]
 
-    def test_defaults_follow_protocol(self, tmp_path):
+    def test_defaults_follow_protocol(self, tmp_path, monkeypatch):
         """With no protocol flags, the persisted resolved config carries the
-        stock recipe: 150 epochs, 10% validation, 5% dropout, batch 32."""
+        stock recipe: 150 epochs, 10% validation, 5% dropout, batch 32; a
+        sweep's default depths run 1 to 100, 3 repeats each, tapering from
+        256 to 16 units. The sweep itself is stubbed out."""
         out = tmp_path / "run"
         tiny = ["--n", "20", "--vocab", "8", "--dim", "2", "--max-words", "3"]
         assert run("train", "--synthetic", *tiny, "--depth", "1", "--out", str(out)) == 0
@@ -79,6 +83,41 @@ class TestTrain:
         assert resolved["batch_size"] == 32
         assert resolved["lr"] == 0.01
         assert resolved["seed"] == 0
+        assert resolved["width_max"] == 256
+        assert resolved["width_min"] == 16
+
+        def sweep_stub(config):
+            Path(config.output_dir).mkdir()
+            return [SweepRow(1, 0.0, 50.0, 50.0, 50.0, 0, 1.0)]
+
+        monkeypatch.setattr(cli, "run_depth_sweep", sweep_stub)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--synthetic", *tiny, "--out", str(out)) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["depths"] == [1, 2, 3, 5, 10, 25, 50, 100]
+        assert resolved["repeats"] == 3
+        assert resolved["width_max"] == 256
+        assert resolved["width_min"] == 16
+
+    @pytest.mark.parametrize(
+        "widths, code, expected",
+        [
+            ("8,4", 0, [[8, 13], [4, 8], [1, 4]]),
+            ("4,8", 2, "error: hidden widths must be non-increasing, got (4, 8)\n"),
+            ("0", 2, "error: hidden widths must be positive, got (0,)\n"),
+        ],
+        ids=["explicit", "increasing", "zero"],
+    )
+    def test_widths_override_depth(self, tmp_path, capsys, widths, code, expected):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--synthetic", *TINY_SYNTH, "--epochs", "1", "--depth", "5",
+                   "--widths", widths, "--out", str(out)) == code
+        if code == 0:
+            layers = json.loads((out / "model.json").read_text())["layers"]
+            assert [[layer["rows"], layer["cols"]] for layer in layers] == expected
+        else:
+            assert capsys.readouterr().err == expected
 
     def test_file_source_parses_only_the_training_corpus(self, tmp_path, monkeypatch):
         import qdelnet.experiment as experiment
@@ -308,6 +347,18 @@ class TestSweepAndReport:
         for name, blob in originals.items():
             assert (out / name).read_bytes() == blob, name
 
+    def test_sweep_into_a_used_directory_replaces_its_run_files(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        tiny = [*TINY_SYNTH, "--train-count", "30", "--test-count", "10", "--epochs", "1"]
+        assert run("sweep", "--synthetic", *tiny, "--depths", "1,2,3", "--repeats", "2",
+                   "--out", str(out)) == 0
+        assert run("sweep", "--synthetic", *tiny, "--depths", "1,2", "--repeats", "1",
+                   "--out", str(out)) == 0
+        assert sorted(p.name for p in (out / "runs").iterdir()) == ["1_0.json", "2_0.json"]
+        swept = (out / "sweep.csv").read_bytes()
+        assert run("report", "--runs", str(out), "--out", str(tmp_path / "report")) == 0
+        assert (tmp_path / "report" / "sweep.csv").read_bytes() == swept
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -340,3 +391,21 @@ class TestSweepAndReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "1_0.json" in err
+
+
+class TestInterrupt:
+    def test_ctrl_c_exits_130_without_traceback(self, tmp_path, capsys, monkeypatch):
+        import qdelnet.experiment as experiment
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(experiment, "train", interrupted)
+        capsys.readouterr()
+        try:
+            code = run("sweep", "--synthetic", *TINY_SYNTH, "--depths", "1,2", "--repeats", "1",
+                       "--epochs", "1", "--out", str(tmp_path / "sweep"))
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped parse_and_dispatch")
+        assert code == 130
+        assert capsys.readouterr().err == "interrupted\n"

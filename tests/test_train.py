@@ -184,11 +184,13 @@ class TestTrain:
         for l1, l2 in zip(m1.layers, m2.layers):
             assert np.array_equal(l1.weights, l2.weights) and np.array_equal(l1.bias, l2.bias)
 
-    def test_streaming_and_cached_paths_identical(self):
+    def test_streaming_and_cached_paths_identical(self, monkeypatch):
         ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=6)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.05, seed=6)
-        m1, r1 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table, cache_features=True)
-        m2, r2 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table, cache_features=False)
+        m1, r1 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table)
+        # No feature matrix fits a zero-byte limit, so every batch is featurized in the loop.
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", 0)
+        m2, r2 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table)
         assert r1.loss_curve == r2.loss_curve
         for l1, l2 in zip(m1.layers, m2.layers):
             assert np.array_equal(l1.weights, l2.weights)
@@ -303,14 +305,35 @@ class TestTrain:
             return featurize_batch(*args, **kwargs)
 
         monkeypatch.setattr(train_module, "featurize_batch", counting)
+        monkeypatch.setattr(train_module, "_CACHE_LIMIT_BYTES", 0)  # stream every batch
         ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
-        train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table, cache_features=False)
+        train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table)
         steps = 3 * 4  # 36 fit rows in batches of 10
         assert len(outs) > steps  # the final evaluates come after the steps
         assert outs[0] is not None
         assert all(out is outs[0] for out in outs[:steps])
         assert all(out is not outs[0] for out in outs[steps:])
+
+    @pytest.mark.parametrize("below", [0, 1], ids=["at-limit", "one-byte-below"])
+    def test_features_are_cached_up_to_the_limit(self, monkeypatch, below):
+        """36 fit rows x 13 inputs of 8 bytes: a limit of exactly that size
+        caches them (one featurize of the whole fit set), one byte less
+        streams them (one featurize per batch)."""
+        train_module = importlib.import_module("qdelnet.train")
+        sizes = []
+
+        def counting(questions, *args, **kwargs):
+            sizes.append(len(questions))
+            return featurize_batch(questions, *args, **kwargs)
+
+        monkeypatch.setattr(train_module, "featurize_batch", counting)
+        monkeypatch.setattr(train_module, "_CACHE_LIMIT_BYTES", 36 * 13 * 8 - below)
+        ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
+        train(build(config), ds, TrainConfig(epochs=2, batch_size=10, seed=9), table)
+        before_evaluates = [36] if below == 0 else [10, 10, 10, 6] * 2
+        assert sizes == before_evaluates + [36, 4]  # then the fit and validation sets
 
     @pytest.mark.parametrize("record_grad_norms", [False, True])
     def test_matches_hand_loop_over_public_functions(self, record_grad_norms):
@@ -419,7 +442,7 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(build(config), Dataset(()), table)
 
-    def test_features_of_one_chunk_at_a_time(self):
+    def test_features_of_one_chunk_at_a_time(self, monkeypatch):
         """4 chunks of a 4,801-wide input: the memory traced during evaluate
         stays below 1.5 chunk feature matrices, so one chunk's features are
         never alive beside the next one's."""
@@ -428,11 +451,12 @@ class TestEvaluate:
         model = build(config)
         chunk_size = 16
         chunk_bytes = chunk_size * config.input_dim * 8
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_EVAL_CHUNK_ROWS", chunk_size)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            evaluate(model, ds, table, chunk_size=chunk_size)
+            evaluate(model, ds, table)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -524,19 +548,6 @@ class TestEvalMemory:
         peak_50, accuracy = self._traced_peak(50, ds, table)
         assert peak_50 < peak_1 + 2 * 512 * 256 * 8
         assert 0.0 <= accuracy <= 100.0
-
-    @pytest.mark.parametrize("chunk_size", [0, -1, -512])
-    def test_chunk_size_below_one_is_config_error(self, chunk_size, monkeypatch):
-        ds, table = gen_synthetic(20, 8, 3, 4, 0.1, seed=0)
-        model = build(ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(4,), dropout_rate=0.0))
-
-        def allocate(*args, **kwargs):
-            raise AssertionError("evaluate allocated before checking chunk_size")
-
-        train_module = importlib.import_module("qdelnet.train")
-        monkeypatch.setattr(train_module, "activation_buffers", allocate)
-        with pytest.raises(ConfigError, match=f"chunk_size must be >= 1, got {chunk_size}"):
-            evaluate(model, ds, table, chunk_size=chunk_size)
 
 
 class TestInitialGradientProfile:

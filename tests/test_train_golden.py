@@ -8,6 +8,7 @@ the arithmetic, the random draws or their order changes them.
 """
 
 import hashlib
+import importlib
 
 import pytest
 
@@ -24,15 +25,20 @@ def param_digest(model) -> str:
     return h.hexdigest()
 
 
-# name -> (depth, dropout, batch_size, cache_features, record_grad_norms).
 # 130 questions leave 117 to fit: batch 16 ends on a 5-row batch, 13 divides it.
+# The fit set's feature matrix is 117 rows x 21 inputs of 8 bytes; train()
+# caches it up to train._CACHE_LIMIT_BYTES and streams it one byte above.
+FIT_FEATURE_BYTES = 117 * (5 * 4 + 1) * 8
+
+# name -> (depth, dropout, batch_size, feature cache limit or None for the
+# default, record_grad_norms).
 CASES = {
     "depth1-dropout": (1, 0.1, 16, None, False),
     "depth3-dropout": (3, 0.1, 16, None, False),
     "depth10-dropout": (10, 0.1, 16, None, False),
     "full-batches-only": (3, 0.1, 13, None, False),
-    "cached-features": (3, 0.05, 16, True, False),
-    "streamed-features": (3, 0.05, 16, False, False),
+    "cached-features": (3, 0.05, 16, FIT_FEATURE_BYTES, False),
+    "streamed-features": (3, 0.05, 16, FIT_FEATURE_BYTES - 1, False),
     "grad-norms": (3, 0.1, 16, None, True),
 }
 
@@ -79,8 +85,10 @@ EXPECTED = {
 }
 
 
-def run_case(name):
-    depth, dropout, batch_size, cache, norms = CASES[name]
+def run_case(name, monkeypatch):
+    depth, dropout, batch_size, cache_limit, norms = CASES[name]
+    if cache_limit is not None:
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", cache_limit)
     corpus, table = gen_synthetic(130, 24, 4, 5, 0.2, seed=17)
     config = ModelConfig(
         input_dim=5 * 4 + 1,
@@ -91,12 +99,12 @@ def run_case(name):
     train_config = TrainConfig(
         epochs=3, batch_size=batch_size, learning_rate=0.3, seed=17, record_grad_norms=norms
     )
-    return train(build_model(config), corpus, train_config, table, cache_features=cache)
+    return train(build_model(config), corpus, train_config, table)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_train_matches_golden(name):
-    model, report = run_case(name)
+def test_train_matches_golden(name, monkeypatch):
+    model, report = run_case(name, monkeypatch)
     curve, norms, digest = EXPECTED[name]
     assert [v.hex() for v in report.loss_curve] == curve
     got_norms = report.grad_norm_history

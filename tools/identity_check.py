@@ -8,7 +8,8 @@ and compare the output: equal lines mean the outputs are byte-identical.
 Every command goes through qdelnet.cli.parse_and_dispatch:
 
 - a synthetic sweep (the default 2,000-question source) of depths
-  1,3,10,50, 2 repeats of 2 epochs each;
+  1,3,10,50, 2 repeats of 2 epochs each, and `report` on its run files,
+  written to a directory of its own;
 - a file sweep of depths 1,3 at the paper's input width (240 words x 300
   dims + 1 = 72,001 inputs), 1 epoch, on a 100/20-question corpus written
   by gen-synth; hidden widths taper from 64, to keep memory small;
@@ -84,6 +85,7 @@ def main() -> None:
 
     run("sweep", "--synthetic", "--depths", "1,3,10,50", "--repeats", "2", "--epochs", "2",
         "--out", base / "synthetic-sweep")
+    run("report", "--runs", base / "synthetic-sweep", "--out", base / "synthetic-report")
 
     data = base / "wide-data"
     run("gen-synth", "--n", "120", "--train-count", "100", "--test-count", "20", "--vocab", "300",
