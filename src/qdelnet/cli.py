@@ -72,7 +72,8 @@ _SOURCE_OPTS = [
     ("synthetic", _FLAG, False, "generate the corpus instead of loading files"),
     ("train", str, None, "training corpus JSONL path (file mode)"),
     ("test", str, None, "test corpus JSONL path (file mode)"),
-    ("embeddings", str, None, "embedding table path, word2vec text format (file mode)"),
+    ("embeddings", str, None, "embedding table path, word2vec text format (file mode); "
+                              "its parsed copy is kept beside it in <path>.qdelnet-cache.npz"),
     ("dim", int, None, f"embedding dimension (default: {SyntheticSource.dim} synthetic, "
                        f"{FileSource.embedding_dim} file mode)"),
     ("max-words", int, None, f"word slots per feature vector (default: {SyntheticSource.max_words} "
@@ -107,7 +108,8 @@ _OPTIONS: dict[str, list[tuple]] = {
     "evaluate": [
         ("model", str, None, "model checkpoint path (required)"),
         ("data", str, None, "corpus JSONL path (required)"),
-        ("embeddings", str, None, "embedding table path (required)"),
+        ("embeddings", str, None, "embedding table path (required); its parsed copy is kept "
+                                  "beside it in <path>.qdelnet-cache.npz"),
         ("dim", int, FileSource.embedding_dim, "embedding dimension"),
     ],
     "sweep": [

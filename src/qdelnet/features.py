@@ -9,12 +9,21 @@ words missing from the table and by padding, so the two are
 indistinguishable. featurize_batch builds the features by copying rows of
 that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
+
+load_embeddings keeps each table it parses in `<file>.qdelnet-cache.npz`,
+keyed by the SHA-256 of the file's bytes, and reads that while they match.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import os
 import string
 import sys
+import tempfile
+import zipfile
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,6 +44,7 @@ __all__ = [
 _PUNCT = string.punctuation
 # load_embeddings parses into a buffer of this many rows, doubled when full.
 _FIRST_ROWS = 1 << 10
+_CACHE_SUFFIX = ".qdelnet-cache.npz"
 
 
 def tokenize(text: str) -> list[str]:
@@ -126,12 +136,21 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     which doubles when full; its leading rows become the table's matrix, so
     no per-word array and no second copy of the table is made. A duplicate
     is parsed into the next free row too, which the next new word reuses.
+
+    The table of a regular file is cached beside it in
+    `<path>.qdelnet-cache.npz` with the SHA-256 of the bytes parsed, and
+    returned while the file hashes the same, at the same `expected_dim`. A
+    table that fails to parse is never cached; a cache that cannot be read
+    or written, or fails its structural check, is ignored.
     """
     _check_dim(expected_dim)
+    cache = os.fspath(path) + _CACHE_SUFFIX if os.path.isfile(path) else None
+    if cache and (table := _read_cache(path, cache, expected_dim)) is not None:
+        return table
     matrix = np.zeros((_FIRST_ROWS, expected_dim))
     rows: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _HashingFile(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
@@ -165,7 +184,56 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                     rows[sys.intern(word)] = row
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    return EmbeddingTable._of(matrix[: len(rows) + 1], rows)
+    table = EmbeddingTable._of(matrix[: len(rows) + 1], rows)
+    if cache:
+        _write_cache(cache, raw.sha256.digest(), table)
+    return table
+
+
+class _HashingFile(io.FileIO):
+    """A file open for reading whose read() feeds each byte to `self.sha256`."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = super().read(size)
+        self.sha256.update(data)
+        return data
+
+
+def _read_cache(path, cache: str, dim: int) -> EmbeddingTable | None:
+    """The table cached for the file's current bytes, or None."""
+    try:
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            digest, matrix, words = npz["sha256"].tobytes(), npz["matrix"], npz["words"]
+        words = words.tobytes().decode().splitlines()  # no word holds a line break
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    rows = {sys.intern(word): row for row, word in enumerate(words, start=1)}
+    if not (matrix.dtype == np.float64 and matrix.shape == (len(words) + 1, dim)
+            and len(rows) == len(words) and not matrix[0].view(np.uint64).any()
+            and np.isfinite(matrix).all()):
+        return None
+    with _HashingFile(path) as file:
+        while file.read(1 << 20):
+            pass
+    return EmbeddingTable._of(matrix, rows) if file.sha256.digest() == digest else None
+
+
+def _write_cache(cache: str, digest: bytes, table: EmbeddingTable) -> None:
+    """Replace the cache atomically, through a temporary file beside it."""
+    with contextlib.suppress(OSError):  # e.g. a read-only directory
+        fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, sha256=np.frombuffer(digest, np.uint8), matrix=table._matrix,
+                         words=np.frombuffer("\n".join(table.words()).encode(), np.uint8))
+            os.replace(tmp, cache)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _is_int(s: str) -> bool:

@@ -211,6 +211,26 @@ class TestEvaluate:
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_second_run_reads_the_cached_table_and_prints_the_same(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("gen-synth", *TINY_SYNTH, "--out", str(data)) == 0
+        table = data / "embeddings.txt"
+        cache = data / "embeddings.txt.qdelnet-cache.npz"
+        out = tmp_path / "run"
+        assert run("train", "--train", str(data / "dataset.jsonl"), "--embeddings", str(table),
+                   "--dim", "3", "--max-words", "4", "--epochs", "2", "--depth", "1",
+                   "--out", str(out)) == 0
+        cache.unlink()
+        capsys.readouterr()
+        lines = []
+        for _ in range(2):
+            assert run("evaluate", "--model", str(out / "model.json"),
+                       "--data", str(data / "dataset.jsonl"), "--embeddings", str(table),
+                       "--dim", "3") == 0
+            assert cache.is_file()
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and "accuracy" in lines[0]
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -1,3 +1,4 @@
+import os
 import string
 
 import numpy as np
@@ -168,26 +169,41 @@ def reference_load_embeddings(path, dim):
     return matrix, rows
 
 
+def cache_of(path):
+    return path.with_name(path.name + ".qdelnet-cache.npz")
+
+
+def cached_arrays(path):
+    with np.load(cache_of(path)) as npz:
+        return dict(npz)
+
+
 def entry_lines(rng, words, dim):
     return [f"{w} " + " ".join(repr(v) for v in rng.normal(size=dim).tolist()) for w in words]
 
 
 def assert_loads_like_the_reference(path, dim):
     """load_embeddings and the oracle agree bit for bit, or raise the same
-    ParseError for the same line."""
+    ParseError for the same line, on the first load (a parse) and on the
+    second (a cache hit, or a second parse of a table that is not cached)."""
     try:
         matrix, rows = reference_load_embeddings(path, dim)
     except ParseError as expected:
-        with pytest.raises(ParseError) as info:
-            load_embeddings(path, dim)
-        assert (str(info.value), info.value.line) == (str(expected), expected.line)
+        cached = cache_of(path).read_bytes() if cache_of(path).exists() else None
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                load_embeddings(path, dim)
+            assert (str(info.value), info.value.line) == (str(expected), expected.line)
+        assert (cache_of(path).read_bytes() if cache_of(path).exists() else None) == cached
         return
-    table = load_embeddings(path, dim)
-    assert table.dim == dim
-    assert table._matrix.shape == matrix.shape
-    assert table._matrix.tobytes() == matrix.tobytes()
-    assert list(table._rows.items()) == list(rows.items())
-    assert not table._matrix.flags.writeable
+    for _ in range(2):
+        table = load_embeddings(path, dim)
+        assert table.dim == dim
+        assert table._matrix.shape == matrix.shape
+        assert table._matrix.tobytes() == matrix.tobytes()
+        assert list(table._rows.items()) == list(rows.items())
+        assert not table._matrix.flags.writeable
+        assert cache_of(path).exists()
 
 
 class TestLoadEmbeddingsReference:
@@ -283,12 +299,118 @@ class TestLoadEmbeddingsReference:
     def test_table_keys_are_the_corpus_tokens(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("shared 1.0\nwords 2.0\n")
-        table = load_embeddings(path, 1)
+        parsed = load_embeddings(path, 1)
+        cached = load_embeddings(path, 1)  # a cache hit
         tokens = tokenize("SHARED words!")
-        keys = {w: w for w in table.words()}
-        assert keys["shared"] is tokens[0] and keys["words"] is tokens[1]
+        for table in (parsed, cached):
+            keys = {w: w for w in table.words()}
+            assert keys["shared"] is tokens[0] and keys["words"] is tokens[1]
+        assert cached._matrix.tobytes() == parsed._matrix.tobytes()
+        assert list(cached.words()) == list(parsed.words()) == ["shared", "words"]
         built = EmbeddingTable(1, {"".join(["sha", "red"]): [1.0]})
         assert next(iter(built.words())) is tokens[0]
+
+
+class TestCache:
+    """load_embeddings keeps each parsed table beside its file, keyed by the
+    SHA-256 of the file's bytes."""
+
+    def write_table(self, tmp_path, words=4, dim=3, seed=0):
+        path = tmp_path / "emb.txt"
+        rng = np.random.default_rng(seed)
+        path.write_text("\n".join(entry_lines(rng, [f"w{i}" for i in range(words)], dim)) + "\n")
+        return path
+
+    def test_a_hit_does_not_parse(self, tmp_path, monkeypatch):
+        path = self.write_table(tmp_path)
+        parsed = load_embeddings(path, 3)
+        assert cache_of(path).is_file()
+        monkeypatch.setattr(qdelnet.features, "_FIRST_ROWS", -1)  # a parse would fail
+        cached = load_embeddings(path, 3)
+        assert cached._matrix.tobytes() == parsed._matrix.tobytes()
+        assert list(cached.words()) == list(parsed.words())
+        assert not cached._matrix.flags.writeable
+
+    def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n")
+        load_embeddings(path, 2)
+        before = path.stat()
+        path.write_text("cat 1.0 2.0\ndog 3.0 5.0\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        assert load_embeddings(path, 2).vector("dog").tolist() == [3.0, 5.0]
+        assert load_embeddings(path, 2).vector("dog").tolist() == [3.0, 5.0]  # the new cache
+
+    @pytest.mark.parametrize("cache", ["truncated", "garbage", "empty", "npy", "object-array",
+                                       "wrong-shape", "wrong-dtype", "nonzero-row-0",
+                                       "non-finite", "duplicate-word", "missing-word"])
+    def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
+        path = self.write_table(tmp_path)
+        expected = load_embeddings(path, 3)
+        good = cache_of(path).read_bytes()
+        arrays = cached_arrays(path)
+        matrix, words = arrays["matrix"], arrays["words"].tobytes()
+        edits = {
+            "object-array": {"words": np.array(["w0", "w1", "w2", "w3"], dtype=object)},
+            "wrong-shape": {"matrix": matrix[:, :2]},
+            "wrong-dtype": {"matrix": matrix.astype(np.float32)},
+            "nonzero-row-0": {"matrix": np.vstack([np.full((1, 3), -0.0), matrix[1:]])},
+            "non-finite": {"matrix": np.vstack([matrix[:-1], np.full((1, 3), np.inf)])},
+            "duplicate-word": {"words": np.frombuffer(words.replace(b"w1", b"w0"), np.uint8)},
+            "missing-word": {"words": np.frombuffer(words.rsplit(b"\n", 1)[0], np.uint8)},
+        }
+        with open(cache_of(path), "wb") as fh:
+            if cache in edits:
+                np.savez(fh, **{**arrays, **edits[cache]})
+            elif cache == "npy":
+                np.save(fh, matrix)
+            else:
+                fh.write({"truncated": good[: len(good) // 2], "garbage": b"not a cache\n",
+                          "empty": b""}[cache])
+        table = load_embeddings(path, 3)
+        assert table._matrix.tobytes() == expected._matrix.tobytes()
+        assert list(table.words()) == list(expected.words())
+        replaced = cached_arrays(path)
+        assert {k: v.tobytes() for k, v in replaced.items()} == {
+            k: v.tobytes() for k, v in arrays.items()}
+
+    def test_a_malformed_table_is_not_cached(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("cat 1.0 2.0\ndog 3.0\n")
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                load_embeddings(path, 2)
+            assert (str(info.value), info.value.line) == (
+                "line 2: expected 2 components for 'dog', got 1", 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    def test_a_failed_write_returns_the_table_and_leaves_no_file(self, tmp_path, monkeypatch):
+        path = self.write_table(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("refused")
+
+        monkeypatch.setattr(qdelnet.features.os, "replace", refuse)
+        table = load_embeddings(path, 3)
+        assert len(table) == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    def test_another_dim_parses_and_raises_as_before(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n")
+        load_embeddings(path, 2)
+        with pytest.raises(ParseError, match="^line 1: expected 3 components for 'cat', got 2$"):
+            load_embeddings(path, 3)
+        assert load_embeddings(path, 2).vector("cat").tolist() == [1.0, 2.0]
+
+    def test_an_empty_table_is_cached(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("")
+        for _ in range(2):
+            table = load_embeddings(path, 4)
+            assert len(table) == 0 and table._matrix.shape == (1, 4)
+        assert cache_of(path).is_file()
 
 
 class TestFeaturize:

@@ -19,8 +19,12 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
 It prints one `sha256  name` line per output, to stdout. Wall-clock times
 are left out: sweep.csv's train_time_s column, the wall_time_seconds of run
 files and of train_report.json, and fig_time.svg. resolved_config.json is
-left out too, as it holds OUT_DIR's paths. The qdelnet it imported goes to
-stderr.
+left out too, as it holds OUT_DIR's paths, and so are the input caches that
+load_embeddings writes beside the tables (`*.qdelnet-cache.npz`), which a
+checkout without that cache does not write. The narrow `train` parses its
+table and writes the cache; `evaluate` then reads the cache, so the
+evaluate.txt line also shows that a cache hit scores the same. The qdelnet
+it imported goes to stderr.
 """
 
 import contextlib
@@ -107,7 +111,7 @@ def main() -> None:
 
     skipped = {"resolved_config.json", "fig_time.svg"}
     for path in sorted(base.rglob("*")):
-        if path.is_file() and path.name not in skipped:
+        if path.is_file() and path.name not in skipped and not path.match("*.qdelnet-cache.npz"):
             print(digest(base, path))
 
 
