@@ -11,7 +11,8 @@ that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
 
 load_embeddings keeps each table it parses in `<file>.qdelnet-cache.npz`,
-keyed by the SHA-256 of the file's bytes, and reads that while they match.
+keyed by the SHA-256 of the file's bytes and the cache format's version, and
+reads that while both match.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ _PUNCT = string.punctuation
 # load_embeddings parses into a buffer of this many rows, doubled when full.
 _FIRST_ROWS = 1 << 10
 _CACHE_SUFFIX = ".qdelnet-cache.npz"
+# Kept in each cache and compared on reading. Raise it with any change that could make
+# load_embeddings parse a file differently, so that tables cached before are parsed again.
+_CACHE_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
@@ -138,10 +142,11 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     is parsed into the next free row too, which the next new word reuses.
 
     The table of a regular file is cached beside it in
-    `<path>.qdelnet-cache.npz` with the SHA-256 of the bytes parsed, and
-    returned while the file hashes the same, at the same `expected_dim`. A
-    table that fails to parse is never cached; a cache that cannot be read
-    or written, or fails its structural check, is ignored.
+    `<path>.qdelnet-cache.npz`, with the file's permissions, keyed by the
+    SHA-256 of the bytes parsed and by _CACHE_VERSION; it is returned while
+    both match, at the same `expected_dim`. A table that fails to parse is
+    never cached; a cache that cannot be read or written, or fails its
+    structural check, is ignored.
     """
     _check_dim(expected_dim)
     cache = os.fspath(path) + _CACHE_SUFFIX if os.path.isfile(path) else None
@@ -185,8 +190,19 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     table = EmbeddingTable._of(matrix[: len(rows) + 1], rows)
-    if cache:
-        _write_cache(cache, raw.sha256.digest(), table)
+    if cache:  # through a temporary file beside it, with the table's read/write permissions
+        with contextlib.suppress(OSError):  # e.g. a read-only directory
+            fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
+            try:
+                with os.fdopen(fd, "wb") as out:
+                    os.fchmod(fd, os.stat(path).st_mode & 0o666)
+                    np.savez(out, version=np.uint8(_CACHE_VERSION), matrix=table._matrix,
+                             sha256=np.frombuffer(raw.sha256.digest(), np.uint8),
+                             words=np.frombuffer("\n".join(rows).encode(), np.uint8))
+                os.replace(tmp, cache)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     return table
 
 
@@ -204,11 +220,18 @@ class _HashingFile(io.FileIO):
 
 
 def _read_cache(path, cache: str, dim: int) -> EmbeddingTable | None:
-    """The table cached for the file's current bytes, or None."""
+    """The table cached for the file's current bytes, or None. The key is
+    checked first, so that a stale cache costs one hash and no matrix read."""
     try:
-        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            digest, matrix, words = npz["sha256"].tobytes(), npz["matrix"], npz["words"]
-        words = words.tobytes().decode().splitlines()  # no word holds a line break
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz, \
+                _HashingFile(path) as file:
+            while file.read(1 << 20):
+                pass
+            if (npz["version"].tolist(), npz["sha256"].tobytes()) != (
+                    _CACHE_VERSION, file.sha256.digest()):
+                return None
+            # No word holds a line break: str.split() broke the line at each one.
+            matrix, words = npz["matrix"], npz["words"].tobytes().decode().splitlines()
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
         return None
     rows = {sys.intern(word): row for row, word in enumerate(words, start=1)}
@@ -216,24 +239,7 @@ def _read_cache(path, cache: str, dim: int) -> EmbeddingTable | None:
             and len(rows) == len(words) and not matrix[0].view(np.uint64).any()
             and np.isfinite(matrix).all()):
         return None
-    with _HashingFile(path) as file:
-        while file.read(1 << 20):
-            pass
-    return EmbeddingTable._of(matrix, rows) if file.sha256.digest() == digest else None
-
-
-def _write_cache(cache: str, digest: bytes, table: EmbeddingTable) -> None:
-    """Replace the cache atomically, through a temporary file beside it."""
-    with contextlib.suppress(OSError):  # e.g. a read-only directory
-        fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, sha256=np.frombuffer(digest, np.uint8), matrix=table._matrix,
-                         words=np.frombuffer("\n".join(table.words()).encode(), np.uint8))
-            os.replace(tmp, cache)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    return EmbeddingTable._of(matrix, rows)
 
 
 def _is_int(s: str) -> bool:

@@ -344,7 +344,8 @@ class TestCache:
 
     @pytest.mark.parametrize("cache", ["truncated", "garbage", "empty", "npy", "object-array",
                                        "wrong-shape", "wrong-dtype", "nonzero-row-0",
-                                       "non-finite", "duplicate-word", "missing-word"])
+                                       "non-finite", "duplicate-word", "missing-word",
+                                       "other-version"])
     def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
         path = self.write_table(tmp_path)
         expected = load_embeddings(path, 3)
@@ -359,6 +360,7 @@ class TestCache:
             "non-finite": {"matrix": np.vstack([matrix[:-1], np.full((1, 3), np.inf)])},
             "duplicate-word": {"words": np.frombuffer(words.replace(b"w1", b"w0"), np.uint8)},
             "missing-word": {"words": np.frombuffer(words.rsplit(b"\n", 1)[0], np.uint8)},
+            "other-version": {"version": arrays["version"] + 1},
         }
         with open(cache_of(path), "wb") as fh:
             if cache in edits:
@@ -374,6 +376,24 @@ class TestCache:
         replaced = cached_arrays(path)
         assert {k: v.tobytes() for k, v in replaced.items()} == {
             k: v.tobytes() for k, v in arrays.items()}
+
+    def test_a_stale_cache_is_not_read_past_its_key(self, tmp_path, monkeypatch):
+        path = self.write_table(tmp_path)
+        load_embeddings(path, 3)
+        path.write_text(path.read_text().replace("w3", "w9"))
+        read = []
+        get = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda npz, key: read.append(key) or get(npz, key))
+        assert list(load_embeddings(path, 3).words()) == ["w0", "w1", "w2", "w9"]
+        assert read == ["version", "sha256"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664], ids=oct)
+    def test_the_cache_takes_the_table_permissions(self, tmp_path, mode):
+        path = self.write_table(tmp_path)
+        path.chmod(mode)
+        load_embeddings(path, 3)
+        assert cache_of(path).stat().st_mode & 0o777 == mode
 
     def test_a_malformed_table_is_not_cached(self, tmp_path):
         path = tmp_path / "emb.txt"
