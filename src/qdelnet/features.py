@@ -10,9 +10,10 @@ indistinguishable. featurize_batch builds the features by copying rows of
 that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
 
-load_embeddings keeps each table it parses in `<file>.qdelnet-cache.npz`,
-keyed by the SHA-256 of the file's bytes and the cache format's version, and
-reads that while both match.
+load_embeddings keeps each table it parses from a regular file in
+`<file>.qdelnet-cache.npz`, keyed by the SHA-256 of the file's bytes and the
+cache format's version, and reads that while both match. A cache that cannot
+be read or written is ignored.
 """
 
 from __future__ import annotations
