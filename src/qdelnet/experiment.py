@@ -7,9 +7,9 @@ Fixed output names under the sweep's output directory:
     fig_test_acc.svg, grad_flow.csv, runs/<depth>_<repeat>.json
 
 run_depth_sweep writes the run files and grad_flow.csv from one pass over
-the data: it prepares the data once and profiles each depth's initial
-gradients once. grad_flow_report writes the same grad_flow.csv without
-training anything.
+the data: it prepares the data once, and each cell profiles the initial
+gradients of the model it trains. grad_flow_report writes the same
+grad_flow.csv without training anything.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
 times can be compared across depths.
@@ -23,10 +23,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings
-from .nn import ModelConfig, build_model, taper_widths
+from .nn import MlpModel, ModelConfig, build_model, taper_widths
 from .train import TrainConfig, TrainReport, evaluate, initial_gradient_profile, train
 
 __all__ = [
@@ -45,6 +47,8 @@ __all__ = [
 SWEEP_CSV_HEADER = "depth,train_time_s,train_acc,val_acc,test_acc,diverged,grad_norm_l1"
 GRAD_FLOW_HEADER = "depth,layer_index,mean_norm"
 PLOT_FILES = ("fig_time.svg", "fig_train_acc.svg", "fig_val_acc.svg", "fig_test_acc.svg")
+# A runner's result: (report, test accuracy, initial gradient norms by layer).
+CellResult = tuple[TrainReport, float, list[float]]
 
 
 @dataclass(frozen=True)
@@ -144,48 +148,40 @@ def load_source(
     return train_set, test_set, table, source.max_words
 
 
-def _default_runner_profiler(config: SweepConfig):
-    """Prepare the sweep's data once and return the default (runner, profiler)
-    over it."""
+def _prepare(config: SweepConfig, need_test: bool):
+    """load_source, plus the profile's sample: the first training batch and its labels."""
     train_set, test_set, table, max_words = load_source(
-        config.source, config.train_config.seed, need_test=True
+        config.source, config.train_config.seed, need_test=need_test
     )
-    input_dim = max_words * table.dim + 1
-
-    def runner(depth: int, widths: Sequence[int], repeat: int) -> tuple[TrainReport, float]:
-        cell_seed = config.train_config.seed + repeat
-        model = build_model(_model_config(config, input_dim, widths, cell_seed))
-        model, report = train(model, train_set, replace(config.train_config, seed=cell_seed), table)
-        return report, evaluate(model, test_set, table)
-
-    return runner, _default_profiler(config, train_set, table, max_words)
+    batch = config.train_config.batch_size
+    sample = featurize_batch(train_set.questions[:batch], table, max_words)
+    return train_set, test_set, table, (sample, train_set.labels()[:batch, None])
 
 
-def _default_profiler(
-    config: SweepConfig, train_set: Dataset, table: EmbeddingTable, max_words: int
-):
-    """The default profiler over a training set; its sample is the first
-    training batch."""
-    batch_size = config.train_config.batch_size
-    sample_x = featurize_batch(train_set.questions[:batch_size], table, max_words)
-    sample_y = train_set.labels()[:batch_size, None]
+def _default_runner(config: SweepConfig):
+    """Prepare the sweep's data once and return the default runner over it."""
+    train_set, test_set, table, sample = _prepare(config, need_test=True)
 
-    def profiler(depth: int, widths: Sequence[int]) -> list[float]:
-        model_config = _model_config(config, sample_x.shape[1], widths, config.train_config.seed)
-        return initial_gradient_profile(model_config, sample_x, sample_y, config.repeats)
+    def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
+        seed = config.train_config.seed + repeat
+        initial = _initial_model(config, sample[0].shape[1], widths, seed)
+        model, report = train(initial, train_set, replace(config.train_config, seed=seed), table)
+        test_acc = evaluate(model, test_set, table)
+        del model  # train() leaves `initial` as built, so profile that
+        return report, test_acc, initial_gradient_profile(initial, *sample)
 
-    return profiler
+    return runner
 
 
-def _model_config(
+def _initial_model(
     config: SweepConfig, input_dim: int, widths: Sequence[int], seed: int
-) -> ModelConfig:
-    return ModelConfig(
+) -> MlpModel:
+    return build_model(ModelConfig(
         input_dim=input_dim,
         hidden_widths=tuple(widths),
         dropout_rate=config.dropout_rate,
         seed=seed,
-    )
+    ))
 
 
 def _aggregate(
@@ -207,23 +203,19 @@ def _aggregate(
 
 def run_depth_sweep(
     config: SweepConfig,
-    runner: Callable[[int, Sequence[int], int], tuple[TrainReport, float]] | None = None,
-    profiler: Callable[[int, Sequence[int]], list[float]] | None = None,
+    runner: Callable[[int, Sequence[int], int], CellResult] | None = None,
 ) -> list[SweepRow]:
     """Run `repeats` train+evaluate cycles per depth (seeds seed+i), average
     metrics over runs that finished, and persist every cell's report under
-    output_dir/runs/, whose earlier run files are removed first. After the
-    cells, profile each depth's initial gradients once: layer 0 goes into the
-    rows and run files, every layer into output_dir/grad_flow.csv. Returns
-    rows in depth order.
+    output_dir/runs/, whose earlier run files are removed first. Each cell
+    also profiles the initial gradients of the model it trains: each depth's
+    mean over its cells goes into output_dir/grad_flow.csv, layer 0 also into
+    the rows and run files. Returns rows in depth order.
 
-    `runner` and `profiler` exist for unit-level stubbing; by default they
-    train and profile real models on the configured data source, prepared
-    once. A profiler returns the per-layer norms, first layer first.
+    `runner` exists for unit-level stubbing; by default it trains, scores and
+    profiles a real model on the configured data source, prepared once.
     """
-    if runner is None or profiler is None:
-        default_runner, default_profiler = _default_runner_profiler(config)
-        runner, profiler = runner or default_runner, profiler or default_profiler
+    runner = runner or _default_runner(config)
     out_dir = Path(config.output_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -232,11 +224,13 @@ def run_depth_sweep(
 
     depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
+    cell_norms: dict[tuple[int, int], list[float]] = {}
     for depth in config.depths:
         for i in range(config.repeats):
-            cell_results[(depth, i)] = runner(depth, depth_widths[depth], i)
+            report, test_acc, cell_norms[(depth, i)] = runner(depth, depth_widths[depth], i)
+            cell_results[(depth, i)] = (report, test_acc)
 
-    first_norms = {d: norm for d, layer, norm in _profile_depths(config, profiler) if layer == 0}
+    first_norms = {d: norm for d, layer, norm in _grad_flow(config, cell_norms) if layer == 0}
     rows = []
     for depth in config.depths:
         first_norm = first_norms[depth]
@@ -483,26 +477,36 @@ def render_plots(rows: Sequence[SweepRow], output_dir) -> list[Path]:
 
 
 def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
-    """Measure per-layer gradient norms at initialization for every depth,
-    without training, and write them to output_dir/grad_flow.csv as
-    run_depth_sweep does. Returns the rows.
+    """Profile each cell's initial model as run_depth_sweep does, without
+    training, and write the same output_dir/grad_flow.csv. Returns its rows.
 
     Only the training set is sampled: a file source's test file is not read
     and may be absent, and a synthetic corpus is split as a sweep splits it.
     """
-    source, seed = config.source, config.train_config.seed
-    need_test = not isinstance(source, FileSource)  # a synthetic corpus is split
-    train_set, _, table, max_words = load_source(source, seed, need_test=need_test)
-    return _profile_depths(config, _default_profiler(config, train_set, table, max_words))
-
-
-def _profile_depths(config: SweepConfig, profiler) -> list[tuple[int, int, float]]:
-    """Profile each depth once and write the norms as long-format CSV
-    (depth, layer_index, mean_norm) to output_dir/grad_flow.csv."""
-    records = []
+    sample = _prepare(config, need_test=not isinstance(config.source, FileSource))[3]
+    cell_norms = {}
     for depth in config.depths:
         widths = taper_widths(depth, config.width_max, config.width_min)
-        records.extend((depth, layer, norm) for layer, norm in enumerate(profiler(depth, widths)))
+        for i in range(config.repeats):
+            model = _initial_model(config, sample[0].shape[1], widths, config.train_config.seed + i)
+            cell_norms[(depth, i)] = initial_gradient_profile(model, *sample)
+            del model  # before the next cell's model is built
+    return _grad_flow(config, cell_norms)
+
+
+def _grad_flow(
+    config: SweepConfig, cell_norms: dict[tuple[int, int], list[float]]
+) -> list[tuple[int, int, float]]:
+    """Average each depth's per-layer norms over its cells, in repeat order,
+    and write them as long-format CSV (depth, layer_index, mean_norm) to
+    output_dir/grad_flow.csv. Returns the records."""
+    records = []
+    for depth in config.depths:
+        totals = np.zeros(len(cell_norms[(depth, 0)]))
+        for i in range(config.repeats):
+            totals += cell_norms[(depth, i)]
+        means = (totals / config.repeats).tolist()
+        records.extend((depth, layer, norm) for layer, norm in enumerate(means))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [GRAD_FLOW_HEADER]

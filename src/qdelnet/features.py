@@ -50,6 +50,8 @@ _CACHE_SUFFIX = ".qdelnet-cache.npz"
 # Kept in each cache and compared on reading. Raise it with any change that could make
 # load_embeddings parse a file differently, so that tables cached before are parsed again.
 _CACHE_VERSION = 1
+# A cache hit's finite check runs over blocks of this many rows: its temporary is a byte a value.
+_FINITE_CHECK_ROWS = 1 << 12
 
 
 def tokenize(text: str) -> list[str]:
@@ -238,7 +240,8 @@ def _read_cache(path, cache: str, dim: int) -> EmbeddingTable | None:
     rows = {sys.intern(word): row for row, word in enumerate(words, start=1)}
     if not (matrix.dtype == np.float64 and matrix.shape == (len(words) + 1, dim)
             and len(rows) == len(words) and not matrix[0].view(np.uint64).any()
-            and np.isfinite(matrix).all()):
+            and all(np.isfinite(matrix[i : i + _FINITE_CHECK_ROWS]).all()
+                    for i in range(0, len(matrix), _FINITE_CHECK_ROWS))):
         return None
     return EmbeddingTable._of(matrix, rows)
 

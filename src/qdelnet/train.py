@@ -18,7 +18,7 @@ warned).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,11 +27,9 @@ from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import EmbeddingTable, featurize_batch
 from .nn import (
     MlpModel,
-    ModelConfig,
     activation_buffers,
     backward,
     bce_loss,
-    build_model,
     forward,
     gradient_layer_norms,
     param_buffers,
@@ -201,8 +199,8 @@ def train(
         if grad_history is not None:
             grad_history.append((norm_sums / max(batch_count, 1)).tolist())
     wall_time = time.perf_counter() - t0
-    # Release every step buffer but the live model's vector before evaluating.
-    sets = workspace = batch_features = xb = grads = trace = preds = None
+    # Release the step buffers and cached features; the evaluates need only the live model.
+    sets = workspace = batch_features = cached = xb = grads = trace = preds = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;
@@ -260,26 +258,11 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable) -> float:
 
 
 def initial_gradient_profile(
-    config: ModelConfig,
-    sample: np.ndarray,
-    labels: np.ndarray,
-    repeats: int,
+    model: MlpModel, sample: np.ndarray, labels: np.ndarray
 ) -> list[float]:
-    """Mean per-layer gradient norms at initialization.
-
-    Builds `repeats` fresh models (seeds config.seed + i), runs one
-    forward/backward on the sample batch each, and averages the per-layer
-    weight-gradient norms. This is the diagnostic that shows backpropagated
-    signal shrinking in early layers as depth grows.
-    """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    totals = np.zeros(len(config.hidden_widths) + 1)
-    for i in range(repeats):
-        cfg = replace(config, seed=config.seed + i)
-        model = build_model(cfg)
-        rng = stream_rng(cfg.seed, PROFILE)
-        _, trace = forward(model, sample, mode="train", rng=rng)
-        grads = backward(model, trace, labels)
-        totals += gradient_layer_norms(grads)
-    return (totals / repeats).tolist()
+    """Per-layer weight-gradient norms of one model on one batch, first layer
+    first, from one train-mode forward (dropout from the PROFILE stream of
+    the model's seed) and backward. At initialization this is the diagnostic
+    that shows backpropagated signal shrinking in early layers as depth grows."""
+    _, trace = forward(model, sample, mode="train", rng=stream_rng(model.config.seed, PROFILE))
+    return gradient_layer_norms(backward(model, trace, labels))

@@ -95,6 +95,10 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(depths=(0, 1))
 
+    def test_repeats_must_be_positive(self):
+        with pytest.raises(ConfigError, match="repeats must be >= 1, got 0"):
+            SweepConfig(repeats=0)
+
     def test_defaults_match_protocol(self):
         config = SweepConfig()
         assert config.depths == (1, 2, 3, 5, 10, 25, 50, 100)
@@ -115,8 +119,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(2, 4), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: [0.5 / depth],
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [0.5 / depth]),
         )
         assert [r.depth for r in rows] == [2, 4]
         r2, r4 = rows
@@ -136,8 +139,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: [1.0],
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0]),
         )
         assert rows[0].diverged_runs == 1
         assert rows[0].train_accuracy_pct == 80.0
@@ -151,8 +153,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: reports[(depth, i)],
-            profiler=lambda depth, widths: [1.0],
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0]),
         )
         assert rows[0].diverged_runs == 2
         assert rows[0].train_accuracy_pct == 54.0
@@ -353,6 +354,25 @@ class TestOnePass:
         assert calls == {"initial_gradient_profile": 2, "gen_synthetic": 1}
         assert (tmp_path / "grad_flow.csv").is_file()
 
+    def test_each_cell_builds_and_profiles_one_model(self, tmp_path, monkeypatch):
+        """The cell's initial model is the one profiled: no second build."""
+        import importlib
+
+        counts = {"build_model": 0, "initial_gradient_profile": 0}
+        for module in ("qdelnet.experiment", "qdelnet.train"):
+            module = importlib.import_module(module)
+            for name in counts:
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def counted(*args, _name=name, _real=real, **kwargs):
+                        counts[_name] += 1
+                        return _real(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        run_depth_sweep(tiny_sweep_config(tmp_path, depths=(1, 2), repeats=2, epochs=1))
+        assert counts == {"build_model": 4, "initial_gradient_profile": 4}
+
     def test_sweep_writes_the_grad_flow_report_would(self, tmp_path):
         run_depth_sweep(tiny_sweep_config(tmp_path / "sweep", depths=(1, 3), repeats=2))
         grad_flow_report(tiny_sweep_config(tmp_path / "report", depths=(1, 3), repeats=2))
@@ -363,11 +383,23 @@ class TestOnePass:
     def test_stubbed_profiler_layers_reach_grad_flow_csv(self, tmp_path):
         run_depth_sweep(
             tiny_sweep_config(tmp_path, depths=(2,), repeats=1),
-            runner=lambda depth, widths, i: (make_report(1.0, 80.0, 70.0), 60.0),
-            profiler=lambda depth, widths: [0.5, 0.25, 0.125],
+            runner=lambda depth, widths, i: (
+                make_report(1.0, 80.0, 70.0), 60.0, [0.5, 0.25, 0.125]
+            ),
         )
         lines = (tmp_path / "grad_flow.csv").read_text().splitlines()
         assert lines == ["depth,layer_index,mean_norm", "2,0,0.5", "2,1,0.25", "2,2,0.125"]
+
+    def test_grad_flow_holds_each_depth_mean_over_its_cells(self, tmp_path):
+        rows = run_depth_sweep(
+            tiny_sweep_config(tmp_path, depths=(1,), repeats=2),
+            runner=lambda depth, widths, i: (
+                make_report(1.0, 80.0, 70.0), 60.0, [[0.5, 3.0], [1.0, 1.0]][i]
+            ),
+        )
+        lines = (tmp_path / "grad_flow.csv").read_text().splitlines()
+        assert lines == ["depth,layer_index,mean_norm", "1,0,0.75", "1,1,2.0"]
+        assert rows[0].first_layer_grad_norm_init == 0.75
 
 
 @pytest.fixture

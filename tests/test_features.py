@@ -377,6 +377,12 @@ class TestCache:
         assert {k: v.tobytes() for k, v in replaced.items()} == {
             k: v.tobytes() for k, v in arrays.items()}
 
+    def test_a_non_finite_value_past_the_first_block_is_found(self, tmp_path, monkeypatch):
+        """The finite check runs block by block: with 1-row blocks, the inf in
+        the last row sits in the fifth block."""
+        monkeypatch.setattr(qdelnet.features, "_FINITE_CHECK_ROWS", 1)
+        self.test_a_bad_cache_is_ignored_and_replaced(tmp_path, "non-finite")
+
     def test_a_stale_cache_is_not_read_past_its_key(self, tmp_path, monkeypatch):
         path = self.write_table(tmp_path)
         load_embeddings(path, 3)

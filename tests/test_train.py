@@ -549,6 +549,32 @@ class TestEvalMemory:
         assert peak_50 < peak_1 + 2 * 512 * 256 * 8
         assert 0.0 <= accuracy <= 100.0
 
+    def test_train_releases_cached_features_before_its_evaluates(self, monkeypatch):
+        """A 5,001-wide fit set whose cached feature matrix (180 rows, 7.2 MB)
+        dwarfs the model: at the entry of train()'s fit and validation
+        evaluates, the memory traced since train() began is below that
+        matrix, so it is no longer alive."""
+        train_module = importlib.import_module("qdelnet.train")
+        ds, table = gen_synthetic(200, 50, 25, 200, 0.15, seed=3)
+        model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(4,), seed=3))
+        config = TrainConfig(epochs=1, seed=3)
+        cached_bytes = (len(ds) - round(config.validation_fraction * len(ds))) * model.input_dim * 8
+        at_entry = []
+        real = train_module.evaluate
+
+        def traced(*args):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return real(*args)
+
+        monkeypatch.setattr(train_module, "evaluate", traced)
+        tracemalloc.start()
+        try:
+            train(model, ds, config, table)
+        finally:
+            tracemalloc.stop()
+        assert len(at_entry) == 2
+        assert max(at_entry) < cached_bytes
+
 
 class TestInitialGradientProfile:
     @staticmethod
@@ -561,13 +587,13 @@ class TestInitialGradientProfile:
     def test_profile_length_is_layer_count(self):
         x, y = self._sample()
         config = ModelConfig(input_dim=13, hidden_widths=(8,), dropout_rate=0.05, seed=1)
-        assert len(initial_gradient_profile(config, x, y, repeats=2)) == 2
+        assert len(initial_gradient_profile(build_model(config), x, y)) == 2
 
     def test_single_repeat_equals_one_backward(self):
         x, y = self._sample()
         config = ModelConfig(input_dim=13, hidden_widths=(8, 4), dropout_rate=0.05, seed=3)
-        profile = initial_gradient_profile(config, x, y, repeats=1)
         model = build_model(config)
+        profile = initial_gradient_profile(model, x, y)
         _, trace = forward(model, x, mode="train", rng=stream_rng(config.seed, PROFILE))
         expected = gradient_layer_norms(backward(model, trace, y))
         assert profile == expected
@@ -587,11 +613,5 @@ class TestInitialGradientProfile:
                     dropout_rate=0.05,
                     seed=seed,
                 )
-                norms[depth] = initial_gradient_profile(config, x, y, repeats=1)[0]
+                norms[depth] = initial_gradient_profile(build_model(config), x, y)[0]
             assert norms[50] < norms[5]
-
-    def test_repeats_must_be_positive(self):
-        x, y = self._sample()
-        config = ModelConfig(input_dim=13, hidden_widths=(4,), dropout_rate=0.0, seed=0)
-        with pytest.raises(ConfigError):
-            initial_gradient_profile(config, x, y, repeats=0)
