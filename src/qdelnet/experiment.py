@@ -149,39 +149,42 @@ def load_source(
 
 
 def _prepare(config: SweepConfig, need_test: bool):
-    """load_source, plus the profile's sample: the first training batch and its labels."""
+    """load_source, plus two functions over its data: the initial model of a cell's
+    widths and seed, and a model's profile on the first training batch, which it
+    featurizes at each call so that no sample is alive while a cell trains."""
     train_set, test_set, table, max_words = load_source(
         config.source, config.train_config.seed, need_test=need_test
     )
     batch = config.train_config.batch_size
-    sample = featurize_batch(train_set.questions[:batch], table, max_words)
-    return train_set, test_set, table, (sample, train_set.labels()[:batch, None])
+    questions, labels = train_set.questions[:batch], train_set.labels()[:batch, None]
+
+    def initial_model(widths: Sequence[int], seed: int) -> MlpModel:
+        return build_model(ModelConfig(
+            input_dim=max_words * table.dim + 1,
+            hidden_widths=tuple(widths),
+            dropout_rate=config.dropout_rate,
+            seed=seed,
+        ))
+
+    def profile(model: MlpModel) -> list[float]:
+        return initial_gradient_profile(model, featurize_batch(questions, table, max_words), labels)
+
+    return train_set, test_set, table, initial_model, profile
 
 
 def _default_runner(config: SweepConfig):
     """Prepare the sweep's data once and return the default runner over it."""
-    train_set, test_set, table, sample = _prepare(config, need_test=True)
+    train_set, test_set, table, initial_model, profile = _prepare(config, need_test=True)
 
     def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
         seed = config.train_config.seed + repeat
-        initial = _initial_model(config, sample[0].shape[1], widths, seed)
+        initial = initial_model(widths, seed)
         model, report = train(initial, train_set, replace(config.train_config, seed=seed), table)
         test_acc = evaluate(model, test_set, table)
         del model  # train() leaves `initial` as built, so profile that
-        return report, test_acc, initial_gradient_profile(initial, *sample)
+        return report, test_acc, profile(initial)
 
     return runner
-
-
-def _initial_model(
-    config: SweepConfig, input_dim: int, widths: Sequence[int], seed: int
-) -> MlpModel:
-    return build_model(ModelConfig(
-        input_dim=input_dim,
-        hidden_widths=tuple(widths),
-        dropout_rate=config.dropout_rate,
-        seed=seed,
-    ))
 
 
 def _aggregate(
@@ -343,10 +346,6 @@ def _finite(value: int | float) -> bool:
         return False
 
 
-def _fmt_general(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
     """Write the aggregated table: accuracies at 2 decimals, seconds at 1."""
     if not rows:
@@ -356,7 +355,7 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
         lines.append(
             f"{r.depth},{r.train_time_seconds:.1f},{r.train_accuracy_pct:.2f},"
             f"{r.validation_accuracy_pct:.2f},{r.test_accuracy_pct:.2f},"
-            f"{r.diverged_runs},{_fmt_general(r.first_layer_grad_norm_init)}"
+            f"{r.diverged_runs},{r.first_layer_grad_norm_init:.6g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -483,14 +482,12 @@ def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     Only the training set is sampled: a file source's test file is not read
     and may be absent, and a synthetic corpus is split as a sweep splits it.
     """
-    sample = _prepare(config, need_test=not isinstance(config.source, FileSource))[3]
+    initial_model, profile = _prepare(config, not isinstance(config.source, FileSource))[3:]
     cell_norms = {}
     for depth in config.depths:
         widths = taper_widths(depth, config.width_max, config.width_min)
-        for i in range(config.repeats):
-            model = _initial_model(config, sample[0].shape[1], widths, config.train_config.seed + i)
-            cell_norms[(depth, i)] = initial_gradient_profile(model, *sample)
-            del model  # before the next cell's model is built
+        for i in range(config.repeats):  # each model is freed before the next is built
+            cell_norms[(depth, i)] = profile(initial_model(widths, config.train_config.seed + i))
     return _grad_flow(config, cell_norms)
 
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 _PUNCT = string.punctuation
-# load_embeddings parses into a buffer of this many rows, doubled when full.
+# load_embeddings parses into a buffer of this many rows, doubled in place when full.
 _FIRST_ROWS = 1 << 10
 _CACHE_SUFFIX = ".qdelnet-cache.npz"
 # Kept in each cache and compared on reading. Raise it with any change that could make
@@ -139,10 +139,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     Words may hold any non-whitespace; the text after the word must be ASCII
     without underscores, which float would otherwise take ("1_0", "١").
 
-    Each entry is parsed straight into the next row of one zeroed buffer,
-    which doubles when full; its leading rows become the table's matrix, so
-    no per-word array and no second copy of the table is made. A duplicate
-    is parsed into the next free row too, which the next new word reuses.
+    Each entry is parsed straight into the next row of one zeroed buffer, which
+    doubles in place when full and is trimmed in place to become the table's matrix:
+    no per-word array and no second copy of the table is made. A duplicate is
+    parsed into the next free row too, which the next new word reuses.
 
     The table of a regular file is cached beside it in
     `<path>.qdelnet-cache.npz`, with the file's permissions, keyed by the
@@ -176,10 +176,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                     if "_" in rest or not rest.isascii():
                         raise ParseError(f"non-numeric component in entry {word!r}", line=lineno)
                 row = len(rows) + 1
-                if row == len(matrix):
-                    grown = np.zeros((2 * row, expected_dim))
-                    grown[:row] = matrix
-                    matrix = grown
+                if row == len(matrix):  # in place, zero-filled: no view of matrix is alive
+                    matrix.resize((2 * row, expected_dim), refcheck=False)
                 try:
                     matrix[row] = list(map(float, comps))
                 except ValueError:
@@ -192,7 +190,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                     rows[sys.intern(word)] = row
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    table = EmbeddingTable._of(matrix[: len(rows) + 1], rows)
+    matrix.resize((len(rows) + 1, expected_dim), refcheck=False)
+    table = EmbeddingTable._of(matrix, rows)
     if cache:  # through a temporary file beside it, with the table's read/write permissions
         with contextlib.suppress(OSError):  # e.g. a read-only directory
             fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")

@@ -265,4 +265,7 @@ def initial_gradient_profile(
     the model's seed) and backward. At initialization this is the diagnostic
     that shows backpropagated signal shrinking in early layers as depth grows."""
     _, trace = forward(model, sample, mode="train", rng=stream_rng(model.config.seed, PROFILE))
-    return gradient_layer_norms(backward(model, trace, labels))
+    grads = backward(model, trace, labels)
+    # gradient_layer_norms to the bit, with no dW * dW copy: the dW views see the squares.
+    np.multiply(grads.flat, grads.flat, out=grads.flat)
+    return [float(np.sqrt(np.sum(squared))) for squared in grads.d_weights]

@@ -380,6 +380,44 @@ class TestOnePass:
         assert flow == (tmp_path / "report" / "grad_flow.csv").read_bytes()
         assert len(flow.splitlines()) == 1 + 2 + 4
 
+    def test_no_featurized_sample_is_alive_while_a_cell_trains(self, tmp_path, monkeypatch):
+        """A 5,001-wide source: at the entry of each cell's train(), no
+        numpy buffer that featurize_batch allocated is alive, so the
+        profile's sample is featurized only when a cell profiles."""
+        import inspect
+        import tracemalloc
+        from dataclasses import replace
+
+        import qdelnet.experiment as experiment
+        import qdelnet.features as features
+
+        lines, first = inspect.getsourcelines(features.featurize_batch)
+        featurize_lines = range(first, first + len(lines))
+        held = []
+        real = experiment.train
+
+        def traced(*args, **kwargs):
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            )
+            frames = [t.traceback[0] for t in snapshot.traces]  # each buffer's allocating line
+            held.append([f for f in frames
+                         if f.filename == features.__file__ and f.lineno in featurize_lines])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", traced)
+        config = replace(
+            tiny_sweep_config(tmp_path, depths=(1, 2), repeats=2, epochs=1),
+            source=SyntheticSource(n=80, vocab_size=50, dim=25, max_words=200, noise=0.15,
+                                   train_count=60, test_count=20),
+        )
+        tracemalloc.start()
+        try:
+            run_depth_sweep(config)
+        finally:
+            tracemalloc.stop()
+        assert held == [[], [], [], []]
+
     def test_stubbed_profiler_layers_reach_grad_flow_csv(self, tmp_path):
         run_depth_sweep(
             tiny_sweep_config(tmp_path, depths=(2,), repeats=1),

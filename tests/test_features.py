@@ -271,6 +271,16 @@ class TestLoadEmbeddingsReference:
         path.write_text("\n".join(entry_lines(rng, [f"w{i}" for i in range(words)], 1)) + "\n")
         assert_loads_like_the_reference(path, 1)
 
+    def test_a_parsed_matrix_owns_exactly_its_rows(self, tmp_path):
+        """1,500 words overflow the 1,024-row first buffer, which grows to
+        2,048 rows: the table keeps 1,501 rows and no view of a larger buffer."""
+        rng = np.random.default_rng(1500)
+        path = tmp_path / "emb.txt"
+        path.write_text("\n".join(entry_lines(rng, [f"w{i}" for i in range(1500)], 3)) + "\n")
+        matrix = load_embeddings(path, 3)._matrix
+        buffer = matrix if matrix.base is None else matrix.base
+        assert (matrix.shape, buffer.nbytes) == ((1501, 3), 1501 * 3 * 8)
+
     def test_dim_1_and_extreme_values(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("z -0.0\ntiny 5e-324\nbig -1.7976931348623157e308\nint 7\n")

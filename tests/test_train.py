@@ -589,14 +589,18 @@ class TestInitialGradientProfile:
         config = ModelConfig(input_dim=13, hidden_widths=(8,), dropout_rate=0.05, seed=1)
         assert len(initial_gradient_profile(build_model(config), x, y)) == 2
 
-    def test_single_repeat_equals_one_backward(self):
+    @pytest.mark.parametrize("widths", [(), (8, 4), *(tuple(taper_widths(d)) for d in (1, 3, 50))])
+    def test_norms_equal_one_backwards_bit_for_bit(self, widths):
+        """The profile squares its own gradient set in place; its norms are
+        those of gradient_layer_norms on one backward's gradients, bit for
+        bit, at every layer shape and offset of a depth-0 to depth-50 model."""
         x, y = self._sample()
-        config = ModelConfig(input_dim=13, hidden_widths=(8, 4), dropout_rate=0.05, seed=3)
+        config = ModelConfig(input_dim=13, hidden_widths=widths, dropout_rate=0.05, seed=3)
         model = build_model(config)
         profile = initial_gradient_profile(model, x, y)
         _, trace = forward(model, x, mode="train", rng=stream_rng(config.seed, PROFILE))
         expected = gradient_layer_norms(backward(model, trace, y))
-        assert profile == expected
+        assert [v.hex() for v in profile] == [v.hex() for v in expected]
 
     def test_deep_models_have_smaller_first_layer_norms(self):
         """First-layer gradient signal at initialization shrinks by orders of
@@ -615,3 +619,22 @@ class TestInitialGradientProfile:
                 )
                 norms[depth] = initial_gradient_profile(build_model(config), x, y)[0]
             assert norms[50] < norms[5]
+
+    def test_squares_no_copy_of_a_layer(self):
+        """At 5,001 inputs and widths (4,), layer 0 holds nearly every
+        parameter. The memory traced during a profile stays below one
+        gradient set plus half of layer 0: a dW * dW temporary would add all
+        of layer 0."""
+        ds, table = gen_synthetic(200, 50, 25, 200, 0.15, seed=3)
+        x = featurize_batch(ds.questions[:32], table, 200)
+        y = np.array([[float(q.label)] for q in ds.questions[:32]])
+        model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(4,), seed=3))
+        layer_0 = model.layers[0].weights.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            initial_gradient_profile(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params.nbytes + layer_0 // 2
