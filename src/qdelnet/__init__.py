@@ -37,7 +37,6 @@ from .features import (
     tokenize,
 )
 from .nn import (
-    Gradients,
     MlpModel,
     ModelConfig,
     activation_buffers,
@@ -47,7 +46,6 @@ from .nn import (
     forward,
     gradient_layer_norms,
     load_model,
-    param_buffers,
     save_model,
     sgd_step,
     taper_widths,

@@ -29,7 +29,6 @@ __all__ = [
     "save_dataset",
     "gen_synthetic",
     "split_train_test",
-    "allocate_proportional",
 ]
 
 
@@ -236,7 +235,7 @@ def gen_synthetic(
     return Dataset(shuffled, name=name), table
 
 
-def allocate_proportional(total: int, sizes: list[int]) -> list[int]:
+def _allocate_proportional(total: int, sizes: list[int]) -> list[int]:
     """Split `total` across groups proportionally to `sizes` (largest-remainder
     rounding), keeping every group within one of its exact share."""
     n = sum(sizes)
@@ -286,11 +285,11 @@ def _stratified_split(
     by_class = {c: [q for q in dataset.questions if q.label == c] for c in (0, 1)}
     sizes = [len(by_class[0]), len(by_class[1])]
     held_first = train_count is None
-    first = allocate_proportional(held_count if held_first else train_count, sizes)
+    first = _allocate_proportional(held_count if held_first else train_count, sizes)
     if held_first or train_count + held_count == len(dataset):
         second = [size - f for size, f in zip(sizes, first)]
     else:
-        second = allocate_proportional(held_count, sizes)
+        second = _allocate_proportional(held_count, sizes)
     for c in (0, 1):
         if first[c] + second[c] > sizes[c]:
             raise ConfigError(

@@ -5,10 +5,11 @@ Architecture: input -> N hidden ReLU layers with non-increasing widths ->
 single sigmoid output unit. Dropout applies to hidden activations only,
 scaled at train time so that evaluation needs no adjustment.
 
-Parameters live in one contiguous float64 vector per model: each layer's
-weights (row-major), then its bias, first layer first. Every layer's
-`weights` and `bias` are read-only float64 ndarray views of it, and Gradients
-lay their vector out the same way, so an update is one pass over three vectors.
+A parameter set is an MlpModel: one contiguous float64 vector holding each
+layer's weights (row-major), then its bias, first layer first, with layer
+shapes taken from the config. Gradients are a parameter set of the model's
+layout, as a JAX gradient is a pytree shaped like the parameters, so an
+update is one pass over three vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Iterable
 
 import numpy as np
 
@@ -33,14 +33,11 @@ from .seeding import INIT, stream_rng
 
 __all__ = [
     "ModelConfig",
-    "Layer",
     "MlpModel",
     "ForwardTrace",
-    "Gradients",
     "Activations",
     "taper_widths",
     "build_model",
-    "param_buffers",
     "activation_buffers",
     "forward",
     "bce_loss",
@@ -99,18 +96,15 @@ class ModelConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
-@dataclass(frozen=True, eq=False)
-class Layer:
-    """One dense layer; weights and bias are read-only float64 ndarray views."""
-
-    weights: np.ndarray  # out x in
-    bias: np.ndarray  # 1 x out
-    activation: str  # "relu" or "sigmoid"
+def _layer_shapes(config: ModelConfig) -> Shapes:
+    """Weight shape (out, in) of every layer of a config's models."""
+    dims = (config.input_dim, *config.hidden_widths, 1)
+    return tuple(zip(dims[1:], dims[:-1]))
 
 
 def _layer_views(flat: np.ndarray, shapes: Shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Writable (weights, bias) views of a parameter vector laid out for
-    `shapes`, one pair per layer, first layer first."""
+    """(weights, bias) views of a parameter vector laid out for `shapes`,
+    one pair per layer, first layer first."""
     if flat.shape != (sum(rows * (cols + 1) for rows, cols in shapes),):
         raise ShapeError(f"parameter vector of shape {flat.shape} does not fit layers {shapes}")
     views, start = [], 0
@@ -119,20 +113,6 @@ def _layer_views(flat: np.ndarray, shapes: Shapes) -> list[tuple[np.ndarray, np.
         views.append((flat[start:mid].reshape(rows, cols), flat[mid : mid + rows].reshape(1, rows)))
         start = mid + rows
     return views
-
-
-def _read_only_views(flat: np.ndarray, shapes: Shapes):
-    """(weights, biases), read-only views of a parameter vector laid out for
-    `shapes`; its owner may still rewrite it, and the views see that."""
-    frozen = flat.view()
-    frozen.flags.writeable = False
-    return tuple(zip(*_layer_views(frozen, shapes)))
-
-
-def _pack(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """A fresh parameter vector holding (weights, bias) array pairs, laid
-    out as MlpModel.params."""
-    return np.concatenate([np.ravel(a) for pair in pairs for a in pair], dtype=np.float64)
 
 
 def _layer_of(index: int, shapes: Shapes) -> int:
@@ -144,46 +124,66 @@ def _layer_of(index: int, shapes: Shapes) -> int:
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Read-only stack of dense layers; sgd_step returns a new value.
+    """A parameter set: the weights and biases of one model, or their
+    gradients, in `params`, one float64 vector laid out for `config`.
 
-    Layers hold read-only float64 ndarray views of `params`, the model's one
-    parameter vector. A model built from per-layer arrays is packed into a
-    fresh vector, where a non-finite parameter raises NumericError naming its
-    layer. The vector may be a buffer that its owner rewrites, as train() does.
+    Layer k maps [input_dim, *hidden_widths, 1][k] inputs to the next
+    width; hidden layers are ReLU and the last is the sigmoid, by position.
+    `weights[k]` (out x in) and `biases[k]` (1 x out) are read-only views of
+    `params`, whose owner may still rewrite it (train() does) and the views
+    see that. A vector of another size raises ShapeError. Parameters come
+    from build_model, from_arrays, like, sgd_step and backward.
     """
 
     config: ModelConfig
-    layers: tuple[Layer, ...]
-    params: np.ndarray | None = field(default=None, repr=False)
+    params: np.ndarray = field(repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _shapes: Shapes = field(init=False, repr=False)
+    # Writable (weights, bias) views of `params`, which build_model and
+    # backward(..., out=) fill.
+    _arrays: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_shapes", tuple(layer.weights.shape for layer in self.layers))
-        if self.params is None:
-            params = _pack((layer.weights, layer.bias) for layer in self.layers)
-            bad = np.flatnonzero(~np.isfinite(params))
-            if bad.size:
-                layer = _layer_of(bad[0], self._shapes)
-                raise NumericError(f"layer {layer}: non-finite parameter {params[bad[0]]}")
-            object.__setattr__(self, "layers", self.over(params).layers)
-            object.__setattr__(self, "params", params)
+        shapes = _layer_shapes(self.config)
+        frozen = self.params.view()
+        frozen.flags.writeable = False
+        weights, biases = zip(*_layer_views(frozen, shapes))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "_shapes", shapes)
+        object.__setattr__(self, "_arrays", _layer_views(self.params, shapes))
 
-    def over(self, params: np.ndarray) -> "MlpModel":
-        """This model's layers over another parameter vector of the same
-        layout, which is viewed, not copied."""
-        weights, biases = _read_only_views(params, self._shapes)
-        layers = tuple(
-            Layer(w, b, layer.activation) for w, b, layer in zip(weights, biases, self.layers)
-        )
-        return MlpModel(self.config, layers, params)
+    @classmethod
+    def from_arrays(cls, config: ModelConfig, weights, biases) -> "MlpModel":
+        """A model holding per-layer weight and bias arrays, packed into a
+        fresh vector. Raises ShapeError unless every array has the shape
+        the config implies, and NumericError naming the layer of the first
+        non-finite value."""
+        shapes = _layer_shapes(config)
+        arrays = [a for pair in zip_longest(weights, biases) for a in pair]
+        given = [np.shape(a) for a in arrays]
+        expected = [shape for rows, cols in shapes for shape in ((rows, cols), (1, rows))]
+        if given != expected:
+            raise ShapeError(f"arrays of shapes {given} do not fit config shapes {expected}")
+        params = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(params))
+        if bad.size:
+            layer = _layer_of(bad[0], shapes)
+            raise NumericError(f"layer {layer}: non-finite parameter {params[bad[0]]}")
+        return cls(config, params)
+
+    def like(self) -> "MlpModel":
+        """A fresh, uninitialized parameter set of this model's layout."""
+        return MlpModel(self.config, np.empty_like(self.params))
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.config.input_dim
 
     @property
     def hidden_count(self) -> int:
-        return len(self.layers) - 1
+        return len(self.config.hidden_widths)
 
 
 @dataclass
@@ -199,35 +199,6 @@ class ForwardTrace:
     pre_activations: list[np.ndarray]
     post_activations: list[np.ndarray]
     dropout_masks: list[np.ndarray | None]
-    mode: str
-
-
-@dataclass(frozen=True, eq=False)
-class Gradients:
-    """Loss gradients, one (dW, db) pair per layer, first layer first.
-
-    Every dW and db is a read-only float64 view of `flat`, one vector laid
-    out as MlpModel.params. Gradients built from per-layer arrays are packed
-    into a fresh vector, unchecked.
-    """
-
-    d_weights: tuple[np.ndarray, ...]
-    d_biases: tuple[np.ndarray, ...]
-    flat: np.ndarray | None = field(default=None, repr=False)
-    _shapes: Shapes = field(init=False, repr=False)
-    # Writable (dW, db) views of `flat`, which backward(..., out=) fills.
-    _arrays: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        shapes = tuple(dw.shape for dw in self.d_weights)
-        object.__setattr__(self, "_shapes", shapes)
-        if self.flat is None:
-            flat = _pack(zip(self.d_weights, self.d_biases))
-            d_weights, d_biases = _read_only_views(flat, shapes)
-            object.__setattr__(self, "d_weights", d_weights)
-            object.__setattr__(self, "d_biases", d_biases)
-            object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "_arrays", _layer_views(self.flat, shapes))
 
 
 class Activations(list):
@@ -267,26 +238,13 @@ def build_model(config: ModelConfig) -> MlpModel:
     depth-driven gradient decay this model family is built to study.
     """
     rng = stream_rng(config.seed, INIT)
-    dims = [config.input_dim, *config.hidden_widths, 1]
-    shapes = tuple(zip(dims[1:], dims[:-1]))
-    params = np.zeros(sum(rows * (cols + 1) for rows, cols in shapes))
-    for w, _ in _layer_views(params, shapes):
+    shapes = _layer_shapes(config)
+    model = MlpModel(config, np.zeros(sum(rows * (cols + 1) for rows, cols in shapes)))
+    for w, _ in model._arrays:
         # The numbers rng.normal(0, std, w.shape) draws, drawn in place.
         rng.standard_normal(out=w)
         w *= math.sqrt(1.0 / w.shape[1])
-    layers = tuple(
-        Layer(w, b, "relu" if k < len(shapes) - 1 else "sigmoid")
-        for k, (w, b) in enumerate(zip(*_read_only_views(params, shapes)))
-    )
-    return MlpModel(config, layers, params)
-
-
-def param_buffers(model: MlpModel) -> Gradients:
-    """A parameter set shaped like the model's: a Gradients over a fresh,
-    uninitialized vector. It is the `out` of backward; model.over(set.flat)
-    views the same vector as a model, the `out` of sgd_step."""
-    flat = np.empty_like(model.params)
-    return Gradients(*_read_only_views(flat, model._shapes), flat)
+    return model
 
 
 def activation_buffers(model: MlpModel, rows: int, mode: str = "train") -> Activations:
@@ -301,7 +259,7 @@ def activation_buffers(model: MlpModel, rows: int, mode: str = "train") -> Activ
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    widths = [layer.weights.shape[0] for layer in model.layers]
+    widths = [rows for rows, _ in model._shapes]
     if mode == "eval":
         flats = [np.empty(rows * max(widths)) for _ in range(2)]
         views = [flats[k % 2][: rows * w].reshape(rows, w) for k, w in enumerate(widths)]
@@ -383,11 +341,11 @@ def forward(
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
-    last = len(model.layers) - 1
-    for k, (layer, (z_buf, h_buf)) in enumerate(zip(model.layers, out)):
+    last = model.hidden_count
+    for k, (w, b, (z_buf, h_buf)) in enumerate(zip(model.weights, model.biases, out)):
         z, h = z_buf[:rows], h_buf[:rows]
-        np.matmul(a, layer.weights.T, out=z)
-        np.add(z, layer.bias, out=z)
+        np.matmul(a, w.T, out=z)
+        np.add(z, b, out=z)
         pre.append(z)
         if k < last:
             np.maximum(z, 0.0, out=h)
@@ -411,7 +369,6 @@ def forward(
         pre_activations=pre,
         post_activations=post,
         dropout_masks=masks,
-        mode=mode,
     )
     predictions = a.copy()
     predictions.flags.writeable = False
@@ -428,18 +385,19 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def backward(
-    model: MlpModel, trace: ForwardTrace, labels: np.ndarray, out: Gradients | None = None
-) -> Gradients:
+    model: MlpModel, trace: ForwardTrace, labels: np.ndarray, out: MlpModel | None = None
+) -> MlpModel:
     """Exact gradients of bce_loss w.r.t. every weight and bias, honoring the
-    dropout masks recorded in the trace.
+    dropout masks recorded in the trace, as a parameter set of the model's
+    layout: its `weights` and `biases` hold dW and db.
 
-    Without `out` the gradients go into a fresh parameter set, and a
+    Without `out` the gradients go into a fresh set (model.like()), and a
     non-finite one raises NumericError naming its layer. With `out`, a set
-    owned by the caller (param_buffers), they are written there unchecked
-    and `out` is returned: sgd_step checks the parameters it computes from
-    them, which covers them.
+    of the model's layout owned by the caller, they are written there
+    unchecked and `out` is returned: sgd_step checks the parameters it
+    computes from them, which covers them.
     """
-    depth = len(model.layers)
+    depth = len(model.weights)
     if (
         len(trace.pre_activations) != depth
         or len(trace.post_activations) != depth
@@ -453,7 +411,7 @@ def backward(
         raise ShapeError("backward: trace inputs do not match the model input width")
     checked = out is None
     if out is None:
-        out = param_buffers(model)
+        out = model.like()
     elif out._shapes != model._shapes:
         raise ShapeError("backward: out does not have the model's layer shapes")
 
@@ -468,7 +426,7 @@ def backward(
         if checked and not (np.isfinite(dw).all() and np.isfinite(db).all()):
             raise NumericError(f"backward: non-finite gradient in layer {k}")
         if k > 0:
-            grad_h = np.matmul(delta, model.layers[k].weights)
+            grad_h = np.matmul(delta, model.weights[k])
             mask = trace.dropout_masks[k - 1]
             if mask is not None:
                 np.multiply(grad_h, mask, out=grad_h)
@@ -478,26 +436,26 @@ def backward(
 
 
 def sgd_step(
-    model: MlpModel, grads: Gradients, learning_rate: float, out: MlpModel | None = None
+    model: MlpModel, grads: MlpModel, learning_rate: float, out: MlpModel | None = None
 ) -> MlpModel:
     """One plain gradient-descent update: theta <- theta - lr * dtheta.
 
     Returns a new model over a fresh vector or, with `out`, writes the
-    update into out.params and returns `out`; that vector may be the one
-    `grads` view, as in train(). `model` is never modified. The update is
-    one pass over the three vectors in blocks of _UPDATE_BLOCK elements:
-    each block is scaled, subtracted and checked while it is in cache. A
-    non-finite updated parameter (as lr >= 0, a non-finite gradient always
-    gives one) raises NumericError naming the layer of the first one; the
-    vector of `out` is then garbage.
+    update into out.params and returns `out`; `out` may be `grads` itself,
+    as in train(). `model` is never modified. The update is one pass over
+    the three vectors in blocks of _UPDATE_BLOCK elements: each block is
+    scaled, subtracted and checked while it is in cache. A non-finite
+    updated parameter (as lr >= 0, a non-finite gradient always gives one)
+    raises NumericError naming the layer of the first one; the vector of
+    `out` is then garbage.
     """
     if learning_rate < 0.0:
         raise ConfigError(f"learning_rate must be >= 0, got {learning_rate}")
     if out is None:
-        out = model.over(np.empty_like(model.params))
+        out = model.like()
     if not grads._shapes == out._shapes == model._shapes:
         raise ShapeError("sgd_step: gradient or out layer shapes do not match the model")
-    theta, step, updated = model.params, grads.flat, out.params
+    theta, step, updated = model.params, grads.params, out.params
     for start in range(0, theta.size, _UPDATE_BLOCK):
         stop = start + _UPDATE_BLOCK
         block = updated[start:stop]
@@ -509,9 +467,9 @@ def sgd_step(
     return out
 
 
-def gradient_layer_norms(grads: Gradients) -> list[float]:
+def gradient_layer_norms(grads: MlpModel) -> list[float]:
     """L2 norm of each layer's weight gradient, first layer first."""
-    return [float(np.sqrt(np.sum(dw * dw))) for dw in grads.d_weights]
+    return [float(np.sqrt(np.sum(dw * dw))) for dw in grads.weights]
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -528,13 +486,13 @@ def save_model(model: MlpModel, path) -> None:
         },
         "layers": [
             {
-                "activation": layer.activation,
-                "rows": layer.weights.shape[0],
-                "cols": layer.weights.shape[1],
-                "weights": layer.weights.ravel().tolist(),
-                "bias": layer.bias.ravel().tolist(),
+                "activation": "relu" if k < model.hidden_count else "sigmoid",
+                "rows": w.shape[0],
+                "cols": w.shape[1],
+                "weights": w.ravel().tolist(),
+                "bias": b.ravel().tolist(),
             }
-            for layer in model.layers
+            for k, (w, b) in enumerate(zip(model.weights, model.biases))
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -607,9 +565,9 @@ def load_model(path) -> MlpModel:
             rate,
             _json_int(cfg["seed"], "config: seed"),
         )
-        dims = [config.input_dim, *config.hidden_widths, 1]
-        activations = ["relu"] * (len(dims) - 2) + ["sigmoid"]
-        implied = list(zip(activations, dims[1:], dims[:-1]))
+        shapes = _layer_shapes(config)
+        activations = ["relu"] * (len(shapes) - 1) + ["sigmoid"]
+        implied = [(act, *shape) for act, shape in zip(activations, shapes)]
         found = [
             (
                 e["activation"],
@@ -621,16 +579,12 @@ def load_model(path) -> MlpModel:
         for k, (got, want) in enumerate(zip_longest(found, implied)):
             if got != want:
                 raise ValidationError(f"layer {k}: (activation, rows, cols) {got}, config {want}")
-        layers = [
-            Layer(
-                _json_matrix(e["weights"], r, c, f"layer {k}: weights"),
-                _json_matrix(e["bias"], 1, r, f"layer {k}: bias"),
-                act,
-            )
-            for k, ((act, r, c), e) in enumerate(zip(found, doc["layers"]))
-        ]
+        weights, biases = [], []
+        for k, ((rows, cols), e) in enumerate(zip(shapes, doc["layers"])):
+            weights.append(_json_matrix(e["weights"], rows, cols, f"layer {k}: weights"))
+            biases.append(_json_matrix(e["bias"], 1, rows, f"layer {k}: bias"))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
     except ConfigError as exc:
         raise ValidationError(f"checkpoint config: {exc}") from None
-    return MlpModel(config=config, layers=tuple(layers))
+    return MlpModel.from_arrays(config, weights, biases)

@@ -4,15 +4,14 @@ accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 Wall time covers the epoch loop only; corpus loading, any up-front feature
 caching and the step buffers happen off the clock. train() owns those
 buffers: an activation workspace, which also holds the dropout masks, two
-parameter sets, each one flat vector viewed as a model and as Gradients, and,
-when features are not cached, one batch feature buffer that every batch is
-featurized into. Each step writes its gradients, then the updated
-parameters, into the set that is not the live model; that set becomes the
-live model only if every parameter is finite, so no model, layer or
-Gradients object is built per step. A run that produces a non-finite loss,
-gradient or parameter thus aborts with the last finite model kept, and the
-report is flagged as diverged at that epoch (overflow is reported there, not
-warned).
+parameter sets (MlpModel.like()) and, when features are not cached, one
+batch feature buffer that every batch is featurized into. Each step writes
+its gradients, then the updated parameters over them, into the set that is
+not the live model; that set becomes the live model only if every parameter
+is finite, so no parameter set is built per step. A run that produces a
+non-finite loss, gradient or parameter thus aborts with the last finite
+model kept, and the report is flagged as diverged at that epoch (overflow is
+reported there, not warned).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .nn import (
     bce_loss,
     forward,
     gradient_layer_norms,
-    param_buffers,
     sgd_step,
 )
 from .seeding import DROPOUT, PROFILE, SHUFFLE, SPLIT, stream_rng
@@ -157,9 +155,9 @@ def train(
     loss_curve: list[float] = []
     grad_history: list[list[float]] | None = [] if config.record_grad_norms else None
     diverged_epoch: int | None = None
-    # Each step fills sets[0], (model view, Gradients view) of one vector; the
-    # sets swap roles after a finite update. The caller's model is only read.
-    sets = [(model.over(g.flat), g) for g in (param_buffers(model), param_buffers(model))]
+    # Each step writes its gradients, then the update over them, into sets[0];
+    # the sets swap roles after a finite update. The caller's model is only read.
+    sets = [model.like(), model.like()]
     workspace = activation_buffers(model, min(config.batch_size, n))
     batch_features = None if cached is not None else np.empty((workspace.rows, model.input_dim))
 
@@ -167,7 +165,7 @@ def train(
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        norm_sums = np.zeros(len(model.layers))
+        norm_sums = np.zeros(len(model.weights)) if grad_history is not None else None
         batch_count = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -183,10 +181,10 @@ def train(
                 loss = bce_loss(preds, yb)
                 if not np.isfinite(loss):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
-                grads = backward(model, trace, yb, out=sets[0][1])
-                if grad_history is not None:
+                grads = backward(model, trace, yb, out=sets[0])
+                if norm_sums is not None:
                     norm_sums += gradient_layer_norms(grads)
-                model = sgd_step(model, grads, config.learning_rate, out=sets[0][0])
+                model = sgd_step(model, grads, config.learning_rate, out=sets[0])
             except NumericError:
                 diverged_epoch = epoch
                 break
@@ -267,5 +265,5 @@ def initial_gradient_profile(
     _, trace = forward(model, sample, mode="train", rng=stream_rng(model.config.seed, PROFILE))
     grads = backward(model, trace, labels)
     # gradient_layer_norms to the bit, with no dW * dW copy: the dW views see the squares.
-    np.multiply(grads.flat, grads.flat, out=grads.flat)
-    return [float(np.sqrt(np.sum(squared))) for squared in grads.d_weights]
+    np.multiply(grads.params, grads.params, out=grads.params)
+    return [float(np.sqrt(np.sum(squared))) for squared in grads.weights]

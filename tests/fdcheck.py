@@ -8,7 +8,7 @@ a safe margin from zero (asserted by the caller via the returned margin).
 
 import numpy as np
 
-from qdelnet.nn import Layer, MlpModel, ModelConfig, backward, bce_loss, build_model, forward
+from qdelnet.nn import MlpModel, ModelConfig, backward, bce_loss, build_model, forward
 
 
 def random_case(seed):
@@ -31,35 +31,22 @@ def worst_relative_error(config, x, y, h=1e-5):
     model = build_model(config)
     _, trace = forward(model, x, mode="train")
     grads = backward(model, trace, y)
-    if len(model.layers) > 1:
+    if model.hidden_count:
         kink_margin = min(float(np.min(np.abs(z))) for z in trace.pre_activations[:-1])
     else:
         kink_margin = float("inf")
 
-    def loss_with(layers):
-        preds, _ = forward(MlpModel(config=config, layers=tuple(layers)), x, mode="train")
+    def loss_with(params):
+        preds, _ = forward(MlpModel(config, params), x, mode="train")
         return bce_loss(preds, y)
 
     worst = 0.0
-    for li, layer in enumerate(model.layers):
-        for attr, grad in (("weights", grads.d_weights[li]), ("bias", grads.d_biases[li])):
-            base = getattr(layer, attr)
-            analytic = grad
-            for idx in np.ndindex(*base.shape):
-                plus, minus = base.copy(), base.copy()
-                plus[idx] += h
-                minus[idx] -= h
-                fd_vals = []
-                for perturbed in (plus, minus):
-                    layers = list(model.layers)
-                    if attr == "weights":
-                        layers[li] = Layer(perturbed, layer.bias, layer.activation)
-                    else:
-                        layers[li] = Layer(layer.weights, perturbed, layer.activation)
-                    fd_vals.append(loss_with(layers))
-                fd = (fd_vals[0] - fd_vals[1]) / (2 * h)
-                a = analytic[idx]
-                worst = max(worst, abs(a - fd) / max(abs(a), abs(fd), 1e-8))
+    for i, analytic in enumerate(grads.params):
+        plus, minus = model.params.copy(), model.params.copy()
+        plus[i] += h
+        minus[i] -= h
+        fd = (loss_with(plus) - loss_with(minus)) / (2 * h)
+        worst = max(worst, abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-8))
     return worst, kink_margin
 
 

@@ -8,11 +8,10 @@ import pytest
 
 from fdcheck import random_case, worst_relative_error
 from qdelnet import nn
+from qdelnet.data import gen_synthetic
 from qdelnet.errors import ConfigError, NumericError, ParseError, ShapeError, ValidationError
 from qdelnet.nn import (
     ForwardTrace,
-    Gradients,
-    Layer,
     MlpModel,
     ModelConfig,
     _sigmoid_array,
@@ -23,23 +22,21 @@ from qdelnet.nn import (
     forward,
     gradient_layer_norms,
     load_model,
-    param_buffers,
     save_model,
     sgd_step,
     taper_widths,
 )
 from qdelnet.seeding import stream_rng
+from qdelnet.train import TrainConfig, train
 
 
 def ones_model(input_dim, width):
     """One hidden layer, every weight 1.0, zero biases."""
     config = ModelConfig(input_dim=input_dim, hidden_widths=(width,), dropout_rate=0.0, seed=0)
-    return MlpModel(
-        config=config,
-        layers=(
-            Layer(np.ones((width, input_dim)), np.zeros((1, width)), "relu"),
-            Layer(np.ones((1, width)), np.zeros((1, 1)), "sigmoid"),
-        ),
+    return MlpModel.from_arrays(
+        config,
+        [np.ones((width, input_dim)), np.ones((1, width))],
+        [np.zeros((1, width)), np.zeros((1, 1))],
     )
 
 
@@ -60,32 +57,30 @@ class TestModelConfig:
 class TestBuildModel:
     def test_logistic_regression_degenerate(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=()))
-        assert len(model.layers) == 1
-        assert model.layers[0].weights.shape == (1, 4)
-        assert model.layers[0].activation == "sigmoid"
+        assert len(model.weights) == len(model.biases) == 1
+        assert model.weights[0].shape == (1, 4) and model.biases[0].shape == (1, 1)
+        assert model.hidden_count == 0
 
     def test_layer_shapes_chain(self):
         model = build_model(ModelConfig(input_dim=10, hidden_widths=(8, 4)))
-        shapes = [layer.weights.shape for layer in model.layers]
-        assert shapes == [(8, 10), (4, 8), (1, 4)]
-        assert [l.activation for l in model.layers] == ["relu", "relu", "sigmoid"]
+        assert [w.shape for w in model.weights] == [(8, 10), (4, 8), (1, 4)]
+        assert [b.shape for b in model.biases] == [(1, 8), (1, 4), (1, 1)]
 
     def test_biases_start_at_zero(self):
         model = build_model(ModelConfig(input_dim=5, hidden_widths=(3,), seed=2))
-        for layer in model.layers:
-            assert not layer.bias.any()
+        for bias in model.biases:
+            assert not bias.any()
 
     def test_equal_configs_give_identical_models(self):
         a = build_model(ModelConfig(input_dim=6, hidden_widths=(4, 2), seed=9))
         b = build_model(ModelConfig(input_dim=6, hidden_widths=(4, 2), seed=9))
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+        assert a.params.tobytes() == b.params.tobytes()
 
     def test_parameter_layer_count_is_depth_plus_one(self):
         for depth in range(6):
             widths = tuple(taper_widths(depth, 16, 4))
             model = build_model(ModelConfig(input_dim=5, hidden_widths=widths))
-            assert len(model.layers) == depth + 1
+            assert len(model.weights) == depth + 1 and model.hidden_count == depth
 
 
 class TestTaperWidths:
@@ -117,12 +112,8 @@ class TestActivations:
         """Hidden layers apply ReLU: with identity weights the hidden
         activations are relu of the inputs."""
         config = ModelConfig(input_dim=3, hidden_widths=(3,), dropout_rate=0.0, seed=0)
-        model = MlpModel(
-            config=config,
-            layers=(
-                Layer(np.eye(3), np.zeros((1, 3)), "relu"),
-                Layer(np.zeros((1, 3)), np.zeros((1, 1)), "sigmoid"),
-            ),
+        model = MlpModel.from_arrays(
+            config, [np.eye(3), np.zeros((1, 3))], [np.zeros((1, 3)), np.zeros((1, 1))]
         )
         _, trace = forward(model, np.array([[-3.0, 5.0, 0.0]]), mode="eval")
         assert trace.post_activations[0].tolist() == [[0.0, 5.0, 0.0]]
@@ -157,13 +148,7 @@ class TestForward:
 
     def test_zero_parameters_give_half(self):
         config = ModelConfig(input_dim=3, hidden_widths=(2,), dropout_rate=0.0, seed=0)
-        model = MlpModel(
-            config=config,
-            layers=(
-                Layer(np.zeros((2, 3)), np.zeros((1, 2)), "relu"),
-                Layer(np.zeros((1, 2)), np.zeros((1, 1)), "sigmoid"),
-            ),
-        )
+        model = MlpModel(config, np.zeros(11))
         preds, _ = forward(model, np.ones((4, 3)), mode="eval")
         assert preds.tolist() == [[0.5]] * 4
 
@@ -208,7 +193,6 @@ def trace_arrays(trace):
 def assert_same_forward(got, expected):
     (got_preds, got_trace), (exp_preds, exp_trace) = got, expected
     assert got_preds.tobytes() == exp_preds.tobytes()
-    assert got_trace.mode == exp_trace.mode
     assert [m is None for m in got_trace.dropout_masks] == [
         m is None for m in exp_trace.dropout_masks
     ]
@@ -278,21 +262,13 @@ class TestEvalWorkspace:
         assert eval_predictions(model, x, activation_buffers(model, 512)) == fresh
         assert eval_predictions(model, x, activation_buffers(model, 512, mode="eval")) == fresh
 
-    def test_widest_layer_that_is_not_the_first(self):
-        """Widths 3, 9, 5, 1: the buffers are sized by the widest layer, the
-        second. MlpModel does not check its layers against its config."""
+    def test_two_alternating_buffers_of_the_widest_layer(self):
+        """Widths 9, 5, 3, 1: layer k writes into buffer k % 2, each sized
+        for the widest layer."""
         rng = np.random.default_rng(3)
-        dims = [4, 3, 9, 5, 1]
-        layers = tuple(
-            Layer(
-                rng.normal(size=(out_dim, in_dim)),
-                rng.normal(size=(1, out_dim)),
-                "relu" if out_dim > 1 else "sigmoid",
-            )
-            for in_dim, out_dim in zip(dims, dims[1:])
-        )
+        dims = [4, 9, 5, 3, 1]
         config = ModelConfig(input_dim=4, hidden_widths=(9, 5, 3), dropout_rate=0.0)
-        model = MlpModel(config, layers)
+        model = MlpModel(config, rng.normal(size=build_model(config).params.size))
         x = rng.normal(size=(6, 4))
         workspace = activation_buffers(model, 6, mode="eval")
         assert eval_predictions(model, x, workspace) == eval_predictions(model, x)
@@ -348,7 +324,7 @@ class TestDropout:
     def test_no_mask_on_output_layer(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), dropout_rate=0.5, seed=0))
         _, trace = forward(model, np.ones((2, 4)), mode="train", rng=stream_rng(0, 1))
-        assert len(trace.dropout_masks) == len(model.layers) - 1
+        assert len(trace.dropout_masks) == model.hidden_count
 
     def test_eval_mode_applies_no_masks(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.5, seed=0))
@@ -404,10 +380,9 @@ class TestBackward:
             pre_activations=[np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[2.0], [2.0]])],
             post_activations=[np.array([[1.0, 1.0], [1.0, 1.0]]), labels.copy()],
             dropout_masks=[None],
-            mode="train",
         )
         grads = backward(model, trace, labels)
-        for dw, db in zip(grads.d_weights, grads.d_biases):
+        for dw, db in zip(grads.weights, grads.biases):
             assert np.max(np.abs(dw)) < 1e-9
             assert np.max(np.abs(db)) < 1e-9
 
@@ -430,7 +405,7 @@ class TestBackward:
         preds, trace = forward(model, x, mode="train")
         grads = backward(model, trace, y)
         expected_dw = x.T @ (preds - y) / 9
-        np.testing.assert_allclose(grads.d_weights[0], expected_dw.T, atol=1e-12)
+        np.testing.assert_allclose(grads.weights[0], expected_dw.T, atol=1e-12)
 
     def test_respects_dropout_masks(self):
         """Zeroed units must contribute exactly zero gradient to their
@@ -442,7 +417,7 @@ class TestBackward:
         grads = backward(model, trace, y)
         dropped = trace.dropout_masks[0][0] == 0.0
         assert dropped.any()
-        assert not grads.d_weights[0][dropped, :].any()
+        assert not grads.weights[0][dropped, :].any()
 
     def test_non_finite_gradient_raises_unless_out_is_given(self):
         """Public callers get NumericError; a caller that passes its own
@@ -453,13 +428,12 @@ class TestBackward:
             pre_activations=[np.array([[1.0]])],
             post_activations=[np.array([[0.75]])],
             dropout_masks=[],
-            mode="train",
         )
         labels = np.array([[0.0]])
         with pytest.raises(NumericError, match="layer 0"):
             backward(model, trace, labels)
-        grads = backward(model, trace, labels, out=param_buffers(model))
-        assert grads.d_weights[0][0, 0] == np.inf
+        grads = backward(model, trace, labels, out=model.like())
+        assert grads.weights[0][0, 0] == np.inf
         with pytest.raises(NumericError):
             sgd_step(model, grads, 0.1)
 
@@ -469,12 +443,12 @@ class TestBackward:
         y = np.array([[1.0], [0.0]] * 3 + [[1.0]])
         _, trace = forward(model, x, mode="train", rng=stream_rng(6, 1))
         fresh = backward(model, trace, y)
-        buffers = param_buffers(model)
+        buffers = model.like()
         owned = backward(model, trace, y, out=buffers)
         assert owned is buffers
-        for a, b in zip(fresh.d_weights + fresh.d_biases, owned.d_weights + owned.d_biases):
+        for a, b in zip(fresh.weights + fresh.biases, owned.weights + owned.biases):
             assert a.tobytes() == b.tobytes()
-        assert fresh.flat.tobytes() == buffers.flat.tobytes()
+        assert fresh.params.tobytes() == buffers.params.tobytes()
 
     def test_trace_mismatch_is_error(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,)))
@@ -492,19 +466,14 @@ class TestSgdStep:
         _, trace = forward(model, x, mode="train")
         grads = backward(model, trace, y)
         stepped = sgd_step(model, grads, 0.0)
-        for before, after in zip(model.layers, stepped.layers):
-            assert np.array_equal(before.weights, after.weights)
-            assert np.array_equal(before.bias, after.bias)
+        assert stepped.params.tobytes() == model.params.tobytes()
 
     def test_scalar_arithmetic(self):
         config = ModelConfig(input_dim=1, hidden_widths=(), dropout_rate=0.0, seed=0)
-        model = MlpModel(
-            config=config,
-            layers=(Layer(np.array([[1.0]]), np.array([[0.0]]), "sigmoid"),),
-        )
-        grads = Gradients((np.array([[0.5]]),), (np.array([[0.0]]),))
+        model = MlpModel.from_arrays(config, [[[1.0]]], [[[0.0]]])
+        grads = MlpModel.from_arrays(config, [[[0.5]]], [[[0.0]]])
         stepped = sgd_step(model, grads, 0.1)
-        assert stepped.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
+        assert stepped.weights[0][0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_one_step_decreases_loss_on_logistic_toy(self):
         rng = np.random.default_rng(3)
@@ -520,42 +489,36 @@ class TestSgdStep:
 
     def test_non_finite_gradient_rejected(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(), seed=0))
-        bad = Gradients((np.array([[np.inf, 1.0]]),), (np.array([[0.0]]),))
+        bad = MlpModel(model.config, np.array([np.inf, 1.0, 0.0]))
         with pytest.raises(NumericError):
             sgd_step(model, bad, 0.1)
 
     def test_original_model_untouched(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), dropout_rate=0.0, seed=7))
-        snapshot = [layer.weights.tolist() for layer in model.layers]
+        snapshot = model.params.tobytes()
         _, trace = forward(model, np.ones((3, 2)), mode="train")
         grads = backward(model, trace, np.array([[1.0], [0.0], [1.0]]))
         sgd_step(model, grads, 0.5)
-        assert [layer.weights.tolist() for layer in model.layers] == snapshot
+        assert model.params.tobytes() == snapshot
 
-
-    def test_update_into_the_gradient_buffers_is_bit_identical(self):
-        """sgd_step may write the update over the arrays its gradients view,
-        which is how train() uses it."""
+    def test_update_into_the_gradient_set_is_bit_identical(self):
+        """sgd_step may write the update over its gradients' own set, which
+        is how train() uses it."""
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), dropout_rate=0.0, seed=2))
         x = np.random.default_rng(2).normal(size=(5, 4))
         y = np.array([[1.0], [0.0], [1.0], [1.0], [0.0]])
         _, trace = forward(model, x, mode="train")
         expected = sgd_step(model, backward(model, trace, y), 0.3)
-        buffers = param_buffers(model)
-        target = model.over(buffers.flat)
-        stepped = sgd_step(model, backward(model, trace, y, out=buffers), 0.3, out=target)
-        assert stepped is target
-        assert stepped.params.tobytes() == expected.params.tobytes() == buffers.flat.tobytes()
-        for want, got in zip(expected.layers, stepped.layers):
-            assert got.weights.tobytes() == want.weights.tobytes()
-            assert got.bias.tobytes() == want.bias.tobytes()
+        buffers = model.like()
+        stepped = sgd_step(model, backward(model, trace, y, out=buffers), 0.3, out=buffers)
+        assert stepped is buffers
+        assert stepped.params.tobytes() == expected.params.tobytes()
+        for want, got in zip(expected.weights + expected.biases, stepped.weights + stepped.biases):
+            assert got.tobytes() == want.tobytes()
 
     def test_out_length_must_match_layers(self):
         model = build_model(ModelConfig(input_dim=2, hidden_widths=(2,), seed=0))
-        grads = Gradients(
-            tuple(np.zeros(l.weights.shape) for l in model.layers),
-            tuple(np.zeros(l.bias.shape) for l in model.layers),
-        )
+        grads = MlpModel(model.config, np.zeros_like(model.params))
         deeper = build_model(ModelConfig(input_dim=2, hidden_widths=(2, 2), seed=0))
         with pytest.raises(ShapeError):
             sgd_step(model, grads, 0.1, out=deeper)
@@ -563,22 +526,40 @@ class TestSgdStep:
 
 class TestGradientLayerNorms:
     def test_zero_gradients(self):
-        grads = Gradients((np.zeros((2, 3)),), (np.zeros((1, 2)),))
-        assert gradient_layer_norms(grads) == [0.0]
+        grads = MlpModel(ModelConfig(input_dim=3, hidden_widths=(2,)), np.zeros(11))
+        assert gradient_layer_norms(grads) == [0.0, 0.0]
 
     def test_three_four_five(self):
-        grads = Gradients((np.array([[3.0, 4.0]]),), (np.array([[0.0]]),))
+        grads = MlpModel.from_arrays(ModelConfig(input_dim=2), [[[3.0, 4.0]]], [[[0.0]]])
         assert gradient_layer_norms(grads) == [5.0]
 
     def test_matches_sum_of_squares_oracle(self):
         rng = np.random.default_rng(10)
-        arrays = [rng.normal(size=(4, 3)), rng.normal(size=(2, 4))]
-        grads = Gradients(
-            tuple(arrays),
-            (np.zeros((1, 4)), np.zeros((1, 2))),
+        arrays = [rng.normal(size=(4, 3)), rng.normal(size=(2, 4)), rng.normal(size=(1, 2))]
+        grads = MlpModel.from_arrays(
+            ModelConfig(input_dim=3, hidden_widths=(4, 2)),
+            arrays,
+            (np.zeros((1, 4)), np.zeros((1, 2)), np.zeros((1, 1))),
         )
         expected = [math.sqrt(sum(v * v for v in a.ravel())) for a in arrays]
         np.testing.assert_allclose(gradient_layer_norms(grads), expected, rtol=1e-12)
+
+
+def reachable_model(source):
+    """A depth-2 parameter set as `source` makes it."""
+    config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(5, 3), dropout_rate=0.1, seed=4)
+    model = build_model(config)
+    if source == "build_model":
+        return model
+    if source == "from_arrays":
+        return MlpModel.from_arrays(config, model.weights, model.biases)
+    if source == "train":
+        ds, table = gen_synthetic(60, 10, 3, 4, 0.1, seed=4)
+        return train(model, ds, TrainConfig(epochs=2, seed=4), table)[0]
+    x = np.random.default_rng(4).normal(size=(6, 13))
+    _, trace = forward(model, x, mode="train", rng=stream_rng(4, 1))
+    grads = backward(model, trace, np.array([[1.0], [0.0]] * 3))
+    return grads if source == "backward" else sgd_step(model, grads, 0.1)
 
 
 class TestCheckpoint:
@@ -588,6 +569,22 @@ class TestCheckpoint:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("source", ["build_model", "from_arrays", "sgd_step", "backward", "train"])
+    def test_every_reachable_model_round_trips(self, tmp_path, source):
+        model = reachable_model(source)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(model, p1)
+        loaded = load_model(p1)
+        save_model(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert loaded.config == model.config
+        assert loaded.params.tobytes() == model.params.tobytes()
+
+    def test_activations_are_written_by_position(self, tmp_path):
+        save_model(build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2))), tmp_path / "m")
+        doc = json.loads((tmp_path / "m").read_text())
+        assert [layer["activation"] for layer in doc["layers"]] == ["relu", "relu", "sigmoid"]
 
     def test_round_trip_preserves_behavior(self, tmp_path):
         model = build_model(ModelConfig(input_dim=6, hidden_widths=(4,), dropout_rate=0.05, seed=2))
@@ -645,19 +642,21 @@ def layer_param_count(shapes):
 
 
 class TestFlatParameters:
-    """Every model and Gradients keeps its parameters in one vector: each
-    layer's weights (row-major), then its bias, first layer first."""
+    """Every parameter set keeps its parameters in one vector: each layer's
+    weights (row-major), then its bias, first layer first."""
 
     @staticmethod
     def assert_views_vector(model):
-        shapes = [layer.weights.shape for layer in model.layers]
+        shapes = [w.shape for w in model.weights]
+        assert shapes == [(rows, cols) for rows, cols in model._shapes]
         assert model.params.shape == (layer_param_count(shapes),)
         assert model.params.dtype == np.float64 and model.params.flags.c_contiguous
-        expected = np.concatenate([a for l in model.layers for a in (l.weights.ravel(), l.bias.ravel())])
+        expected = np.concatenate(
+            [a.ravel() for w, b in zip(model.weights, model.biases) for a in (w, b)]
+        )
         assert model.params.tobytes() == expected.tobytes()
-        for layer in model.layers:
-            assert np.shares_memory(layer.weights, model.params)
-            assert np.shares_memory(layer.bias, model.params)
+        for array in model.weights + model.biases:
+            assert np.shares_memory(array, model.params)
 
     def test_build_model(self):
         self.assert_views_vector(build_model(ModelConfig(input_dim=6, hidden_widths=(5, 3), seed=1)))
@@ -673,66 +672,81 @@ class TestFlatParameters:
         self.assert_views_vector(stepped)
         assert not np.shares_memory(stepped.params, model.params)
 
-    def test_hand_built_model_is_packed_into_a_copy(self):
+    def test_from_arrays_packs_into_a_copy(self):
         weights = np.arange(6.0).reshape(2, 3)
         model = ones_model(3, 2)
-        built = MlpModel(
-            config=model.config,
-            layers=(Layer(np.array(weights), np.array([[7.0, 8.0]]), "relu"), model.layers[1]),
+        built = MlpModel.from_arrays(
+            model.config, [np.array(weights), model.weights[1]], [[[7.0, 8.0]], model.biases[1]]
         )
         self.assert_views_vector(built)
         assert built.params.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 8.0, 1.0, 1.0, 0.0]
         assert not np.shares_memory(built.params, weights)
 
-    def test_gradients_from_backward_and_by_hand_view_one_vector(self):
+    def test_gradients_are_a_parameter_set_of_the_models_layout(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
         _, trace = forward(model, np.ones((2, 4)), mode="eval")
-        by_hand = Gradients((np.ones((3, 4)), np.array([[2.0, 2.0, 2.0]])),
-                            (np.array([[3.0, 3.0, 3.0]]), np.array([[4.0]])))
-        assert by_hand.flat.tolist() == [1.0] * 12 + [3.0] * 3 + [2.0] * 3 + [4.0]
-        for grads in (backward(model, trace, np.array([[1.0], [0.0]])), by_hand):
-            assert grads.flat.shape == model.params.shape
-            for m in grads.d_weights + grads.d_biases:
-                assert np.shares_memory(m, grads.flat)
+        grads = backward(model, trace, np.array([[1.0], [0.0]]))
+        assert isinstance(grads, MlpModel) and grads.config == model.config
+        self.assert_views_vector(grads)
+        assert not np.shares_memory(grads.params, model.params)
 
-    def test_param_buffers_is_a_fresh_set_of_the_models_layout(self):
+    def test_like_is_a_fresh_set_of_the_models_layout(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
-        buffers = param_buffers(model)
-        assert isinstance(buffers, Gradients)
-        assert buffers.flat.shape == model.params.shape
-        assert not np.shares_memory(buffers.flat, model.params)
-        assert [m.shape for m in buffers.d_weights] == [l.weights.shape for l in model.layers]
-        view = model.over(buffers.flat)
-        assert view.params is buffers.flat and view.config == model.config
+        fresh = model.like()
+        assert isinstance(fresh, MlpModel) and fresh.config == model.config
+        assert fresh.params.shape == model.params.shape
+        assert not np.shares_memory(fresh.params, model.params)
+        assert [w.shape for w in fresh.weights] == [w.shape for w in model.weights]
 
     def test_hand_built_non_finite_parameter_names_its_layer(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), seed=2))
-        bias = np.array(model.layers[1].bias)
-        bias[0, 1] = np.nan
-        layers = (model.layers[0], Layer(model.layers[1].weights, bias, "relu"), model.layers[2])
+        biases = list(model.biases)
+        biases[1] = np.array(biases[1])
+        biases[1][0, 1] = np.nan
         with pytest.raises(NumericError, match=r"^layer 1: non-finite parameter nan$"):
-            MlpModel(config=model.config, layers=layers)
+            MlpModel.from_arrays(model.config, model.weights, biases)
 
     def test_parameters_and_outputs_are_read_only(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
         preds, trace = forward(model, np.ones((2, 4)), mode="eval")
         grads = backward(model, trace, np.array([[1.0], [0.0]]))
-        for array in (model.layers[0].weights, model.layers[1].bias, grads.d_weights[0], preds):
+        for array in (model.weights[0], model.biases[1], grads.weights[0], preds):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
 
     def test_rewriting_the_viewed_vector_is_seen_through_the_layers(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
         buffer = np.zeros_like(model.params)
-        view = model.over(buffer)
+        view = MlpModel(model.config, buffer)
         buffer[:] = np.arange(buffer.size)
-        assert view.layers[0].weights[0].tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert view.layers[1].bias.tolist() == [[buffer.size - 1.0]]
+        assert view.weights[0][0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert view.biases[1].tolist() == [[buffer.size - 1.0]]
 
-    def test_over_rejects_a_vector_of_another_size(self):
+    def test_a_vector_of_another_size_is_shape_error(self):
         model = build_model(ModelConfig(input_dim=4, hidden_widths=(3,), seed=2))
+        for size in (model.params.size - 1, model.params.size + 1):
+            with pytest.raises(ShapeError):
+                MlpModel(model.config, np.zeros(size))
+
+    @pytest.mark.parametrize(
+        "input_dim, weight_shapes, bias_shapes",
+        [
+            (3, [(2, 4), (1, 2)], [(1, 2), (1, 1)]),
+            (4, [(4, 2), (1, 2)], [(1, 2), (1, 1)]),
+            (3, [(2, 3)], [(1, 2), (1, 1)]),
+            (3, [(2, 3), (1, 2)], [(1, 2)]),
+            (3, [(2, 3), (1, 2)], [(2,), (1, 1)]),
+        ],
+        ids=["wider-than-the-input", "transposed", "weight-missing", "bias-missing", "flat-bias"],
+    )
+    def test_from_arrays_of_other_shapes_is_shape_error(self, input_dim, weight_shapes, bias_shapes):
+        """Layer shapes come from the config, [input_dim, 2, 1]: arrays of
+        any other shape are rejected, even when the element counts add up."""
+        config = ModelConfig(input_dim=input_dim, hidden_widths=(2,))
         with pytest.raises(ShapeError):
-            model.over(np.zeros(model.params.size + 1))
+            MlpModel.from_arrays(
+                config, [np.ones(s) for s in weight_shapes], [np.zeros(s) for s in bias_shapes]
+            )
 
 
 BLOCK = nn._UPDATE_BLOCK
@@ -741,17 +755,8 @@ BLOCK = nn._UPDATE_BLOCK
 def random_model_and_gradients(config, seed):
     """A model and gradients with normal-random entries, built by hand."""
     rng = np.random.default_rng(seed)
-    base = build_model(config)
-    shapes = [(l.weights.shape, l.bias.shape) for l in base.layers]
-    layers = tuple(
-        Layer(rng.normal(size=ws), rng.normal(size=bs), l.activation)
-        for (ws, bs), l in zip(shapes, base.layers)
-    )
-    grads = Gradients(
-        tuple(rng.normal(size=ws) for ws, _ in shapes),
-        tuple(rng.normal(size=bs) for _, bs in shapes),
-    )
-    return MlpModel(config=config, layers=layers), grads
+    size = build_model(config).params.size
+    return MlpModel(config, rng.normal(size=size)), MlpModel(config, rng.normal(size=size))
 
 
 # Parameter counts below, equal to and above one block; the last two have
@@ -773,7 +778,7 @@ class TestBlockedUpdate:
         assert counts["one-past-a-block"] == BLOCK + 1
         assert counts["three-blocks"] > 2 * BLOCK
         straddle = build_model(BLOCK_CONFIGS["straddling-layers"])
-        first_end = layer_param_count([straddle.layers[0].weights.shape])
+        first_end = layer_param_count([straddle.weights[0].shape])
         assert BLOCK < first_end < straddle.params.size < 2 * BLOCK
 
     @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
@@ -782,15 +787,15 @@ class TestBlockedUpdate:
         model, grads = random_model_and_gradients(BLOCK_CONFIGS[name], seed=len(name))
         lr = 0.037
         expected = [
-            (l.weights - lr * dw, l.bias - lr * db)
-            for l, dw, db in zip(model.layers, grads.d_weights, grads.d_biases)
+            theta - lr * d
+            for theta, d in zip(model.weights + model.biases, grads.weights + grads.biases)
         ]
         before = model.params.tobytes()
-        out = model.over(grads.flat) if into_gradients else None
+        out = grads if into_gradients else None
         stepped = sgd_step(model, grads, lr, out=out)
-        for layer, (w, b) in zip(stepped.layers, expected):
-            assert layer.weights.tobytes() == w.tobytes()
-            assert layer.bias.tobytes() == b.tobytes()
+        assert (stepped is grads) == into_gradients
+        for got, want in zip(stepped.weights + stepped.biases, expected):
+            assert got.tobytes() == want.tobytes()
         assert model.params.tobytes() == before
 
     @pytest.mark.parametrize("name", ["straddling-layers", "three-blocks"])
@@ -800,11 +805,11 @@ class TestBlockedUpdate:
         them ends in."""
         model, grads = random_model_and_gradients(BLOCK_CONFIGS[name], seed=3)
         start = 0
-        for k, layer in enumerate(model.layers):
-            rows, cols = layer.weights.shape
+        for k, w in enumerate(model.weights):
+            rows, cols = w.shape
             bias_start, end = start + rows * cols, start + rows * (cols + 1)
             for index in (start, bias_start - 1, bias_start, end - 1):
-                poisoned = model.over(model.params.copy())
+                poisoned = MlpModel(model.config, model.params.copy())
                 poisoned.params[index] = np.nan
                 before = poisoned.params.tobytes()
                 with pytest.raises(NumericError, match=rf"non-finite in layer {k}$"):
@@ -814,22 +819,21 @@ class TestBlockedUpdate:
 
     def test_first_non_finite_element_wins(self):
         model, grads = random_model_and_gradients(BLOCK_CONFIGS["three-blocks"], seed=4)
-        flat = grads.flat.copy()
+        flat = grads.params.copy()
         flat[-1] = np.inf  # output layer, last block
-        first_end = layer_param_count([model.layers[0].weights.shape])
+        first_end = layer_param_count([model.weights[0].shape])
         flat[first_end + 5] = -np.inf  # layer 1, in the block layer 0 ends in
-        bad = Gradients(grads.d_weights, grads.d_biases, flat)
+        bad = MlpModel(model.config, flat)
         with pytest.raises(NumericError, match="layer 1$"):
             sgd_step(model, bad, 0.5)
 
     def test_update_is_one_pass_without_a_per_layer_loop(self, monkeypatch):
         """A depth-50 update makes one multiply per block, not per layer."""
         model = build_model(ModelConfig(input_dim=20, hidden_widths=tuple(taper_widths(50, 16, 4))))
-        grads = Gradients(tuple(l.weights for l in model.layers), tuple(l.bias for l in model.layers))
         calls = []
         real = np.multiply
         monkeypatch.setattr(nn.np, "multiply", lambda *a, **k: calls.append(1) or real(*a, **k))
-        sgd_step(model, grads, 0.1)
+        sgd_step(model, model, 0.1)
         assert len(calls) == -(-model.params.size // BLOCK) == 1
 
 
@@ -847,8 +851,8 @@ class TestOneDrawMasks:
         one_draw, per_layer = stream_rng(9, 1), stream_rng(9, 1)
         for _ in range(2):  # reuses the workspace
             _, trace = forward(model, x, mode="train", rng=one_draw, out=workspace)
-            for mask, layer in zip(trace.dropout_masks, model.layers):
-                expected = (per_layer.random((rows, layer.weights.shape[0])) >= 0.3) / (1.0 - 0.3)
+            for mask, w in zip(trace.dropout_masks, model.weights):
+                expected = (per_layer.random((rows, w.shape[0])) >= 0.3) / (1.0 - 0.3)
                 assert mask.tobytes() == expected.tobytes()
                 assert np.shares_memory(mask, workspace.masks)
         assert one_draw.random() == per_layer.random()

@@ -10,7 +10,6 @@ from qdelnet.data import Dataset, Question, gen_synthetic, split_train_test
 from qdelnet.errors import ConfigError, InputError
 from qdelnet.features import EmbeddingTable, featurize_batch
 from qdelnet.nn import (
-    Layer,
     MlpModel,
     ModelConfig,
     backward,
@@ -41,7 +40,7 @@ def balanced_dataset(n, name="bal"):
 
 
 def param_bytes(model):
-    return [(layer.weights.tobytes(), layer.bias.tobytes()) for layer in model.layers]
+    return [(w.tobytes(), b.tobytes()) for w, b in zip(model.weights, model.biases)]
 
 
 def hand_loop(model, dataset, config, table, max_words):
@@ -57,7 +56,7 @@ def hand_loop(model, dataset, config, table, max_words):
     curve, norms = [], []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(len(questions))
-        loss_sum, norm_sums, batches = 0.0, np.zeros(len(model.layers)), 0
+        loss_sum, norm_sums, batches = 0.0, np.zeros(len(model.weights)), 0
         for start in range(0, len(questions), config.batch_size):
             idx = order[start : start + config.batch_size]
             yb = y[idx]
@@ -148,8 +147,7 @@ class TestTrain:
         model = build(config)
         out, report = train(model, ds, TrainConfig(epochs=0, seed=1), table)
         assert report.loss_curve == []
-        for before, after in zip(model.layers, out.layers):
-            assert np.array_equal(before.weights, after.weights)
+        assert param_bytes(out) == param_bytes(model)
         assert not report.diverged
 
     def test_separable_toy_reaches_99_percent(self):
@@ -181,8 +179,7 @@ class TestTrain:
         assert r1.loss_curve == r2.loss_curve
         assert r1.final_train_accuracy == r2.final_train_accuracy
         assert r1.final_validation_accuracy == r2.final_validation_accuracy
-        for l1, l2 in zip(m1.layers, m2.layers):
-            assert np.array_equal(l1.weights, l2.weights) and np.array_equal(l1.bias, l2.bias)
+        assert param_bytes(m1) == param_bytes(m2)
 
     def test_streaming_and_cached_paths_identical(self, monkeypatch):
         ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=6)
@@ -192,31 +189,21 @@ class TestTrain:
         monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", 0)
         m2, r2 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table)
         assert r1.loss_curve == r2.loss_curve
-        for l1, l2 in zip(m1.layers, m2.layers):
-            assert np.array_equal(l1.weights, l2.weights)
+        assert param_bytes(m1) == param_bytes(m2)
 
     def test_divergence_aborts_and_flags(self):
         """A model poised at the float ceiling overflows in its first forward
         pass; training must stop immediately, keep the last finite parameters
         and mark the report as diverged at that epoch."""
-        from qdelnet.nn import Layer, MlpModel
-
         ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(16, 8), dropout_rate=0.0, seed=3)
         base = build(config)
-        poisoned = MlpModel(
-            config=config,
-            layers=tuple(
-                Layer(layer.weights * 1e160, layer.bias, layer.activation)
-                for layer in base.layers
-            ),
-        )
+        poisoned = MlpModel.from_arrays(config, [w * 1e160 for w in base.weights], base.biases)
         model, report = train(poisoned, ds, TrainConfig(epochs=10, seed=3), table)
         assert report.diverged
         assert report.diverged_epoch == 0
         assert report.loss_curve == []
-        for layer in model.layers:
-            assert np.isfinite(layer.weights).all()
+        assert np.isfinite(model.params).all()
         assert 0.0 <= report.final_train_accuracy <= 100.0
 
     def test_divergence_in_the_update_keeps_the_last_finite_model(self):
@@ -227,11 +214,7 @@ class TestTrain:
         ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.0, seed=3)
         base = build(config)
-        first = base.layers[0]
-        model = MlpModel(
-            config=config,
-            layers=(Layer(first.weights * 1e3, first.bias, "relu"), base.layers[1]),
-        )
+        model = MlpModel.from_arrays(config, [base.weights[0] * 1e3, base.weights[1]], base.biases)
         evaluate(model, ds, table)  # raises NumericError if the forward pass overflowed
         before = param_bytes(model)
         out, report = train(model, ds, TrainConfig(epochs=3, learning_rate=1e308, seed=3), table)
@@ -256,11 +239,7 @@ class TestTrain:
         ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.1, seed=3)
         base = build(config)
-        first = base.layers[0]
-        model = MlpModel(
-            config=config,
-            layers=(Layer(first.weights * 1e3, first.bias, "relu"), base.layers[1]),
-        )
+        model = MlpModel.from_arrays(config, [base.weights[0] * 1e3, base.weights[1]], base.biases)
         before = model.params.tobytes()
         out, report = train(model, ds, TrainConfig(epochs=2, learning_rate=learning_rate, seed=3), table)
         assert report.diverged == (learning_rate > 1.0)
@@ -269,30 +248,26 @@ class TestTrain:
             assert not np.shares_memory(out.params, model.params)
 
     def test_step_objects_are_built_before_the_loop(self, monkeypatch):
-        """No Layer, model or Gradients is built per step: one epoch and
-        five build the same number."""
+        """No parameter set is built per step: one epoch and five build the
+        same two, train()'s step buffers."""
         import qdelnet.nn as nn
 
-        built = {"Layer": 0, "MlpModel": 0, "Gradients": 0}
-        for name in built:
-            cls = getattr(nn, name)
+        built = []
 
-            def counting(*args, _cls=cls, _name=name, **kwargs):
-                built[_name] += 1
-                return _cls(*args, **kwargs)
+        def counting(*args, **kwargs):
+            built.append(1)
+            return MlpModel(*args, **kwargs)
 
-            monkeypatch.setattr(nn, name, counting)
+        monkeypatch.setattr(nn, "MlpModel", counting)
         ds, table = gen_synthetic(120, 12, 3, 4, 0.2, seed=7)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8, 4), dropout_rate=0.1, seed=7)
         counts = []
         for epochs in (1, 5):
             model = build(config)
-            for name in built:
-                built[name] = 0
+            built.clear()
             train(model, ds, TrainConfig(epochs=epochs, batch_size=8, seed=7), table)
-            counts.append(dict(built))
-        assert counts[0] == counts[1]
-        assert counts[0]["Gradients"] == 2
+            counts.append(len(built))
+        assert counts == [2, 2]
 
     def test_streamed_batches_share_one_feature_buffer(self, monkeypatch):
         # The package binds the name qdelnet.train to the function; fetch the module.
@@ -395,15 +370,10 @@ class TestEvaluate:
     def test_constant_half_output_scores_50_on_balanced(self):
         """All-zero parameters predict exactly 0.5; the tie rule counts those
         as the positive class, so a balanced set scores exactly 50%."""
-        from qdelnet.nn import Layer, MlpModel
-
         ds = balanced_dataset(40)
         table = EmbeddingTable(2, {})
         config = ModelConfig(input_dim=2 * 2 + 1, hidden_widths=(), dropout_rate=0.0, seed=0)
-        model = MlpModel(
-            config=config,
-            layers=(Layer(np.zeros((1, 5)), np.zeros((1, 1)), "sigmoid"),),
-        )
+        model = MlpModel.from_arrays(config, [np.zeros((1, 5))], [np.zeros((1, 1))])
         assert evaluate(model, ds, table) == 50.0
 
     def test_matches_per_example_loop_oracle(self):
@@ -629,7 +599,7 @@ class TestInitialGradientProfile:
         x = featurize_batch(ds.questions[:32], table, 200)
         y = np.array([[float(q.label)] for q in ds.questions[:32]])
         model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(4,), seed=3))
-        layer_0 = model.layers[0].weights.nbytes
+        layer_0 = model.weights[0].nbytes
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -19,9 +19,9 @@ from qdelnet.train import TrainConfig, train
 
 def param_digest(model) -> str:
     h = hashlib.sha256()
-    for layer in model.layers:
-        h.update(layer.weights.tobytes())
-        h.update(layer.bias.tobytes())
+    for weights, bias in zip(model.weights, model.biases):
+        h.update(weights.tobytes())
+        h.update(bias.tobytes())
     return h.hexdigest()
 
 
