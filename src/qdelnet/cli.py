@@ -68,12 +68,12 @@ _PROTOCOL_OPTS = [
     ("dropout", float, ModelConfig.dropout_rate, "dropout rate on hidden activations"),
     ("seed", int, TrainConfig.seed, "root seed for every stochastic stage"),
 ]
+_KEPT = "; its parsed copy is kept beside it in <path>.qdelnet-cache.npz"
 _SOURCE_OPTS = [
     ("synthetic", _FLAG, False, "generate the corpus instead of loading files"),
-    ("train", str, None, "training corpus JSONL path (file mode)"),
-    ("test", str, None, "test corpus JSONL path (file mode)"),
-    ("embeddings", str, None, "embedding table path, word2vec text format (file mode); "
-                              "its parsed copy is kept beside it in <path>.qdelnet-cache.npz"),
+    ("train", str, None, "training corpus JSONL path (file mode)" + _KEPT),
+    ("test", str, None, "test corpus JSONL path (file mode)" + _KEPT),
+    ("embeddings", str, None, "embedding table path, word2vec text format (file mode)" + _KEPT),
     ("dim", int, None, f"embedding dimension (default: {SyntheticSource.dim} synthetic, "
                        f"{FileSource.embedding_dim} file mode)"),
     ("max-words", int, None, f"word slots per feature vector (default: {SyntheticSource.max_words} "
@@ -107,9 +107,8 @@ _OPTIONS: dict[str, list[tuple]] = {
     ],
     "evaluate": [
         ("model", str, None, "model checkpoint path (required)"),
-        ("data", str, None, "corpus JSONL path (required)"),
-        ("embeddings", str, None, "embedding table path (required); its parsed copy is kept "
-                                  "beside it in <path>.qdelnet-cache.npz"),
+        ("data", str, None, "corpus JSONL path (required)" + _KEPT),
+        ("embeddings", str, None, "embedding table path (required)" + _KEPT),
         ("dim", int, FileSource.embedding_dim, "embedding dimension"),
     ],
     "sweep": [

@@ -6,20 +6,27 @@ JSONL schema (one object per line, UTF-8):
     text             string, required
     weak_annotation  number in [0,1], optional, default 0.0 (clamped if outside)
     label            0 (kept) or 1 (deleted), required
+
+load_dataset caches each corpus it parses, as load_embeddings caches tables.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, ValidationError, not_utf8
 from .features import EmbeddingTable, tokenize
+from .features import _CACHE_SUFFIX, _HashingFile, _read_cache, _write_cache
 from .seeding import SYNTH, stream_rng
 
 __all__ = [
@@ -30,6 +37,11 @@ __all__ = [
     "gen_synthetic",
     "split_train_test",
 ]
+
+_CACHE_VERSION = 1  # raise it with any change in what load_dataset returns (see tokenize)
+_CHUNK_CHARS = 1 << 16  # text per cache chunk, so that a hit's temporaries stay this small
+_RECORD = np.dtype([("id", "<u8"), ("text", "<u8"), ("joined", "<u8"), ("tokens", "<u8"),
+                    ("label", "u1"), ("annotation", "<f8")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,12 +112,20 @@ def load_dataset(path) -> Dataset:
 
     Each line is scanned once by json.loads' scanner; a line it cannot take
     whole goes through json.loads, so errors keep json's text.
+
+    A regular file's corpus is cached as the features module docstring says,
+    under _CACHE_VERSION and the SHA-256 of the bytes parsed; a file that
+    clamps an annotation, and so warns, is never cached.
     """
+    cache = f"{path}{_CACHE_SUFFIX}" if Path(path).is_file() else None
+    if cache and (hit := _read_cache(path, cache, _CACHE_VERSION, _cached_questions)) is not None:
+        with contextlib.suppress(ValidationError):  # a cache holding a duplicate id is ignored
+            return Dataset(tuple(hit), name=Path(path).stem)
     questions = []
-    seen: set[str] = set()
+    seen, clamped = set(), False
     scan = json.JSONDecoder().scan_once  # json.loads' settings
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _HashingFile(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -139,6 +159,7 @@ def load_dataset(path) -> Dataset:
                     annotation = math.inf
                 if not math.isfinite(annotation):
                     raise ValidationError(f"line {lineno}: weak_annotation must be finite")
+                clamped = clamped or not 0.0 <= annotation <= 1.0  # warns: never cache it
                 if qid in seen:
                     raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
                 seen.add(qid)
@@ -148,7 +169,60 @@ def load_dataset(path) -> Dataset:
     except UnicodeDecodeError:
         raise not_utf8(path) from None
     del seen  # Dataset checks the ids again; do not hold two id sets at once
+    if cache and not clamped:  # the parse checked the ids, so Dataset cannot refuse them
+        _write_cache(path, cache, _CACHE_VERSION, raw.sha256, _cache_members(questions))
     return Dataset(tuple(questions), name=Path(path).stem)
+
+
+def _cache_members(questions: list[Question]):
+    """A corpus cache's (name, array) pairs, a chunk at a time: `s{k}` holds chunk k's ids,
+    texts and, unless they are the texts, space-joined tokens in UTF-8 (surrogates passed);
+    `r{k}` a _RECORD per question: their lengths in code points, tokens, label, annotation."""
+    n, ids, texts = len(questions), [q.id for q in questions], [q.text for q in questions]
+    tokens = [q.tokens for q in questions]
+    records = np.empty(n, _RECORD)
+    for field, values in (("id", ids), ("text", texts), ("tokens", tokens)):
+        records[field] = np.fromiter(map(len, values), np.int64, n)
+    records["label"] = np.fromiter([q.label for q in questions], np.uint8, n)
+    records["annotation"] = np.fromiter([q.weak_annotation for q in questions], np.float64, n)
+    ends, start, k = np.cumsum(records["text"]), 0, 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _CHUNK_CHARS, "right")))
+        joined = list(map(" ".join, tokens[start:stop]))  # a token holds no whitespace
+        records["joined"][start:stop] = np.fromiter(map(len, joined), np.int64, len(joined))
+        strings = "".join(ids[start:stop]) + "".join(texts[start:stop])
+        strings += "" if joined == texts[start:stop] else "".join(joined)  # unless the texts
+        yield f"s{k}", np.frombuffer(strings.encode("utf-8", "surrogatepass"), np.uint8)
+        yield f"r{k}", records[start:stop]
+        start, k = stop, k + 1
+    yield "chunks", np.int64(k)
+
+
+def _cached_questions(npz) -> list[Question] | None:
+    """The questions of a cache whose key matched, or None if it is bad. As in a parse, tokens
+    are interned a question at a time, into tuples of lists (which keep no spare slots)."""
+    if len(npz.files) != 3 + 2 * (chunks := npz["chunks"].tolist()):
+        return None
+    questions: list[Question] = []
+    for k in range(chunks):
+        strings, records = npz[f"s{k}"], npz[f"r{k}"]
+        text, n = str(strings.data, "utf-8", "surrogatepass"), len(records)
+        bounds = list(accumulate(sum((records[f].tolist() for f in ("id", "text", "joined")), []),
+                                 initial=0))
+        shift = 0 if bounds[-1] == len(text) else bounds[2 * n] - bounds[n]  # tokens are texts
+        tokens = [tuple(list(map(sys.intern, text[a - shift : b - shift].split())))
+                  for a, b in pairwise(bounds[2 * n :])]
+        if not (strings.dtype == np.uint8 and records.dtype == _RECORD and records.ndim == 1
+                and bounds[-1] - shift == len(text) and records["label"].max(initial=0) <= 1
+                and (not shift or np.array_equal(records["joined"], records["text"]))
+                and list(map(len, tokens)) == records["tokens"].tolist()
+                and ((records["annotation"] >= 0.0) & (records["annotation"] <= 1.0)).all()):
+            return None
+        questions.extend(map(Question, *([text[a:b] for a, b in pairwise(bounds[i : i + n + 1])]
+                                         for i in (0, n)),
+                             records["annotation"].tolist(), records["label"].tolist(), tokens))
+        del strings, records, text, bounds, tokens
+    return questions
 
 
 def save_dataset(dataset: Dataset, path) -> None:

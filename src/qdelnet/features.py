@@ -10,10 +10,11 @@ indistinguishable. featurize_batch builds the features by copying rows of
 that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
 
-load_embeddings keeps each table it parses from a regular file in
-`<file>.qdelnet-cache.npz`, keyed by the SHA-256 of the file's bytes and the
-cache format's version, and reads that while both match. A cache that cannot
-be read or written is ignored.
+load_embeddings and data.load_dataset keep what they parse from a regular
+file in `<file>.qdelnet-cache.npz`, with the file's permissions, keyed by a
+format version and the SHA-256 of the file's bytes, and read that while both
+match. What fails to parse is never cached; a cache that cannot be read or
+written, or fails its structural check, is ignored.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import string
 import sys
 import tempfile
 import zipfile
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +63,9 @@ def tokenize(text: str) -> list[str]:
     (e.g. the apostrophe in "don't") survives. Tokens are interned
     (sys.intern), so every occurrence of a word in a corpus, and the word's
     key in an EmbeddingTable, is one string object.
+
+    load_dataset caches tokens: raise data._CACHE_VERSION with any change to
+    this function, to what load_dataset accepts or to Question's normalisation.
     """
     out = []
     for raw in text.lower().split():
@@ -144,16 +149,13 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     no per-word array and no second copy of the table is made. A duplicate is
     parsed into the next free row too, which the next new word reuses.
 
-    The table of a regular file is cached beside it in
-    `<path>.qdelnet-cache.npz`, with the file's permissions, keyed by the
-    SHA-256 of the bytes parsed and by _CACHE_VERSION; it is returned while
-    both match, at the same `expected_dim`. A table that fails to parse is
-    never cached; a cache that cannot be read or written, or fails its
-    structural check, is ignored.
+    The table of a regular file is cached, as the module docstring says,
+    under _CACHE_VERSION, and read at the same `expected_dim` only.
     """
     _check_dim(expected_dim)
-    cache = os.fspath(path) + _CACHE_SUFFIX if os.path.isfile(path) else None
-    if cache and (table := _read_cache(path, cache, expected_dim)) is not None:
+    cache = f"{path}{_CACHE_SUFFIX}" if os.path.isfile(path) else None
+    if cache and (table := _read_cache(path, cache, _CACHE_VERSION,
+                                       lambda npz: _cached_table(npz, expected_dim))) is not None:
         return table
     matrix = np.zeros((_FIRST_ROWS, expected_dim))
     rows: dict[str, int] = {}
@@ -192,19 +194,9 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
         raise not_utf8(path) from None
     matrix.resize((len(rows) + 1, expected_dim), refcheck=False)
     table = EmbeddingTable._of(matrix, rows)
-    if cache:  # through a temporary file beside it, with the table's read/write permissions
-        with contextlib.suppress(OSError):  # e.g. a read-only directory
-            fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
-            try:
-                with os.fdopen(fd, "wb") as out:
-                    os.fchmod(fd, os.stat(path).st_mode & 0o666)
-                    np.savez(out, version=np.uint8(_CACHE_VERSION), matrix=table._matrix,
-                             sha256=np.frombuffer(raw.sha256.digest(), np.uint8),
-                             words=np.frombuffer("\n".join(rows).encode(), np.uint8))
-                os.replace(tmp, cache)
-            except BaseException:
-                os.unlink(tmp)
-                raise
+    if cache:
+        _write_cache(path, cache, _CACHE_VERSION, raw.sha256, [
+            ("matrix", matrix), ("words", np.frombuffer("\n".join(rows).encode(), np.uint8))])
     return table
 
 
@@ -221,21 +213,44 @@ class _HashingFile(io.FileIO):
         return data
 
 
-def _read_cache(path, cache: str, dim: int) -> EmbeddingTable | None:
-    """The table cached for the file's current bytes, or None. The key is
-    checked first, so that a stale cache costs one hash and no matrix read."""
+def _read_cache(path, cache: str, version: int, decode: Callable):
+    """decode(npz) of the cache kept for the file's bytes, or None if it cannot
+    be read or decode finds it bad. A stale cache costs one hash: no other read."""
     try:
         with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz, \
                 _HashingFile(path) as file:
-            while file.read(1 << 20):
+            while file.read(1 << 16):
                 pass
             if (npz["version"].tolist(), npz["sha256"].tobytes()) != (
-                    _CACHE_VERSION, file.sha256.digest()):
+                    version, file.sha256.digest()):
                 return None
-            # No word holds a line break: str.split() broke the line at each one.
-            matrix, words = npz["matrix"], npz["words"].tobytes().decode().splitlines()
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+            return decode(npz)
+    except (OSError, ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
         return None
+
+
+def _write_cache(path, cache: str, version: int, sha256, members: Iterable) -> None:
+    """Write the key and each (name, array) of `members` to `cache` through a
+    temporary file, with the read/write permissions of `path`, or nothing."""
+    key = [("version", np.uint8(version)), ("sha256", np.frombuffer(sha256.digest(), np.uint8))]
+    with contextlib.suppress(OSError):  # e.g. a read-only directory
+        fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
+        try:
+            with os.fdopen(fd, "wb") as out, zipfile.ZipFile(out, "w") as npz:
+                os.fchmod(fd, os.stat(path).st_mode & 0o666)
+                for name, array in itertools.chain(key, members):  # as np.savez writes them
+                    with npz.open(name + ".npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+            os.replace(tmp, cache)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _cached_table(npz, dim: int) -> EmbeddingTable | None:
+    """The table of a cache whose key matched, or None if it fails its structural
+    check. No word holds a line break: str.split() broke the line at each one."""
+    matrix, words = npz["matrix"], npz["words"].tobytes().decode().splitlines()
     rows = {sys.intern(word): row for row, word in enumerate(words, start=1)}
     if not (matrix.dtype == np.float64 and matrix.shape == (len(words) + 1, dim)
             and len(rows) == len(words) and not matrix[0].view(np.uint64).any()

@@ -103,10 +103,11 @@ def _layer_shapes(config: ModelConfig) -> Shapes:
 
 
 def _layer_views(flat: np.ndarray, shapes: Shapes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weights, bias) views of a parameter vector laid out for `shapes`,
-    one pair per layer, first layer first."""
-    if flat.shape != (sum(rows * (cols + 1) for rows, cols in shapes),):
-        raise ShapeError(f"parameter vector of shape {flat.shape} does not fit layers {shapes}")
+    """(weights, bias) views of a float64 parameter vector laid out for
+    `shapes`, one pair per layer, first layer first."""
+    dtype = getattr(flat, "dtype", type(flat).__name__)
+    if dtype != np.float64 or flat.shape != (sum(rows * (cols + 1) for rows, cols in shapes),):
+        raise ShapeError(f"{dtype} parameter vector {np.shape(flat)} does not fit layers {shapes}")
     views, start = [], 0
     for rows, cols in shapes:
         mid = start + rows * cols
@@ -131,8 +132,8 @@ class MlpModel:
     width; hidden layers are ReLU and the last is the sigmoid, by position.
     `weights[k]` (out x in) and `biases[k]` (1 x out) are read-only views of
     `params`, whose owner may still rewrite it (train() does) and the views
-    see that. A vector of another size raises ShapeError. Parameters come
-    from build_model, from_arrays, like, sgd_step and backward.
+    see that. Anything but a float64 vector of this size raises ShapeError.
+    Parameters come from build_model, from_arrays, like, sgd_step and backward.
     """
 
     config: ModelConfig
@@ -146,13 +147,14 @@ class MlpModel:
 
     def __post_init__(self):
         shapes = _layer_shapes(self.config)
+        arrays = _layer_views(self.params, shapes)
         frozen = self.params.view()
         frozen.flags.writeable = False
         weights, biases = zip(*_layer_views(frozen, shapes))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "_shapes", shapes)
-        object.__setattr__(self, "_arrays", _layer_views(self.params, shapes))
+        object.__setattr__(self, "_arrays", arrays)
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, weights, biases) -> "MlpModel":

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from qdelnet.data import (
     save_dataset,
     split_train_test,
 )
+import qdelnet.data
+import qdelnet.features
 from qdelnet.errors import ConfigError, ParseError, ValidationError
 from qdelnet.features import tokenize
 from qdelnet.nn import ModelConfig
@@ -267,6 +272,215 @@ class TestLoadDatasetFastPath:
         loaded = load_dataset(path).questions
         assert [(q.id, q.tokens) for q in loaded] == [("a", ("a", "b")), ("b", ("b", "a")),
                                                       ("c", ())]
+
+
+def cache_of(path):
+    return path.with_name(path.name + ".qdelnet-cache.npz")
+
+
+def cached_arrays(path):
+    with np.load(cache_of(path)) as npz:
+        return dict(npz)
+
+
+def assert_same_dataset(loaded: Dataset, parsed: Dataset):
+    """Equal name and questions, in order, with the very same token strings
+    and a float annotation and int label in each question."""
+    assert loaded.name == parsed.name
+    assert loaded.questions == parsed.questions
+    for a, b in zip(loaded.questions, parsed.questions):
+        assert all(x is y for x, y in zip(a.tokens, b.tokens))
+        assert type(a.weak_annotation) is float and type(a.label) is int
+
+
+# Ids and texts that survive only if lengths count code points and surrogates
+# pass: line breaks, NULs, spaces, lone surrogates (also a high one ending an id
+# before a low one starting its text), no tokens at all, and tokens that are
+# and are not the text joined by spaces.
+CORPUS = [
+    {"id": "q1", "text": "plain words here", "weak_annotation": 0.25, "label": 0},
+    {"id": "q2", "text": "Mixed CASE, with punctuation!", "label": 1},
+    {"id": "q\n3", "text": "?! ...", "weak_annotation": 1, "label": 0},
+    {"id": " q 4\x00", "text": "", "weak_annotation": 0.0, "label": 1},
+    {"id": "\ud800", "text": "lone \ud800 surrogate \udfff", "weak_annotation": 0.5, "label": 0},
+    {"id": "q\ud83d", "text": "\ude00 split pair", "weak_annotation": 0.75, "label": 1},
+    {"id": "\u00fc", "text": "\u00dcn\u00efcode \u00c9COLE \u00df\u2028x\x00y", "label": 1},
+]
+
+
+def write_corpus(tmp_path, records=CORPUS, name="c.jsonl"):
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+class TestCache:
+    """load_dataset keeps each parsed corpus beside its file, keyed by the
+    SHA-256 of the file's bytes."""
+
+    @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
+    def test_a_hit_does_not_scan_or_tokenize(self, tmp_path, monkeypatch, chunk_chars):
+        monkeypatch.setattr(qdelnet.data, "_CHUNK_CHARS", chunk_chars)
+        path = write_corpus(tmp_path)
+        parsed = load_dataset(path)
+        assert cache_of(path).is_file()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the corpus was parsed")
+
+        monkeypatch.setattr(qdelnet.data, "tokenize", fail)
+        monkeypatch.setattr(qdelnet.data.json, "JSONDecoder", fail)
+        monkeypatch.setattr(qdelnet.data.json, "loads", fail)
+        assert_same_dataset(load_dataset(path), parsed)
+        assert [q.id for q in parsed] == [r["id"] for r in CORPUS]
+        assert [q.text for q in parsed] == [r["text"] for r in CORPUS]
+
+    def test_a_hit_still_validates_through_question_and_dataset(self, tmp_path, monkeypatch):
+        path = write_corpus(tmp_path)
+        load_dataset(path)
+        assert cache_of(path).is_file()
+        built, checked = [], []
+        post, dataset_post = Question.__post_init__, Dataset.__post_init__
+        monkeypatch.setattr(Question, "__post_init__", lambda q: built.append(q) or post(q))
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda d: checked.append(d) or dataset_post(d))
+        dataset = load_dataset(path)
+        assert built == list(dataset.questions) and checked == [dataset]
+
+    def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"a","text":"cat","label":0}\n')
+        load_dataset(path)
+        before = path.stat()
+        path.write_text('{"id":"a","text":"dog","label":1}\n')
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        for _ in range(2):  # a parse, then the new cache
+            (q,) = load_dataset(path).questions
+            assert (q.text, q.tokens, q.label) == ("dog", ("dog",), 1)
+        assert cache_of(path).is_file()
+
+    @pytest.mark.parametrize("cache", [
+        "truncated", "garbage", "empty", "other-version", "object-array", "missing-member",
+        "extra-member", "wrong-dtype", "fewer-chunks", "inconsistent-lengths",
+        "huge-length", "token-count", "label-2", "annotation-nan", "annotation-1.5",
+        "duplicate-id"])
+    def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
+        path = write_corpus(tmp_path)
+        expected = load_dataset(path)
+        good = cache_of(path).read_bytes()
+        arrays = cached_arrays(path)
+        strings, records = arrays["s0"], arrays["r0"].copy()
+        fields = {"inconsistent-lengths": ("id", 0, 1), "huge-length": ("text", 3, 2**64 - 1),
+                  "token-count": ("tokens", 0, 1), "label-2": ("label", 0, 2),
+                  "annotation-nan": ("annotation", 0, np.nan),
+                  "annotation-1.5": ("annotation", 0, 1.5)}
+        if cache in fields:
+            field, row, value = fields[cache]
+            records[field][row] = (records[field][row] + value if field in ("id", "tokens")
+                                   else value)
+        edits = {
+            "other-version": {"version": arrays["version"] + 1},
+            "object-array": {"s0": np.array(["q1"], dtype=object)},
+            "extra-member": {"x": np.zeros(1)},
+            "wrong-dtype": {"s0": strings.astype(np.int16)},
+            "fewer-chunks": {"chunks": arrays["chunks"] - 1},
+            "duplicate-id": {"s0": np.frombuffer(strings.tobytes().replace(b"q2", b"q1", 1),
+                                                 np.uint8)},
+            **{name: {"r0": records} for name in fields},
+        }
+        with open(cache_of(path), "wb") as fh:
+            if cache in edits:
+                np.savez(fh, **{**arrays, **edits[cache]})
+            elif cache == "missing-member":
+                np.savez(fh, **{k: v for k, v in arrays.items() if k != "r0"})
+            else:
+                fh.write({"truncated": good[: len(good) // 2], "garbage": b"not a cache\n",
+                          "empty": b""}[cache])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cached annotation of 1.5 is not clamped
+            assert_same_dataset(load_dataset(path), expected)
+        replaced = cached_arrays(path)
+        assert {k: v.tobytes() for k, v in replaced.items()} == {
+            k: v.tobytes() for k, v in arrays.items()}
+
+    @pytest.mark.parametrize("edit", ["joined-lengths", "text-lengths"])
+    def test_a_bad_cache_of_texts_that_are_their_tokens(self, tmp_path, edit):
+        """Tokens that, joined by spaces, are the texts are not stored again."""
+        path = write_corpus(tmp_path, [{"id": "a", "text": "x y", "label": 0},
+                                       {"id": "b", "text": "zz", "label": 1}])
+        expected = load_dataset(path)
+        arrays = cached_arrays(path)
+        assert arrays["s0"].tobytes() == b"abx yzz"
+        records = arrays["r0"].copy()
+        field = {"joined-lengths": "joined", "text-lengths": "text"}[edit]
+        records[field][0] += 1
+        records[field][1] -= 1  # the lengths still sum to the strings
+        with open(cache_of(path), "wb") as fh:
+            np.savez(fh, **{**arrays, "r0": records})
+        assert_same_dataset(load_dataset(path), expected)
+        assert cached_arrays(path)["r0"].tobytes() == arrays["r0"].tobytes()
+
+    @pytest.mark.parametrize("text, error, message", [
+        ('{"id":"a","text":"b","label":0}\nnot json\n', ParseError,
+         "line 2: invalid JSON (Expecting value)"),
+        ('{"id":"a","text":"b","label":0}\n{"id":"a","text":"c","label":1}\n',
+         ValidationError, "line 2: duplicate question id 'a'"),
+    ])
+    def test_a_file_that_fails_is_never_cached(self, tmp_path, text, error, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text(text)
+        good = write_corpus(tmp_path, name="good.jsonl")
+        load_dataset(good)
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                load_dataset(path)
+            assert str(info.value) == message
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.jsonl", "good.jsonl", "good.jsonl.qdelnet-cache.npz"]
+
+    def test_a_clamping_file_warns_on_every_load(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id":"a","text":"b","weak_annotation":1.5,"label":0}\n')
+        good = write_corpus(tmp_path, name="good.jsonl")
+        load_dataset(good)
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="clamped to 1.0"):
+                assert load_dataset(path).questions[0].weak_annotation == 1.0
+        assert not cache_of(path).exists() and cache_of(good).is_file()
+
+    def test_a_failed_write_returns_the_dataset_and_leaves_no_file(self, tmp_path, monkeypatch):
+        path = write_corpus(tmp_path)
+        refused = []
+
+        def refuse(src, dst):
+            refused.append(dst)
+            raise OSError("refused")
+
+        monkeypatch.setattr(qdelnet.features.os, "replace", refuse)
+        assert len(load_dataset(path)) == len(CORPUS)
+        assert refused == [str(cache_of(path))]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664], ids=oct)
+    def test_the_cache_takes_the_corpus_permissions(self, tmp_path, mode):
+        path = write_corpus(tmp_path)
+        path.chmod(mode)
+        load_dataset(path)
+        assert cache_of(path).stat().st_mode & 0o777 == mode
+
+    def test_a_pipe_is_parsed_and_never_cached(self, tmp_path):
+        regular, pipe = write_corpus(tmp_path), tmp_path / "pipe.jsonl"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(regular.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        loaded = load_dataset(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.questions == load_dataset(regular).questions
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.jsonl", "c.jsonl.qdelnet-cache.npz", "pipe.jsonl"]
 
 
 class TestCheckBalance:

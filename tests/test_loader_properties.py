@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdelnet import errors
 from qdelnet import cli
 from qdelnet.cli import parse_and_dispatch
-from qdelnet.data import gen_synthetic, load_dataset, save_dataset
+from qdelnet.data import Dataset, gen_synthetic, load_dataset, save_dataset
 from qdelnet.errors import NumericError, ParseError, ValidationError
 from qdelnet.experiment import rows_from_run_files
 from qdelnet.features import load_embeddings, save_embeddings
@@ -34,6 +34,11 @@ PACKAGE_ERRORS = (
 )
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+# Ids and texts that only survive a corpus cache if its lengths count code
+# points and its encoding lets lone surrogates through.
+ODD_TEXT = st.text(st.sampled_from(["a", "B", " ", "\n", "\x00", "\ud800", "\udfff", "\u00e9",
+                                    "?", "\u2028"]), max_size=6)
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -93,6 +98,34 @@ def assert_load_and_cli_agree(files, load, target):
         code, err = evaluate_cli(files, **{target: files["bad"]})
     assert code in (0, 2)
     assert code == 0 or err.startswith("error: ")
+
+
+def assert_miss_and_hit_agree(path):
+    """Load a corpus with no cache beside it, then again: the two loads raise
+    the same error, or give equal datasets whose tokens are the same strings.
+    A load that returns without a warning leaves a cache, which the second
+    load reads."""
+    cache = path.with_name(path.name + ".qdelnet-cache.npz")
+    cache.unlink(missing_ok=True)
+    outcomes = []
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)  # annotations outside [0, 1]
+            try:
+                outcomes.append((load_dataset(path), len(caught)))
+            except PACKAGE_ERRORS as exc:
+                outcomes.append((type(exc), str(exc)))
+        if not cache.exists():
+            assert not isinstance(outcomes[0][0], Dataset) or outcomes[0][1] > 0
+    (first, warned), (second, warned_again) = outcomes
+    if not isinstance(first, Dataset):
+        assert (first, warned) == (second, warned_again)
+        return
+    assert warned == warned_again and second.name == first.name
+    assert second.questions == first.questions
+    for a, b in zip(first.questions, second.questions):
+        assert all(x is y for x, y in zip(a.tokens, b.tokens))
+        assert (type(b.weak_annotation), type(b.label)) == (float, int)
 
 
 def replaced(doc, path, value):
@@ -219,8 +252,8 @@ class TestLoaderProperties:
     @PROPERTY
     @given(lines=st.lists(
         st.fixed_dictionaries({}, optional={
-            "id": st.text(max_size=3) | JSON_VALUES,
-            "text": st.text(max_size=12) | JSON_VALUES,
+            "id": st.text(max_size=3) | ODD_TEXT | JSON_VALUES,
+            "text": st.text(max_size=12) | ODD_TEXT | JSON_VALUES,
             "label": st.sampled_from([0, 1]) | JSON_VALUES,
             "weak_annotation": st.floats() | JSON_VALUES,
         }).map(json.dumps) | JSON_VALUES.map(json.dumps) | st.text(max_size=12),
@@ -229,6 +262,7 @@ class TestLoaderProperties:
     def test_corpus_of_json_shaped_lines(self, files, lines):
         files["bad"].write_text("\n".join(lines), encoding="utf-8")
         assert_load_and_cli_agree(files, load_dataset, "data")
+        assert_miss_and_hit_agree(files["bad"])
 
     @PROPERTY
     @given(raw=st.binary(max_size=300))

@@ -728,6 +728,17 @@ class TestFlatParameters:
             with pytest.raises(ShapeError):
                 MlpModel(model.config, np.zeros(size))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_a_vector_of_another_dtype_is_shape_error(self, dtype):
+        config = ModelConfig(input_dim=3, hidden_widths=(2,), dropout_rate=0.0)
+        with pytest.raises(ShapeError, match=f"^{np.dtype(dtype).name} parameter vector "):
+            MlpModel(config, np.arange(11, dtype=dtype))
+
+    def test_a_list_is_shape_error(self):
+        config = ModelConfig(input_dim=3, hidden_widths=(2,), dropout_rate=0.0)
+        with pytest.raises(ShapeError, match="^list parameter vector "):
+            MlpModel(config, [0.0] * 11)
+
     @pytest.mark.parametrize(
         "input_dim, weight_shapes, bias_shapes",
         [

@@ -1,13 +1,21 @@
-"""CPU time and peak memory of data.load_dataset on three corpus shapes.
+"""CPU time and peak memory of one data.load_dataset call that misses the
+corpus cache and one that hits it, on three corpus shapes.
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/load_probe.py --seed N [--rounds R] [--loads L] SRC...
+    OPENBLAS_NUM_THREADS=1 python3 tools/load_probe.py --seed N [--rounds R] SRC...
 
 Each SRC is a directory holding the qdelnet package (a checkout's src/). The
 probe writes three 100,000-question corpora from --seed, then, for R rounds,
-loads each corpus in a fresh process per SRC, taking the SRCs in turn and
-reversing their order every other round. A process loads its corpus L times
-and prints the CPU seconds of each load and its VmHWM (peak resident MB,
-from /proc/self/status; Linux only). Corpora:
+for each corpus and each SRC, taking the SRCs in turn and reversing their
+order every other round:
+
+- miss: deletes the corpus's cache (`<file>.qdelnet-cache.npz`) and loads
+  the corpus once in a fresh process, which parses it and writes the cache;
+- hit: loads it once more in another fresh process, which reads the cache.
+
+A checkout without the corpus cache parses the file both times. Each
+process prints the CPU seconds of its load and its VmHWM (peak resident MB,
+from /proc/self/status; Linux only); a last table gives the medians over the
+rounds. Corpora:
 
 - score: gen_synthetic as the score benchmark makes it (vocab 200, max_words
   12): lowercase words that repeat on nearly every line.
@@ -16,15 +24,12 @@ from /proc/self/status; Linux only). Corpora:
   upper-case words, punctuation at word ends and alone ('-', '?', '{'),
   code-like tokens (`name.attr()`, `name_12`) and numbers.
 - unique: 12 words a line, no raw token used twice: every token is new.
-
-For each corpus it also prints the share of raw tokens (lowercased,
-whitespace-split) met earlier in the file, and the share of lines made only
-of such tokens: what a per-load raw token -> token cache could serve.
 """
 
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -94,40 +99,21 @@ def write_corpora(seed: int, out: Path) -> None:
                                      "label": i % 2}) + "\n")
 
 
-def hit_shares(path: Path) -> tuple[float, float]:
-    seen: set[str] = set()
-    hits = total = full_lines = lines = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            raws = json.loads(line)["text"].lower().split()
-            new = sum(raw not in seen for raw in raws)
-            seen.update(raws)
-            hits += len(raws) - new
-            total += len(raws)
-            full_lines += not new
-            lines += 1
-    return hits / total, full_lines / lines
-
-
-def load(path: str, loads: int) -> None:
+def load(path: str) -> None:
     from qdelnet import load_dataset
 
-    times = []
-    for _ in range(loads):
-        start = time.process_time()
-        dataset = load_dataset(path)
-        times.append(time.process_time() - start)
-        del dataset
+    start = time.process_time()
+    load_dataset(path)
+    seconds = time.process_time() - start
     hwm = next(int(line.split()[1]) for line in open("/proc/self/status")
                if line.startswith("VmHWM:"))
-    print(" ".join(f"{t:.3f}" for t in times), f"{hwm / 1024:.1f}")
+    print(f"{seconds:.3f} {hwm / 1024:.1f}")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--rounds", type=int, default=2)
-    parser.add_argument("--loads", type=int, default=3)
+    parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--write", help=argparse.SUPPRESS)  # the children's jobs
     parser.add_argument("--load", help=argparse.SUPPRESS)
     parser.add_argument("src", nargs="+")
@@ -136,26 +122,37 @@ def main() -> None:
         write_corpora(args.seed, Path(args.write))
         return
     if args.load is not None:
-        load(args.load, args.loads)
+        load(args.load)
         return
     srcs = [str(Path(src).resolve()) for src in args.src]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    runs: dict[tuple[str, int], list[list[float]]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, __file__, "--seed", str(args.seed), "--write", tmp,
                         srcs[0]], env={**env, "PYTHONPATH": srcs[0]}, check=True)
-        for shape in SHAPES:
-            tokens, lines = hit_shares(Path(tmp) / f"{shape}.jsonl")
-            print(f"{shape:<8} raw tokens met before {tokens:6.1%}, lines all met {lines:6.1%}")
-        print("corpus   round  src  CPU s per load  VmHWM MB")
+        print("corpus   round  src  miss CPU s  VmHWM MB  hit CPU s  VmHWM MB")
         for r in range(args.rounds):
             order = list(enumerate(srcs))
             for shape in SHAPES:
+                corpus = Path(tmp) / f"{shape}.jsonl"
                 for k, src in order if r % 2 == 0 else order[::-1]:
-                    done = subprocess.run(
-                        [sys.executable, __file__, "--seed", str(args.seed), "--loads",
-                         str(args.loads), "--load", f"{tmp}/{shape}.jsonl", src],
-                        env={**env, "PYTHONPATH": src}, check=True, capture_output=True, text=True)
-                    print(f"{shape:<8} {r:>5}  {k:>3}  {done.stdout.strip()}")
+                    corpus.with_name(corpus.name + ".qdelnet-cache.npz").unlink(missing_ok=True)
+                    figures = []
+                    for _ in ("miss", "hit"):
+                        done = subprocess.run(
+                            [sys.executable, __file__, "--seed", str(args.seed), "--load",
+                             str(corpus), src],
+                            env={**env, "PYTHONPATH": src}, check=True, capture_output=True,
+                            text=True)
+                        figures += map(float, done.stdout.split())
+                    runs.setdefault((shape, k), []).append(figures)
+                    print(f"{shape:<8} {r:>5}  {k:>3}  {figures[0]:>10.3f}  {figures[1]:>8.1f}"
+                          f"  {figures[2]:>9.3f}  {figures[3]:>8.1f}")
+    print("medians")
+    for (shape, k), rows in runs.items():
+        medians = [statistics.median(column) for column in zip(*rows)]
+        print(f"{shape:<8} {'':>5}  {k:>3}  {medians[0]:>10.3f}  {medians[1]:>8.1f}"
+              f"  {medians[2]:>9.3f}  {medians[3]:>8.1f}")
 
 
 if __name__ == "__main__":
