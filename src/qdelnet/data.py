@@ -40,8 +40,8 @@ __all__ = [
 
 _CACHE_VERSION = 1  # raise it with any change in what load_dataset returns (see tokenize)
 _CHUNK_CHARS = 1 << 16  # text per cache chunk, so that a hit's temporaries stay this small
-_RECORD = np.dtype([("id", "<u8"), ("text", "<u8"), ("joined", "<u8"), ("tokens", "<u8"),
-                    ("label", "u1"), ("annotation", "<f8")])
+_RECORD = np.dtype([("id", "<u8"), ("text", "<u8"), ("tokens", "<u8"), ("label", "u1"),
+                    ("annotation", "<f8")])
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,8 +176,9 @@ def load_dataset(path) -> Dataset:
 
 def _cache_members(questions: list[Question]):
     """A corpus cache's (name, array) pairs, a chunk at a time: `s{k}` holds chunk k's ids,
-    texts and, unless they are the texts, space-joined tokens in UTF-8 (surrogates passed);
-    `r{k}` a _RECORD per question: their lengths in code points, tokens, label, annotation."""
+    then its texts, and `t{k}` a line per question of its tokens joined by spaces, both in
+    UTF-8 (surrogates passed); `r{k}` a _RECORD per question: id and text lengths in code
+    points, token count, label and annotation."""
     n, ids, texts = len(questions), [q.id for q in questions], [q.text for q in questions]
     tokens = [q.tokens for q in questions]
     records = np.empty(n, _RECORD)
@@ -188,11 +189,10 @@ def _cache_members(questions: list[Question]):
     ends, start, k = np.cumsum(records["text"]), 0, 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] + _CHUNK_CHARS, "right")))
-        joined = list(map(" ".join, tokens[start:stop]))  # a token holds no whitespace
-        records["joined"][start:stop] = np.fromiter(map(len, joined), np.int64, len(joined))
-        strings = "".join(ids[start:stop]) + "".join(texts[start:stop])
-        strings += "" if joined == texts[start:stop] else "".join(joined)  # unless the texts
-        yield f"s{k}", np.frombuffer(strings.encode("utf-8", "surrogatepass"), np.uint8)
+        strings = "".join(ids[start:stop] + texts[start:stop])
+        joined = "\n".join(map(" ".join, tokens[start:stop]))  # a token holds no whitespace
+        for name, value in (("s", strings), ("t", joined)):
+            yield f"{name}{k}", np.frombuffer(value.encode("utf-8", "surrogatepass"), np.uint8)
         yield f"r{k}", records[start:stop]
         start, k = stop, k + 1
     yield "chunks", np.int64(k)
@@ -201,27 +201,25 @@ def _cache_members(questions: list[Question]):
 def _cached_questions(npz) -> list[Question] | None:
     """The questions of a cache whose key matched, or None if it is bad. As in a parse, tokens
     are interned a question at a time, into tuples of lists (which keep no spare slots)."""
-    if len(npz.files) != 3 + 2 * (chunks := npz["chunks"].tolist()):
+    if len(npz.files) != 3 + 3 * (chunks := npz["chunks"].tolist()):
         return None
     questions: list[Question] = []
     for k in range(chunks):
-        strings, records = npz[f"s{k}"], npz[f"r{k}"]
+        strings, joined, records = npz[f"s{k}"], npz[f"t{k}"], npz[f"r{k}"]
         text, n = str(strings.data, "utf-8", "surrogatepass"), len(records)
-        bounds = list(accumulate(sum((records[f].tolist() for f in ("id", "text", "joined")), []),
-                                 initial=0))
-        shift = 0 if bounds[-1] == len(text) else bounds[2 * n] - bounds[n]  # tokens are texts
-        tokens = [tuple(list(map(sys.intern, text[a - shift : b - shift].split())))
-                  for a, b in pairwise(bounds[2 * n :])]
-        if not (strings.dtype == np.uint8 and records.dtype == _RECORD and records.ndim == 1
-                and bounds[-1] - shift == len(text) and records["label"].max(initial=0) <= 1
-                and (not shift or np.array_equal(records["joined"], records["text"]))
+        tokens = [tuple(list(map(sys.intern, line.split())))
+                  for line in str(joined.data, "utf-8", "surrogatepass").split("\n")]
+        bounds = list(accumulate(records["id"].tolist() + records["text"].tolist(), initial=0))
+        if not (strings.dtype == joined.dtype == np.uint8 and records.dtype == _RECORD
+                and records.ndim == 1 and bounds[-1] == len(text)
                 and list(map(len, tokens)) == records["tokens"].tolist()
+                and records["label"].max(initial=0) <= 1
                 and ((records["annotation"] >= 0.0) & (records["annotation"] <= 1.0)).all()):
             return None
         questions.extend(map(Question, *([text[a:b] for a, b in pairwise(bounds[i : i + n + 1])]
                                          for i in (0, n)),
                              records["annotation"].tolist(), records["label"].tolist(), tokens))
-        del strings, records, text, bounds, tokens
+        del strings, joined, records, text, tokens, bounds
     return questions
 
 

@@ -225,7 +225,7 @@ def _read_cache(path, cache: str, version: int, decode: Callable):
                     version, file.sha256.digest()):
                 return None
             return decode(npz)
-    except (OSError, ValueError, TypeError, KeyError, IndexError, EOFError, zipfile.BadZipFile):
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 
 

@@ -295,8 +295,7 @@ def assert_same_dataset(loaded: Dataset, parsed: Dataset):
 
 # Ids and texts that survive only if lengths count code points and surrogates
 # pass: line breaks, NULs, spaces, lone surrogates (also a high one ending an id
-# before a low one starting its text), no tokens at all, and tokens that are
-# and are not the text joined by spaces.
+# before a low one starting its text), and a question with no tokens at all.
 CORPUS = [
     {"id": "q1", "text": "plain words here", "weak_annotation": 0.25, "label": 0},
     {"id": "q2", "text": "Mixed CASE, with punctuation!", "label": 1},
@@ -363,8 +362,8 @@ class TestCache:
     @pytest.mark.parametrize("cache", [
         "truncated", "garbage", "empty", "other-version", "object-array", "missing-member",
         "extra-member", "wrong-dtype", "fewer-chunks", "inconsistent-lengths",
-        "huge-length", "token-count", "label-2", "annotation-nan", "annotation-1.5",
-        "duplicate-id"])
+        "huge-length", "token-count", "fewer-tokens", "label-2", "annotation-nan",
+        "annotation-1.5", "duplicate-id"])
     def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
         path = write_corpus(tmp_path)
         expected = load_dataset(path)
@@ -385,6 +384,8 @@ class TestCache:
             "extra-member": {"x": np.zeros(1)},
             "wrong-dtype": {"s0": strings.astype(np.int16)},
             "fewer-chunks": {"chunks": arrays["chunks"] - 1},
+            "fewer-tokens": {"t0": np.frombuffer(arrays["t0"].tobytes().rsplit(b" ", 1)[0],
+                                                 np.uint8)},
             "duplicate-id": {"s0": np.frombuffer(strings.tobytes().replace(b"q2", b"q1", 1),
                                                  np.uint8)},
             **{name: {"r0": records} for name in fields},
@@ -403,23 +404,6 @@ class TestCache:
         replaced = cached_arrays(path)
         assert {k: v.tobytes() for k, v in replaced.items()} == {
             k: v.tobytes() for k, v in arrays.items()}
-
-    @pytest.mark.parametrize("edit", ["joined-lengths", "text-lengths"])
-    def test_a_bad_cache_of_texts_that_are_their_tokens(self, tmp_path, edit):
-        """Tokens that, joined by spaces, are the texts are not stored again."""
-        path = write_corpus(tmp_path, [{"id": "a", "text": "x y", "label": 0},
-                                       {"id": "b", "text": "zz", "label": 1}])
-        expected = load_dataset(path)
-        arrays = cached_arrays(path)
-        assert arrays["s0"].tobytes() == b"abx yzz"
-        records = arrays["r0"].copy()
-        field = {"joined-lengths": "joined", "text-lengths": "text"}[edit]
-        records[field][0] += 1
-        records[field][1] -= 1  # the lengths still sum to the strings
-        with open(cache_of(path), "wb") as fh:
-            np.savez(fh, **{**arrays, "r0": records})
-        assert_same_dataset(load_dataset(path), expected)
-        assert cached_arrays(path)["r0"].tobytes() == arrays["r0"].tobytes()
 
     @pytest.mark.parametrize("text, error, message", [
         ('{"id":"a","text":"b","label":0}\nnot json\n', ParseError,
