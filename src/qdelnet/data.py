@@ -7,13 +7,11 @@ JSONL schema (one object per line, UTF-8):
     weak_annotation  number in [0,1], optional, default 0.0 (clamped if outside)
     label            0 (kept) or 1 (deleted), required
 
-load_dataset caches each corpus it parses, as load_embeddings caches tables.
+load_dataset caches each corpus it parses, as the features module docstring says.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 import sys
@@ -24,9 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError, not_utf8
-from .features import EmbeddingTable, tokenize
-from .features import _CACHE_SUFFIX, _HashingFile, _read_cache, _write_cache
+from .errors import ConfigError, ParseError, ValidationError
+from .features import EmbeddingTable, _parse_once, tokenize
 from .seeding import SYNTH, stream_rng
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "split_train_test",
 ]
 
-_CACHE_VERSION = 1  # raise it with any change in what load_dataset returns (see tokenize)
 _CHUNK_CHARS = 1 << 16  # text per cache chunk, so that a hit's temporaries stay this small
 _RECORD = np.dtype([("id", "<u8"), ("text", "<u8"), ("tokens", "<u8"), ("label", "u1"),
                     ("annotation", "<f8")])
@@ -56,8 +52,10 @@ class Question:
     tokens: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if type(self.label) is bool or self.label not in (0, 1):  # as load_dataset refuses true
             raise ValidationError(f"question {self.id!r}: label must be 0 or 1, got {self.label!r}")
+        if type(self.label) is not int:  # e.g. np.int64(1), which save_dataset cannot write
+            object.__setattr__(self, "label", int(self.label))
         try:
             a = float(self.weak_annotation)
         except OverflowError:  # an integer beyond the float range
@@ -113,68 +111,66 @@ def load_dataset(path) -> Dataset:
     Each line is scanned once by json.loads' scanner; a line it cannot take
     whole goes through json.loads, so errors keep json's text.
 
-    A regular file's corpus is cached as the features module docstring says,
-    under _CACHE_VERSION and the SHA-256 of the bytes parsed; a file that
-    clamps an annotation, and so warns, is never cached.
+    A regular file's corpus is cached as the features module docstring says;
+    a file that clamps an annotation, and so warns, is never cached.
     """
-    cache = f"{path}{_CACHE_SUFFIX}" if Path(path).is_file() else None
-    if cache and (hit := _read_cache(path, cache, _CACHE_VERSION, _cached_questions)) is not None:
-        with contextlib.suppress(ValidationError):  # a cache holding a duplicate id is ignored
-            return Dataset(tuple(hit), name=Path(path).stem)
+    name = Path(path).stem
+    return _parse_once(path, lambda npz: _cached_dataset(npz, name),
+                       lambda fh: _parse_corpus(fh, name))
+
+
+def _parse_corpus(fh, name: str):
+    """load_dataset's parse of the lines of `fh`: the Dataset, and its cache members
+    unless an annotation was clamped."""
     questions = []
     seen, clamped = set(), False
     scan = json.JSONDecoder().scan_once  # json.loads' settings
-    try:
-        with _HashingFile(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    try:
-                        obj, end = scan(line, 0)
-                    except StopIteration:  # no value at the start of the line
-                        end = 0
-                    if line[end:] not in ("\n", ""):  # not one whole value: ask json.loads
-                        obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
-                except RecursionError:
-                    raise ParseError("invalid JSON (nested too deeply)", line=lineno) from None
-                if not isinstance(obj, dict):
-                    raise ParseError("expected a JSON object", line=lineno)
-                for key in ("id", "text", "label"):
-                    if key not in obj:
-                        raise ParseError(f"missing required field {key!r}", line=lineno)
-                qid, text, label = obj["id"], obj["text"], obj["label"]
-                if not isinstance(qid, str) or not isinstance(text, str):
-                    raise ParseError("fields 'id' and 'text' must be strings", line=lineno)
-                if isinstance(label, bool) or label not in (0, 1):
-                    raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label!r}")
-                annotation = obj.get("weak_annotation", 0.0)
-                if isinstance(annotation, bool) or not isinstance(annotation, (int, float)):
-                    raise ParseError("field 'weak_annotation' must be a number", line=lineno)
-                try:
-                    annotation = float(annotation)
-                except OverflowError:  # an integer beyond the float range
-                    annotation = math.inf
-                if not math.isfinite(annotation):
-                    raise ValidationError(f"line {lineno}: weak_annotation must be finite")
-                clamped = clamped or not 0.0 <= annotation <= 1.0  # warns: never cache it
-                if qid in seen:
-                    raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
-                seen.add(qid)
-                questions.append(
-                    Question(id=qid, text=text, weak_annotation=annotation, label=int(label))
-                )
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            try:
+                obj, end = scan(line, 0)
+            except StopIteration:  # no value at the start of the line
+                end = 0
+            if line[end:] not in ("\n", ""):  # not one whole value: ask json.loads
+                obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", line=lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON (nested too deeply)", line=lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line=lineno)
+        for key in ("id", "text", "label"):
+            if key not in obj:
+                raise ParseError(f"missing required field {key!r}", line=lineno)
+        qid, text, label = obj["id"], obj["text"], obj["label"]
+        if not isinstance(qid, str) or not isinstance(text, str):
+            raise ParseError("fields 'id' and 'text' must be strings", line=lineno)
+        if isinstance(label, bool) or label not in (0, 1):
+            raise ValidationError(f"line {lineno}: label must be 0 or 1, got {label!r}")
+        annotation = obj.get("weak_annotation", 0.0)
+        if isinstance(annotation, bool) or not isinstance(annotation, (int, float)):
+            raise ParseError("field 'weak_annotation' must be a number", line=lineno)
+        try:
+            annotation = float(annotation)
+        except OverflowError:  # an integer beyond the float range
+            annotation = math.inf
+        if not math.isfinite(annotation):
+            raise ValidationError(f"line {lineno}: weak_annotation must be finite")
+        clamped = clamped or not 0.0 <= annotation <= 1.0  # warns: never cache it
+        if qid in seen:
+            raise ValidationError(f"line {lineno}: duplicate question id {qid!r}")
+        seen.add(qid)
+        questions.append(
+            Question(id=qid, text=text, weak_annotation=annotation, label=label)
+        )
     del seen  # Dataset checks the ids again; do not hold two id sets at once
-    if cache and not clamped:  # the parse checked the ids, so Dataset cannot refuse them
-        _write_cache(path, cache, _CACHE_VERSION, raw.sha256, _cache_members(questions))
-    return Dataset(tuple(questions), name=Path(path).stem)
+    dataset = Dataset(tuple(questions), name=name)
+    return dataset, None if clamped else _cache_members(dataset.questions)
 
 
-def _cache_members(questions: list[Question]):
+def _cache_members(questions: tuple[Question, ...]):
     """A corpus cache's (name, array) pairs, a chunk at a time: `s{k}` holds chunk k's ids,
     then its texts, and `t{k}` a line per question of its tokens joined by spaces, both in
     UTF-8 (surrogates passed); `r{k}` a _RECORD per question: id and text lengths in code
@@ -198,9 +194,10 @@ def _cache_members(questions: list[Question]):
     yield "chunks", np.int64(k)
 
 
-def _cached_questions(npz) -> list[Question] | None:
-    """The questions of a cache whose key matched, or None if it is bad. As in a parse, tokens
-    are interned a question at a time, into tuples of lists (which keep no spare slots)."""
+def _cached_dataset(npz, name: str) -> Dataset | None:
+    """The Dataset of a cache whose key matched, or None if it is bad; a duplicate id raises
+    ValidationError. As in a parse, tokens are interned a question at a time, into tuples of
+    lists (which keep no spare slots)."""
     if len(npz.files) != 3 + 3 * (chunks := npz["chunks"].tolist()):
         return None
     questions: list[Question] = []
@@ -220,7 +217,7 @@ def _cached_questions(npz) -> list[Question] | None:
                                          for i in (0, n)),
                              records["annotation"].tolist(), records["label"].tolist(), tokens))
         del strings, joined, records, text, tokens, bounds
-    return questions
+    return Dataset(tuple(questions), name=name)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

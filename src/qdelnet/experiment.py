@@ -76,6 +76,10 @@ class FileSource:
     embedding_dim: int = 300
     max_words: int = 240
 
+    def __post_init__(self):
+        if self.max_words < 1:
+            raise ConfigError(f"max_words must be >= 1, got {self.max_words}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -100,6 +104,11 @@ class SweepConfig:
             raise ConfigError(f"depths must be positive, got {depths}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        if self.width_min < 1 or self.width_max < self.width_min:
+            raise ConfigError(
+                f"need width_max >= width_min >= 1, got {self.width_max}, {self.width_min}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass(frozen=True)
@@ -217,15 +226,15 @@ def run_depth_sweep(
 
     `runner` exists for unit-level stubbing; by default it trains, scores and
     profiles a real model on the configured data source, prepared once.
+    Nothing is removed before the widths are worked out and the data prepared.
     """
+    depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     runner = runner or _default_runner(config)
-    out_dir = Path(config.output_dir)
-    runs_dir = out_dir / "runs"
+    runs_dir = Path(config.output_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     for stale in runs_dir.glob("*_*.json"):  # `report` would mix them with this sweep's
         stale.unlink()
 
-    depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
     cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
     cell_norms: dict[tuple[int, int], list[float]] = {}
     for depth in config.depths:

@@ -10,11 +10,12 @@ indistinguishable. featurize_batch builds the features by copying rows of
 that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
 
-load_embeddings and data.load_dataset keep what they parse from a regular
-file in `<file>.qdelnet-cache.npz`, with the file's permissions, keyed by a
-format version and the SHA-256 of the file's bytes, and read that while both
-match. What fails to parse is never cached; a cache that cannot be read or
-written, or fails its structural check, is ignored.
+load_embeddings and data.load_dataset hand _parse_once a line parser and a
+cache decoder. It keeps what a parser makes of a regular file in
+`<file>.qdelnet-cache.npz`, with the file's permissions, keyed by
+_CACHE_VERSION and the SHA-256 of the bytes parsed, and decodes that while
+both match. What fails to parse, or the parser will not cache, is never
+cached; a cache that cannot be read or written, or fails decoding, is ignored.
 """
 
 from __future__ import annotations
@@ -49,11 +50,11 @@ _PUNCT = string.punctuation
 # load_embeddings parses into a buffer of this many rows, doubled in place when full.
 _FIRST_ROWS = 1 << 10
 _CACHE_SUFFIX = ".qdelnet-cache.npz"
-# Kept in each cache and compared on reading. Raise it with any change that could make
-# load_embeddings parse a file differently, so that tables cached before are parsed again.
-_CACHE_VERSION = 1
 # A cache hit's finite check runs over blocks of this many rows: its temporary is a byte a value.
 _FINITE_CHECK_ROWS = 1 << 12
+# Kept in each cache and compared on reading. Raise it with any change in what load_embeddings
+# or data.load_dataset makes of a file (see tokenize), so that what was cached is parsed again.
+_CACHE_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
@@ -64,8 +65,8 @@ def tokenize(text: str) -> list[str]:
     (sys.intern), so every occurrence of a word in a corpus, and the word's
     key in an EmbeddingTable, is one string object.
 
-    load_dataset caches tokens: raise data._CACHE_VERSION with any change to
-    this function, to what load_dataset accepts or to Question's normalisation.
+    load_dataset caches tokens: raise _CACHE_VERSION with any change to this
+    function, to what load_dataset accepts or to Question's normalisation.
     """
     out = []
     for raw in text.lower().split():
@@ -149,55 +150,50 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     no per-word array and no second copy of the table is made. A duplicate is
     parsed into the next free row too, which the next new word reuses.
 
-    The table of a regular file is cached, as the module docstring says,
-    under _CACHE_VERSION, and read at the same `expected_dim` only.
+    The table of a regular file is cached, as the module docstring says, and
+    read at the same `expected_dim` only.
     """
     _check_dim(expected_dim)
-    cache = f"{path}{_CACHE_SUFFIX}" if os.path.isfile(path) else None
-    if cache and (table := _read_cache(path, cache, _CACHE_VERSION,
-                                       lambda npz: _cached_table(npz, expected_dim))) is not None:
-        return table
+    return _parse_once(path, lambda npz: _cached_table(npz, expected_dim),
+                       lambda fh: _parse_table(fh, expected_dim))
+
+
+def _parse_table(fh, expected_dim: int):
+    """load_embeddings' parse of the lines of `fh`: the table and its cache members."""
     matrix = np.zeros((_FIRST_ROWS, expected_dim))
     rows: dict[str, int] = {}
-    try:
-        with _HashingFile(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                    continue
-                word, comps = parts[0], parts[1:]
-                if len(comps) != expected_dim:
-                    raise ParseError(
-                        f"expected {expected_dim} components for {word!r}, got {len(comps)}",
-                        line=lineno,
-                    )
-                if "_" in line or not line.isascii():  # float takes 1_0 and non-ASCII digits
-                    rest = line.split(None, 1)[1]  # a word may hold them; a number may not
-                    if "_" in rest or not rest.isascii():
-                        raise ParseError(f"non-numeric component in entry {word!r}", line=lineno)
-                row = len(rows) + 1
-                if row == len(matrix):  # in place, zero-filled: no view of matrix is alive
-                    matrix.resize((2 * row, expected_dim), refcheck=False)
-                try:
-                    matrix[row] = list(map(float, comps))
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric component in entry {word!r}", line=lineno
-                    ) from None
-                if not np.isfinite(matrix[row]).all():
-                    raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
-                if word not in rows:
-                    rows[sys.intern(word)] = row
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    for lineno, line in enumerate(fh, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+            continue
+        word, comps = parts[0], parts[1:]
+        if len(comps) != expected_dim:
+            raise ParseError(
+                f"expected {expected_dim} components for {word!r}, got {len(comps)}",
+                line=lineno,
+            )
+        if "_" in line or not line.isascii():  # float takes 1_0 and non-ASCII digits
+            rest = line.split(None, 1)[1]  # a word may hold them; a number may not
+            if "_" in rest or not rest.isascii():
+                raise ParseError(f"non-numeric component in entry {word!r}", line=lineno)
+        row = len(rows) + 1
+        if row == len(matrix):  # in place, zero-filled: no view of matrix is alive
+            matrix.resize((2 * row, expected_dim), refcheck=False)
+        try:
+            matrix[row] = list(map(float, comps))
+        except ValueError:
+            raise ParseError(
+                f"non-numeric component in entry {word!r}", line=lineno
+            ) from None
+        if not np.isfinite(matrix[row]).all():
+            raise ParseError(f"non-finite component in entry {word!r}", line=lineno)
+        if word not in rows:
+            rows[sys.intern(word)] = row
     matrix.resize((len(rows) + 1, expected_dim), refcheck=False)
-    table = EmbeddingTable._of(matrix, rows)
-    if cache:
-        _write_cache(path, cache, _CACHE_VERSION, raw.sha256, [
-            ("matrix", matrix), ("words", np.frombuffer("\n".join(rows).encode(), np.uint8))])
-    return table
+    return EmbeddingTable._of(matrix, rows), [
+        ("matrix", matrix), ("words", np.frombuffer("\n".join(rows).encode(), np.uint8))]
 
 
 class _HashingFile(io.FileIO):
@@ -213,31 +209,36 @@ class _HashingFile(io.FileIO):
         return data
 
 
-def _read_cache(path, cache: str, version: int, decode: Callable):
-    """decode(npz) of the cache kept for the file's bytes, or None if it cannot
-    be read or decode finds it bad. A stale cache costs one hash: no other read."""
-    try:
-        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz, \
+def _parse_once(path, decode: Callable, parse: Callable):
+    """parse(fh) of the file at `path`, read as UTF-8 text, or decode(npz) of its cache.
+    parse returns the result and the (name, array) members to cache, or None for none;
+    decode returns the result, or None or raises ValueError when the cache is bad. A stale
+    cache costs one hash: no other read."""
+    cache = f"{path}{_CACHE_SUFFIX}" if os.path.isfile(path) else None
+    if cache:
+        with contextlib.suppress(OSError, ValueError, TypeError, KeyError, EOFError,
+                                 zipfile.BadZipFile), \
+                open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz, \
                 _HashingFile(path) as file:
             while file.read(1 << 16):
                 pass
-            if (npz["version"].tolist(), npz["sha256"].tobytes()) != (
-                    version, file.sha256.digest()):
-                return None
-            return decode(npz)
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-
-
-def _write_cache(path, cache: str, version: int, sha256, members: Iterable) -> None:
-    """Write the key and each (name, array) of `members` to `cache` through a
-    temporary file, with the read/write permissions of `path`, or nothing."""
-    key = [("version", np.uint8(version)), ("sha256", np.frombuffer(sha256.digest(), np.uint8))]
-    with contextlib.suppress(OSError):  # e.g. a read-only directory
+            if (npz["version"].tolist(), npz["sha256"].tobytes()) == (
+                    _CACHE_VERSION, file.sha256.digest()) and (hit := decode(npz)) is not None:
+                return hit
+    try:
+        with _HashingFile(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            result, members = parse(fh)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    if not cache or members is None:
+        return result
+    key = [("version", np.uint8(_CACHE_VERSION)),
+           ("sha256", np.frombuffer(raw.sha256.digest(), np.uint8))]
+    with contextlib.suppress(OSError):  # e.g. a read-only directory: no cache
         fd, tmp = tempfile.mkstemp(suffix=_CACHE_SUFFIX, dir=os.path.dirname(cache) or ".")
         try:
             with os.fdopen(fd, "wb") as out, zipfile.ZipFile(out, "w") as npz:
-                os.fchmod(fd, os.stat(path).st_mode & 0o666)
+                os.fchmod(fd, os.stat(path).st_mode & 0o666)  # the file's read/write bits
                 for name, array in itertools.chain(key, members):  # as np.savez writes them
                     with npz.open(name + ".npy", "w", force_zip64=True) as member:
                         np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
@@ -245,6 +246,7 @@ def _write_cache(path, cache: str, version: int, sha256, members: Iterable) -> N
         except BaseException:
             os.unlink(tmp)
             raise
+    return result
 
 
 def _cached_table(npz, dim: int) -> EmbeddingTable | None:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qdelnet import cli
+from qdelnet import cli, experiment
 from qdelnet.cli import parse_and_dispatch
 from qdelnet.data import load_dataset
 from qdelnet.experiment import SweepRow
@@ -378,6 +378,32 @@ class TestSweepAndReport:
         swept = (out / "sweep.csv").read_bytes()
         assert run("report", "--runs", str(out), "--out", str(tmp_path / "report")) == 0
         assert (tmp_path / "report" / "sweep.csv").read_bytes() == swept
+
+    def test_a_refused_sweep_keeps_the_previous_run_files(self, tmp_path, capsys, monkeypatch):
+        data, out = tmp_path / "data", tmp_path / "sweep"
+        assert run("gen-synth", *TINY_SYNTH, "--train-count", "30", "--test-count", "10",
+                   "--out", str(data)) == 0
+        files = ["--train", str(data / "train.jsonl"), "--test", str(data / "test.jsonl"),
+                 "--embeddings", str(data / "embeddings.txt"), "--dim", "3", "--max-words", "4",
+                 "--depths", "1,2", "--repeats", "1", "--epochs", "1", "--out", str(out)]
+        assert run("sweep", *files) == 0
+        runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+        assert sorted(runs) == ["1_0.json", "2_0.json"]
+
+        def loaded(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(experiment, "load_dataset", loaded)
+        for bad, message in [
+            (["--width-min", "0"], "need width_max >= width_min >= 1, got 256, 0"),
+            (["--width-max", "8"], "need width_max >= width_min >= 1, got 8, 16"),
+            (["--dropout", "1.5"], "dropout_rate must lie in [0, 1), got 1.5"),
+            (["--max-words", "0"], "max_words must be >= 1, got 0"),
+        ]:
+            capsys.readouterr()
+            assert run("sweep", *files, *bad) == 2, bad
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert {p.name: p.read_bytes() for p in (out / "runs").iterdir()} == runs
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -1,7 +1,5 @@
 import dataclasses
 import json
-import os
-import threading
 import warnings
 
 import numpy as np
@@ -18,7 +16,6 @@ from qdelnet.data import (
     split_train_test,
 )
 import qdelnet.data
-import qdelnet.features
 from qdelnet.errors import ConfigError, ParseError, ValidationError
 from qdelnet.features import tokenize
 from qdelnet.nn import ModelConfig
@@ -72,6 +69,18 @@ class TestQuestion:
     def test_label_validated(self):
         with pytest.raises(ValidationError):
             Question(id="a", text="x", weak_annotation=0.0, label=2)
+
+    @pytest.mark.parametrize("label", [True, False], ids=repr)
+    def test_a_bool_label_is_refused_as_load_dataset_refuses_it(self, label):
+        with pytest.raises(ValidationError, match="^question 'a': label must be 0 or 1, got "):
+            Question(id="a", text="x", label=label)
+
+    @pytest.mark.parametrize("label", [np.int64(1), np.uint8(0), 1.0], ids=repr)
+    def test_a_label_equal_to_0_or_1_is_stored_as_an_int_and_round_trips(self, tmp_path, label):
+        q = Question(id="a", text="x", label=label)
+        assert type(q.label) is int and q.label == label
+        save_dataset(Dataset((q,)), tmp_path / "c.jsonl")
+        assert load_dataset(tmp_path / "c.jsonl").questions == (q,)
 
     def test_annotation_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
@@ -314,8 +323,8 @@ def write_corpus(tmp_path, records=CORPUS, name="c.jsonl"):
 
 
 class TestCache:
-    """load_dataset keeps each parsed corpus beside its file, keyed by the
-    SHA-256 of the file's bytes."""
+    """What load_dataset keeps in its cache: test_features.TestParseOnce covers
+    the protocol."""
 
     @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
     def test_a_hit_does_not_scan_or_tokenize(self, tmp_path, monkeypatch, chunk_chars):
@@ -346,28 +355,13 @@ class TestCache:
         dataset = load_dataset(path)
         assert built == list(dataset.questions) and checked == [dataset]
 
-    def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        path.write_text('{"id":"a","text":"cat","label":0}\n')
-        load_dataset(path)
-        before = path.stat()
-        path.write_text('{"id":"a","text":"dog","label":1}\n')
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert path.stat().st_size == before.st_size
-        for _ in range(2):  # a parse, then the new cache
-            (q,) = load_dataset(path).questions
-            assert (q.text, q.tokens, q.label) == ("dog", ("dog",), 1)
-        assert cache_of(path).is_file()
-
     @pytest.mark.parametrize("cache", [
-        "truncated", "garbage", "empty", "other-version", "object-array", "missing-member",
-        "extra-member", "wrong-dtype", "fewer-chunks", "inconsistent-lengths",
-        "huge-length", "token-count", "fewer-tokens", "label-2", "annotation-nan",
-        "annotation-1.5", "duplicate-id"])
+        "object-array", "missing-member", "extra-member", "wrong-dtype", "fewer-chunks",
+        "inconsistent-lengths", "huge-length", "token-count", "fewer-tokens", "label-2",
+        "annotation-nan", "annotation-1.5", "duplicate-id"])
     def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
         path = write_corpus(tmp_path)
         expected = load_dataset(path)
-        good = cache_of(path).read_bytes()
         arrays = cached_arrays(path)
         strings, records = arrays["s0"], arrays["r0"].copy()
         fields = {"inconsistent-lengths": ("id", 0, 1), "huge-length": ("text", 3, 2**64 - 1),
@@ -379,7 +373,6 @@ class TestCache:
             records[field][row] = (records[field][row] + value if field in ("id", "tokens")
                                    else value)
         edits = {
-            "other-version": {"version": arrays["version"] + 1},
             "object-array": {"s0": np.array(["q1"], dtype=object)},
             "extra-member": {"x": np.zeros(1)},
             "wrong-dtype": {"s0": strings.astype(np.int16)},
@@ -391,13 +384,10 @@ class TestCache:
             **{name: {"r0": records} for name in fields},
         }
         with open(cache_of(path), "wb") as fh:
-            if cache in edits:
-                np.savez(fh, **{**arrays, **edits[cache]})
-            elif cache == "missing-member":
+            if cache == "missing-member":
                 np.savez(fh, **{k: v for k, v in arrays.items() if k != "r0"})
             else:
-                fh.write({"truncated": good[: len(good) // 2], "garbage": b"not a cache\n",
-                          "empty": b""}[cache])
+                np.savez(fh, **{**arrays, **edits[cache]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a cached annotation of 1.5 is not clamped
             assert_same_dataset(load_dataset(path), expected)
@@ -432,39 +422,6 @@ class TestCache:
             with pytest.warns(UserWarning, match="clamped to 1.0"):
                 assert load_dataset(path).questions[0].weak_annotation == 1.0
         assert not cache_of(path).exists() and cache_of(good).is_file()
-
-    def test_a_failed_write_returns_the_dataset_and_leaves_no_file(self, tmp_path, monkeypatch):
-        path = write_corpus(tmp_path)
-        refused = []
-
-        def refuse(src, dst):
-            refused.append(dst)
-            raise OSError("refused")
-
-        monkeypatch.setattr(qdelnet.features.os, "replace", refuse)
-        assert len(load_dataset(path)) == len(CORPUS)
-        assert refused == [str(cache_of(path))]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
-
-    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664], ids=oct)
-    def test_the_cache_takes_the_corpus_permissions(self, tmp_path, mode):
-        path = write_corpus(tmp_path)
-        path.chmod(mode)
-        load_dataset(path)
-        assert cache_of(path).stat().st_mode & 0o777 == mode
-
-    def test_a_pipe_is_parsed_and_never_cached(self, tmp_path):
-        regular, pipe = write_corpus(tmp_path), tmp_path / "pipe.jsonl"
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_bytes, args=(regular.read_bytes(),),
-                                  daemon=True)
-        writer.start()
-        loaded = load_dataset(pipe)
-        writer.join(timeout=10)
-        assert not writer.is_alive()
-        assert loaded.questions == load_dataset(regular).questions
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "c.jsonl", "c.jsonl.qdelnet-cache.npz", "pipe.jsonl"]
 
 
 class TestCheckBalance:

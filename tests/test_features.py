@@ -1,11 +1,14 @@
 import os
 import string
+import threading
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+import qdelnet.data
 import qdelnet.features
-from qdelnet.data import Question
+from qdelnet.data import Question, load_dataset
 from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
     EmbeddingTable,
@@ -322,8 +325,7 @@ class TestLoadEmbeddingsReference:
 
 
 class TestCache:
-    """load_embeddings keeps each parsed table beside its file, keyed by the
-    SHA-256 of the file's bytes."""
+    """What load_embeddings keeps in its cache: TestParseOnce covers the protocol."""
 
     def write_table(self, tmp_path, words=4, dim=3, seed=0):
         path = tmp_path / "emb.txt"
@@ -331,35 +333,12 @@ class TestCache:
         path.write_text("\n".join(entry_lines(rng, [f"w{i}" for i in range(words)], dim)) + "\n")
         return path
 
-    def test_a_hit_does_not_parse(self, tmp_path, monkeypatch):
-        path = self.write_table(tmp_path)
-        parsed = load_embeddings(path, 3)
-        assert cache_of(path).is_file()
-        monkeypatch.setattr(qdelnet.features, "_FIRST_ROWS", -1)  # a parse would fail
-        cached = load_embeddings(path, 3)
-        assert cached._matrix.tobytes() == parsed._matrix.tobytes()
-        assert list(cached.words()) == list(parsed.words())
-        assert not cached._matrix.flags.writeable
-
-    def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n")
-        load_embeddings(path, 2)
-        before = path.stat()
-        path.write_text("cat 1.0 2.0\ndog 3.0 5.0\n")
-        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert path.stat().st_size == before.st_size
-        assert load_embeddings(path, 2).vector("dog").tolist() == [3.0, 5.0]
-        assert load_embeddings(path, 2).vector("dog").tolist() == [3.0, 5.0]  # the new cache
-
-    @pytest.mark.parametrize("cache", ["truncated", "garbage", "empty", "npy", "object-array",
-                                       "wrong-shape", "wrong-dtype", "nonzero-row-0",
-                                       "non-finite", "duplicate-word", "missing-word",
-                                       "other-version"])
+    @pytest.mark.parametrize("cache", ["npy", "object-array", "wrong-shape", "wrong-dtype",
+                                       "nonzero-row-0", "non-finite", "duplicate-word",
+                                       "missing-word"])
     def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
         path = self.write_table(tmp_path)
         expected = load_embeddings(path, 3)
-        good = cache_of(path).read_bytes()
         arrays = cached_arrays(path)
         matrix, words = arrays["matrix"], arrays["words"].tobytes()
         edits = {
@@ -370,16 +349,12 @@ class TestCache:
             "non-finite": {"matrix": np.vstack([matrix[:-1], np.full((1, 3), np.inf)])},
             "duplicate-word": {"words": np.frombuffer(words.replace(b"w1", b"w0"), np.uint8)},
             "missing-word": {"words": np.frombuffer(words.rsplit(b"\n", 1)[0], np.uint8)},
-            "other-version": {"version": arrays["version"] + 1},
         }
         with open(cache_of(path), "wb") as fh:
-            if cache in edits:
-                np.savez(fh, **{**arrays, **edits[cache]})
-            elif cache == "npy":
+            if cache == "npy":
                 np.save(fh, matrix)
             else:
-                fh.write({"truncated": good[: len(good) // 2], "garbage": b"not a cache\n",
-                          "empty": b""}[cache])
+                np.savez(fh, **{**arrays, **edits[cache]})
         table = load_embeddings(path, 3)
         assert table._matrix.tobytes() == expected._matrix.tobytes()
         assert list(table.words()) == list(expected.words())
@@ -393,24 +368,6 @@ class TestCache:
         monkeypatch.setattr(qdelnet.features, "_FINITE_CHECK_ROWS", 1)
         self.test_a_bad_cache_is_ignored_and_replaced(tmp_path, "non-finite")
 
-    def test_a_stale_cache_is_not_read_past_its_key(self, tmp_path, monkeypatch):
-        path = self.write_table(tmp_path)
-        load_embeddings(path, 3)
-        path.write_text(path.read_text().replace("w3", "w9"))
-        read = []
-        get = np.lib.npyio.NpzFile.__getitem__
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
-                            lambda npz, key: read.append(key) or get(npz, key))
-        assert list(load_embeddings(path, 3).words()) == ["w0", "w1", "w2", "w9"]
-        assert read == ["version", "sha256"]
-
-    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664], ids=oct)
-    def test_the_cache_takes_the_table_permissions(self, tmp_path, mode):
-        path = self.write_table(tmp_path)
-        path.chmod(mode)
-        load_embeddings(path, 3)
-        assert cache_of(path).stat().st_mode & 0o777 == mode
-
     def test_a_malformed_table_is_not_cached(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 2.0\ndog 3.0\n")
@@ -419,17 +376,6 @@ class TestCache:
                 load_embeddings(path, 2)
             assert (str(info.value), info.value.line) == (
                 "line 2: expected 2 components for 'dog', got 1", 2)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
-
-    def test_a_failed_write_returns_the_table_and_leaves_no_file(self, tmp_path, monkeypatch):
-        path = self.write_table(tmp_path)
-
-        def refuse(src, dst):
-            raise OSError("refused")
-
-        monkeypatch.setattr(qdelnet.features.os, "replace", refuse)
-        table = load_embeddings(path, 3)
-        assert len(table) == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
 
     def test_another_dim_parses_and_raises_as_before(self, tmp_path):
@@ -447,6 +393,146 @@ class TestCache:
             table = load_embeddings(path, 4)
             assert len(table) == 0 and table._matrix.shape == (1, 4)
         assert cache_of(path).is_file()
+
+
+class Loader(NamedTuple):
+    """One loader as TestParseOnce drives it: the name of its file, a file it
+    parses that holds "cat" on line 1, the module attribute it parses with,
+    and whether two of its results are equal."""
+
+    file: str
+    text: str
+    load: Callable
+    module: object
+    parser: str
+    equal: Callable
+
+
+LOADERS = [
+    pytest.param(Loader(
+        "emb.txt", "cat 1.0 2.0\ndog 3.0 -4.5\nbird 0.0 1e-300\n",
+        lambda path: load_embeddings(path, 2), qdelnet.features, "_parse_table",
+        lambda a, b: (a._matrix.tobytes(), list(a.words())) == (b._matrix.tobytes(),
+                                                                list(b.words()))),
+        id="load_embeddings"),
+    pytest.param(Loader(
+        "c.jsonl", '{"id":"a","text":"cat","label":0}\n'
+                   '{"id":"b","text":"Dog, bird!","weak_annotation":0.5,"label":1}\n',
+        load_dataset, qdelnet.data, "_parse_corpus",
+        lambda a, b: (a.name, a.questions) == (b.name, b.questions)),
+        id="load_dataset"),
+]
+
+
+def refuse_to_parse(*args, **kwargs):
+    raise AssertionError("the file was parsed")
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+class TestParseOnce:
+    """Both loaders keep what they parse beside the file, keyed by the SHA-256 of
+    the file's bytes, through features._parse_once."""
+
+    def write(self, tmp_path, loader, text=None, where="a"):
+        (tmp_path / where).mkdir(exist_ok=True)
+        path = tmp_path / where / loader.file
+        path.write_text(loader.text if text is None else text, encoding="utf-8")
+        return path
+
+    def parse(self, tmp_path, loader, text):
+        """What a parse of `text` returns: a load of a file of its own, with no cache."""
+        return loader.load(self.write(tmp_path, loader, text, where="parsed"))
+
+    def test_a_hit_does_not_parse(self, tmp_path, monkeypatch, loader):
+        path = self.write(tmp_path, loader)
+        parsed = loader.load(path)
+        assert cache_of(path).is_file()
+        monkeypatch.setattr(loader.module, loader.parser, refuse_to_parse)
+        assert loader.equal(loader.load(path), parsed)
+
+    def test_an_edit_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path, monkeypatch,
+                                                                 loader):
+        path = self.write(tmp_path, loader)
+        loader.load(path)
+        before = path.stat()
+        edited = loader.text.replace("cat", "cow")
+        self.write(tmp_path, loader, edited)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+        expected = self.parse(tmp_path, loader, edited)
+        assert loader.equal(loader.load(path), expected)
+        monkeypatch.setattr(loader.module, loader.parser, refuse_to_parse)
+        assert loader.equal(loader.load(path), expected)  # the new cache
+
+    @pytest.mark.parametrize("cache", ["truncated", "garbage", "empty", "other-version"])
+    def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, loader, cache):
+        path = self.write(tmp_path, loader)
+        expected = loader.load(path)
+        good, arrays = cache_of(path).read_bytes(), cached_arrays(path)
+        with open(cache_of(path), "wb") as fh:
+            if cache == "other-version":
+                np.savez(fh, **{**arrays, "version": arrays["version"] + 1})
+            else:
+                fh.write({"truncated": good[: len(good) // 2], "garbage": b"not a cache\n",
+                          "empty": b""}[cache])
+        assert loader.equal(loader.load(path), expected)
+        assert {k: v.tobytes() for k, v in cached_arrays(path).items()} == {
+            k: v.tobytes() for k, v in arrays.items()}
+
+    def test_a_stale_cache_is_not_read_past_its_key(self, tmp_path, monkeypatch, loader):
+        path = self.write(tmp_path, loader)
+        loader.load(path)
+        self.write(tmp_path, loader, loader.text.replace("cat", "cow"))
+        expected = self.parse(tmp_path, loader, loader.text.replace("cat", "cow"))
+        read = []
+        get = np.lib.npyio.NpzFile.__getitem__
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda npz, key: read.append(key) or get(npz, key))
+        assert loader.equal(loader.load(path), expected)
+        assert read == ["version", "sha256"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664], ids=oct)
+    def test_the_cache_takes_the_file_permissions(self, tmp_path, loader, mode):
+        path = self.write(tmp_path, loader)
+        path.chmod(mode)
+        loader.load(path)
+        assert cache_of(path).stat().st_mode & 0o777 == mode
+
+    def test_a_failed_write_returns_the_result_and_leaves_no_file(self, tmp_path, monkeypatch,
+                                                                  loader):
+        path = self.write(tmp_path, loader)
+        expected = self.parse(tmp_path, loader, loader.text)
+        refused = []
+
+        def refuse(src, dst):
+            refused.append(dst)
+            raise OSError("refused")
+
+        monkeypatch.setattr(qdelnet.features.os, "replace", refuse)
+        assert loader.equal(loader.load(path), expected)
+        assert refused == [str(cache_of(path))]
+        assert sorted(p.name for p in path.parent.iterdir()) == [loader.file]
+
+    def test_a_pipe_is_parsed_and_never_cached(self, tmp_path, loader):
+        regular, pipe = self.write(tmp_path, loader), tmp_path / "pipe" / loader.file
+        pipe.parent.mkdir()
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(regular.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        loaded = loader.load(pipe)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loader.equal(loaded, loader.load(regular))
+        assert sorted(p.name for p in pipe.parent.iterdir()) == [loader.file]
+
+    def test_a_file_that_is_not_utf8_leaves_no_cache(self, tmp_path, loader):
+        path = self.write(tmp_path, loader)
+        path.write_bytes(path.read_bytes().replace(b"cat", b"c\xfft"))
+        for _ in range(2):
+            with pytest.raises(ParseError, match="^line 1: not UTF-8: invalid start byte"):
+                loader.load(path)
+        assert sorted(p.name for p in path.parent.iterdir()) == [loader.file]
 
 
 class TestFeaturize:

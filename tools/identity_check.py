@@ -12,7 +12,8 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
   written to a directory of its own;
 - a file sweep of depths 1,3 at the paper's input width (240 words x 300
   dims + 1 = 72,001 inputs), 1 epoch, on a 100/20-question corpus written
-  by gen-synth; hidden widths taper from 64, to keep memory small;
+  by gen-synth; hidden widths taper from 64, to keep memory small; run
+  twice, into wide-sweep/ and wide-sweep-warm/;
 - evaluate of a depth-10 checkpoint that `qdelnet train` wrote, on the test
   file of a 600-question gen-synth corpus whose train file it was trained on,
   run twice: evaluate.txt and evaluate-warm.txt.
@@ -27,8 +28,10 @@ write. The narrow `train` parses its table and writes the table's cache;
 the first `evaluate` then reads that cache and parses the test corpus,
 writing its cache, and the second reads both caches. So the evaluate.txt
 line shows that a table cache hit scores the same, and an evaluate-warm.txt
-equal to it shows the same for a corpus cache hit. The qdelnet it imported
-goes to stderr.
+equal to it shows the same for a corpus cache hit. Likewise the first wide
+sweep parses its table and both corpora, and the second reads the three
+caches; the script exits with an error unless each wide-sweep-warm/ line
+equals its wide-sweep/ line. The qdelnet it imported goes to stderr.
 """
 
 import contextlib
@@ -98,10 +101,11 @@ def main() -> None:
     data = base / "wide-data"
     run("gen-synth", "--n", "120", "--train-count", "100", "--test-count", "20", "--vocab", "300",
         "--dim", "300", "--max-words", "240", "--seed", "5", "--out", data)
-    run("sweep", "--train", data / "train.jsonl", "--test", data / "test.jsonl",
-        "--embeddings", data / "embeddings.txt", "--dim", "300", "--max-words", "240",
-        "--depths", "1,3", "--repeats", "1", "--epochs", "1", "--lr", "0.05",
-        "--width-max", "64", "--out", base / "wide-sweep")
+    for name in ("wide-sweep", "wide-sweep-warm"):
+        run("sweep", "--train", data / "train.jsonl", "--test", data / "test.jsonl",
+            "--embeddings", data / "embeddings.txt", "--dim", "300", "--max-words", "240",
+            "--depths", "1,3", "--repeats", "1", "--epochs", "1", "--lr", "0.05",
+            "--width-max", "64", "--out", base / name)
 
     data = base / "narrow-data"
     run("gen-synth", "--n", "600", "--train-count", "500", "--test-count", "100",
@@ -115,9 +119,14 @@ def main() -> None:
         (base / name).write_text(accuracy, encoding="utf-8")
 
     skipped = {"resolved_config.json", "fig_time.svg"}
-    for path in sorted(base.rglob("*")):
-        if path.is_file() and path.name not in skipped and not path.match("*.qdelnet-cache.npz"):
-            print(digest(base, path))
+    lines = [digest(base, path) for path in sorted(base.rglob("*"))
+             if path.is_file() and path.name not in skipped
+             and not path.match("*.qdelnet-cache.npz")]
+    print("\n".join(lines))
+    cold, warm = ([line.replace(f"  {name}/", "  ") for line in lines if f"  {name}/" in line]
+                  for name in ("wide-sweep", "wide-sweep-warm"))
+    if not cold or warm != cold:
+        sys.exit("wide-sweep-warm/ differs from wide-sweep/")
 
 
 if __name__ == "__main__":
