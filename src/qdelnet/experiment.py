@@ -8,8 +8,9 @@ Fixed output names under the sweep's output directory:
 
 run_depth_sweep writes the run files and grad_flow.csv from one pass over
 the data: it prepares the data once, and each cell profiles the initial
-gradients of the model it trains. grad_flow_report writes the same
-grad_flow.csv without training anything.
+gradients of the model it trains. Its rows are then read back from the run
+files by rows_from_run_files, as `qdelnet report` reads them.
+grad_flow_report writes the same grad_flow.csv without training anything.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
 times can be compared across depths.
@@ -29,7 +30,8 @@ from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings
 from .nn import MlpModel, ModelConfig, build_model, taper_widths
-from .train import TrainConfig, TrainReport, evaluate, initial_gradient_profile, train
+from .train import (TrainConfig, TrainReport, evaluate, initial_gradient_profile,
+                    split_train_val, train)
 
 __all__ = [
     "SyntheticSource",
@@ -104,9 +106,6 @@ class SweepConfig:
             raise ConfigError(f"depths must be positive, got {depths}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.width_min < 1 or self.width_max < self.width_min:
-            raise ConfigError(
-                f"need width_max >= width_min >= 1, got {self.width_max}, {self.width_min}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 
@@ -181,9 +180,21 @@ def _prepare(config: SweepConfig, need_test: bool):
     return train_set, test_set, table, initial_model, profile
 
 
+def _cells(config: SweepConfig) -> list[tuple[int, list[int], int]]:
+    """Every (depth, hidden widths, repeat) cell of the sweep, in run order;
+    raises ConfigError on a width pair taper_widths refuses."""
+    cells = []
+    for depth in config.depths:
+        widths = taper_widths(depth, config.width_max, config.width_min)
+        cells.extend((depth, widths, i) for i in range(config.repeats))
+    return cells
+
+
 def _default_runner(config: SweepConfig):
-    """Prepare the sweep's data once and return the default runner over it."""
+    """Prepare the sweep's data once and return the default runner over it;
+    a train set too small for the validation split is refused here."""
     train_set, test_set, table, initial_model, profile = _prepare(config, need_test=True)
+    split_train_val(train_set, config.train_config.validation_fraction, config.train_config.seed)
 
     def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
         seed = config.train_config.seed + repeat
@@ -196,65 +207,38 @@ def _default_runner(config: SweepConfig):
     return runner
 
 
-def _aggregate(
-    depth: int, cells: list[tuple[TrainReport, float]], first_norm: float
-) -> SweepRow:
-    live = [(r, t) for r, t in cells if not r.diverged]
-    pool = live if live else cells
-    mean = lambda vals: float(sum(vals) / len(vals))
-    return SweepRow(
-        depth=depth,
-        train_time_seconds=mean([r.wall_time_seconds for r, _ in pool]),
-        train_accuracy_pct=mean([r.final_train_accuracy for r, _ in pool]),
-        validation_accuracy_pct=mean([r.final_validation_accuracy for r, _ in pool]),
-        test_accuracy_pct=mean([t for _, t in pool]),
-        diverged_runs=len(cells) - len(live),
-        first_layer_grad_norm_init=first_norm,
-    )
-
-
 def run_depth_sweep(
     config: SweepConfig,
     runner: Callable[[int, Sequence[int], int], CellResult] | None = None,
 ) -> list[SweepRow]:
-    """Run `repeats` train+evaluate cycles per depth (seeds seed+i), average
-    metrics over runs that finished, and persist every cell's report under
-    output_dir/runs/, whose earlier run files are removed first. Each cell
-    also profiles the initial gradients of the model it trains: each depth's
-    mean over its cells goes into output_dir/grad_flow.csv, layer 0 also into
-    the rows and run files. Returns rows in depth order.
+    """Run `repeats` train+evaluate cycles per depth (seeds seed+i) and
+    persist every cell's report under output_dir/runs/, whose earlier run
+    files are removed first. Each cell also profiles the initial gradients of
+    the model it trains: each depth's mean over its cells goes into
+    output_dir/grad_flow.csv, layer 0 also into the run files. Returns the
+    rows that rows_from_run_files reads back from those files.
 
     `runner` exists for unit-level stubbing; by default it trains, scores and
     profiles a real model on the configured data source, prepared once.
     Nothing is removed before the widths are worked out and the data prepared.
     """
-    depth_widths = {d: taper_widths(d, config.width_max, config.width_min) for d in config.depths}
+    cells = _cells(config)
     runner = runner or _default_runner(config)
     runs_dir = Path(config.output_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    for stale in runs_dir.glob("*_*.json"):  # `report` would mix them with this sweep's
+    for stale in runs_dir.glob("*_*.json"):  # rows_from_run_files would mix them with this sweep's
         stale.unlink()
 
-    cell_results: dict[tuple[int, int], tuple[TrainReport, float]] = {}
-    cell_norms: dict[tuple[int, int], list[float]] = {}
-    for depth in config.depths:
-        for i in range(config.repeats):
-            report, test_acc, cell_norms[(depth, i)] = runner(depth, depth_widths[depth], i)
-            cell_results[(depth, i)] = (report, test_acc)
-
+    results = {(depth, i): runner(depth, widths, i) for depth, widths, i in cells}
+    cell_norms = {cell: norms for cell, (_, _, norms) in results.items()}
     first_norms = {d: norm for d, layer, norm in _grad_flow(config, cell_norms) if layer == 0}
-    rows = []
-    for depth in config.depths:
-        first_norm = first_norms[depth]
-        cells = [cell_results[(depth, i)] for i in range(config.repeats)]
-        for i, (report, test_acc) in enumerate(cells):
-            _write_run_file(runs_dir / f"{depth}_{i}.json", depth, i, report, test_acc, first_norm)
-        rows.append(_aggregate(depth, cells, first_norm))
-    return rows
+    for (depth, i), (report, test_acc, _) in results.items():
+        _write_run_file(runs_dir, depth, i, report, test_acc, first_norms[depth])
+    return rows_from_run_files(runs_dir)
 
 
 def _write_run_file(
-    path: Path, depth: int, repeat: int, report: TrainReport, test_acc: float, first_norm: float
+    runs_dir: Path, depth: int, repeat: int, report: TrainReport, test_acc: float, first_norm: float
 ) -> None:
     doc = {
         "depth": depth,
@@ -263,14 +247,15 @@ def _write_run_file(
         "first_layer_grad_norm_init": first_norm,
         "train_report": report.to_json_dict(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(runs_dir / f"{depth}_{repeat}.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def rows_from_run_files(runs_dir) -> list[SweepRow]:
-    """Rebuild the aggregated sweep rows from persisted run JSONs, so reports
-    can be regenerated without retraining."""
+    """Aggregate persisted run JSONs into sweep rows, in depth order, so reports
+    can be regenerated without retraining: each metric's mean over a depth's
+    runs that finished, or over all of them when every run diverged."""
     runs_dir = Path(runs_dir)
     files = sorted(runs_dir.glob("*_*.json"))
     if not files:
@@ -283,10 +268,21 @@ def rows_from_run_files(runs_dir) -> list[SweepRow]:
         report = TrainReport.from_json_dict(doc["train_report"])
         by_depth.setdefault(depth, {})[repeat] = (report, float(doc["test_accuracy_pct"]))
         norms[depth] = float(doc["first_layer_grad_norm_init"])
+    mean = lambda vals: float(sum(vals) / len(vals))
     rows = []
     for depth in sorted(by_depth):
         cells = [by_depth[depth][i] for i in sorted(by_depth[depth])]
-        rows.append(_aggregate(depth, cells, norms[depth]))
+        live = [(r, t) for r, t in cells if not r.diverged]
+        pool = live if live else cells
+        rows.append(SweepRow(
+            depth=depth,
+            train_time_seconds=mean([r.wall_time_seconds for r, _ in pool]),
+            train_accuracy_pct=mean([r.final_train_accuracy for r, _ in pool]),
+            validation_accuracy_pct=mean([r.final_validation_accuracy for r, _ in pool]),
+            test_accuracy_pct=mean([t for _, t in pool]),
+            diverged_runs=len(cells) - len(live),
+            first_layer_grad_norm_init=norms[depth],
+        ))
     return rows
 
 
@@ -491,12 +487,12 @@ def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     Only the training set is sampled: a file source's test file is not read
     and may be absent, and a synthetic corpus is split as a sweep splits it.
     """
+    cells = _cells(config)
     initial_model, profile = _prepare(config, not isinstance(config.source, FileSource))[3:]
-    cell_norms = {}
-    for depth in config.depths:
-        widths = taper_widths(depth, config.width_max, config.width_min)
-        for i in range(config.repeats):  # each model is freed before the next is built
-            cell_norms[(depth, i)] = profile(initial_model(widths, config.train_config.seed + i))
+    cell_norms = {  # each model is freed before the next is built
+        (depth, i): profile(initial_model(widths, config.train_config.seed + i))
+        for depth, widths, i in cells
+    }
     return _grad_flow(config, cell_norms)
 
 

@@ -159,6 +159,14 @@ class TestTrain:
                    "--embeddings", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o"))
         assert code == 2
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, capsys, lr):
+        out = tmp_path / "run"
+        assert run("train", "--synthetic", *TINY_SYNTH, "--lr", lr, "--out", str(out)) == 2
+        message = f"learning_rate must be positive and finite, got {lr}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "model.json").exists()
+
 
 class TestSplitCounts:
     """One rule for train, sweep and gen-synth: a count left out is 5/6 of
@@ -399,11 +407,37 @@ class TestSweepAndReport:
             (["--width-max", "8"], "need width_max >= width_min >= 1, got 8, 16"),
             (["--dropout", "1.5"], "dropout_rate must lie in [0, 1), got 1.5"),
             (["--max-words", "0"], "max_words must be >= 1, got 0"),
+            (["--lr", "nan"], "learning_rate must be positive and finite, got nan"),
+            (["--lr", "inf"], "learning_rate must be positive and finite, got inf"),
         ]:
             capsys.readouterr()
             assert run("sweep", *files, *bad) == 2, bad
             assert capsys.readouterr().err == f"error: {message}\n"
             assert {p.name: p.read_bytes() for p in (out / "runs").iterdir()} == runs
+
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            (["--train-count", "1", "--test-count", "1"],
+             "fraction 0.1 yields an empty validation split (n=1)"),
+            (["--train-count", "30", "--test-count", "10", "--val-fraction", "0.99"],
+             "fraction 0.99 leaves no training data (n=30)"),
+        ],
+        ids=["empty-validation-split", "no-training-data"],
+    )
+    def test_a_sweep_refused_by_its_validation_split_keeps_the_previous_run_files(
+        self, tmp_path, capsys, split, message
+    ):
+        out = tmp_path / "sweep"
+        sweep = ["sweep", "--synthetic", *TINY_SYNTH, "--depths", "1,2", "--repeats", "1",
+                 "--epochs", "1", "--out", str(out)]
+        assert run(*sweep, "--train-count", "30", "--test-count", "10") == 0
+        runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
+        assert sorted(runs) == ["1_0.json", "2_0.json"]
+        capsys.readouterr()
+        assert run(*sweep, *split) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p.name: p.read_bytes() for p in (out / "runs").iterdir()} == runs
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -185,6 +185,22 @@ class TestRunDepthSweep:
         assert rows[0].validation_accuracy_pct == report.final_validation_accuracy
         assert rows[0].test_accuracy_pct == evaluate(model, test_set, table)
 
+    def test_a_non_finite_norm_is_refused_as_report_refuses_it(self, tmp_path):
+        """The rows are read back from the run files, so a norm that
+        overflowed fails the sweep with the reader's error, after the run
+        files and grad_flow.csv are written."""
+        config = tiny_sweep_config(tmp_path, depths=(1,), repeats=1)
+        with pytest.raises(ParseError) as swept:
+            run_depth_sweep(
+                config,
+                runner=lambda depth, widths, i: (make_report(1.0, 80.0, 70.0), 60.0, [math.inf]),
+            )
+        with pytest.raises(ParseError) as reported:
+            rows_from_run_files(tmp_path / "runs")
+        assert str(swept.value) == str(reported.value)
+        assert "1_0.json" in str(swept.value) and "not finite" in str(swept.value)
+        assert (tmp_path / "grad_flow.csv").read_text().splitlines()[1] == "1,0,inf"
+
     def test_end_to_end_persists_run_files(self, tmp_path):
         config = tiny_sweep_config(tmp_path)
         rows = run_depth_sweep(config)
@@ -311,6 +327,26 @@ class TestGradFlowReport:
         lines = (tmp_path / "grad_flow.csv").read_text().splitlines()
         assert lines[0] == "depth,layer_index,mean_norm"
         assert len(lines) == 1 + len(records) == 1 + 2 + 3
+
+    @pytest.mark.parametrize("synthetic", [True, False], ids=["synthetic", "files"])
+    def test_bad_width_pair_refused_before_any_data_is_read(
+        self, tmp_path, monkeypatch, synthetic, file_source
+    ):
+        from dataclasses import replace
+
+        import qdelnet.experiment as experiment
+
+        def loaded(*args, **kwargs):
+            raise AssertionError("data was read")
+
+        for name in ("gen_synthetic", "load_dataset", "load_embeddings"):
+            monkeypatch.setattr(experiment, name, loaded)
+        config = replace(tiny_sweep_config(tmp_path / "out"), width_max=8)
+        if not synthetic:
+            config = replace(config, source=file_source)
+        with pytest.raises(ConfigError, match=r"need width_max >= width_min >= 1, got 8, 16"):
+            grad_flow_report(config)
+        assert not (tmp_path / "out").exists()
 
     def test_matches_sweep_first_layer_norm(self, tmp_path):
         config = tiny_sweep_config(tmp_path, depths=(1, 2), repeats=2)

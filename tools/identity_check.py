@@ -9,7 +9,8 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
 
 - a synthetic sweep (the default 2,000-question source) of depths
   1,3,10,50, 2 repeats of 2 epochs each, and `report` on its run files,
-  written to a directory of its own;
+  written to a directory of its own; the script exits with an error unless
+  each synthetic-report/ line equals its synthetic-sweep/ line;
 - a file sweep of depths 1,3 at the paper's input width (240 words x 300
   dims + 1 = 72,001 inputs), 1 epoch, on a 100/20-question corpus written
   by gen-synth; hidden widths taper from 64, to keep memory small; run
@@ -123,8 +124,11 @@ def main() -> None:
              if path.is_file() and path.name not in skipped
              and not path.match("*.qdelnet-cache.npz")]
     print("\n".join(lines))
-    cold, warm = ([line.replace(f"  {name}/", "  ") for line in lines if f"  {name}/" in line]
-                  for name in ("wide-sweep", "wide-sweep-warm"))
+    swept, reported, cold, warm = (
+        [line.replace(f"  {name}/", "  ") for line in lines if f"  {name}/" in line]
+        for name in ("synthetic-sweep", "synthetic-report", "wide-sweep", "wide-sweep-warm"))
+    if not reported or not set(reported) <= set(swept):
+        sys.exit("synthetic-report/ differs from synthetic-sweep/")
     if not cold or warm != cold:
         sys.exit("wide-sweep-warm/ differs from wide-sweep/")
 
