@@ -6,10 +6,10 @@ Fixed output names under the sweep's output directory:
     sweep.csv, fig_time.svg, fig_train_acc.svg, fig_val_acc.svg,
     fig_test_acc.svg, grad_flow.csv, runs/<depth>_<repeat>.json
 
-run_depth_sweep writes the run files and grad_flow.csv from one pass over
-the data: it prepares the data once, and each cell profiles the initial
-gradients of the model it trains. Its rows are then read back from the run
-files by rows_from_run_files, as `qdelnet report` reads them.
+run_depth_sweep prepares the data once; each cell trains a model, profiles
+its initial gradients and writes its own run file as soon as it ends, and
+grad_flow.csv follows the last cell. The rows are then read back from the
+run files by rows_from_run_files, as `qdelnet report` reads them.
 grad_flow_report writes the same grad_flow.csv without training anything.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
@@ -211,12 +211,12 @@ def run_depth_sweep(
     config: SweepConfig,
     runner: Callable[[int, Sequence[int], int], CellResult] | None = None,
 ) -> list[SweepRow]:
-    """Run `repeats` train+evaluate cycles per depth (seeds seed+i) and
-    persist every cell's report under output_dir/runs/, whose earlier run
-    files are removed first. Each cell also profiles the initial gradients of
-    the model it trains: each depth's mean over its cells goes into
-    output_dir/grad_flow.csv, layer 0 also into the run files. Returns the
-    rows that rows_from_run_files reads back from those files.
+    """Run `repeats` train+evaluate cycles per depth (seeds seed+i), writing
+    each cell's run file, which holds that cell alone, under output_dir/runs/
+    as soon as the cell ends; earlier run files are removed first. Each cell
+    also profiles the initial gradients of the model it trains: each depth's
+    mean over its cells goes into output_dir/grad_flow.csv after the last
+    cell. Returns the rows that rows_from_run_files reads back from the files.
 
     `runner` exists for unit-level stubbing; by default it trains, scores and
     profiles a real model on the configured data source, prepared once.
@@ -229,11 +229,11 @@ def run_depth_sweep(
     for stale in runs_dir.glob("*_*.json"):  # rows_from_run_files would mix them with this sweep's
         stale.unlink()
 
-    results = {(depth, i): runner(depth, widths, i) for depth, widths, i in cells}
-    cell_norms = {cell: norms for cell, (_, _, norms) in results.items()}
-    first_norms = {d: norm for d, layer, norm in _grad_flow(config, cell_norms) if layer == 0}
-    for (depth, i), (report, test_acc, _) in results.items():
-        _write_run_file(runs_dir, depth, i, report, test_acc, first_norms[depth])
+    cell_norms = {}
+    for depth, widths, i in cells:
+        report, test_acc, cell_norms[(depth, i)] = runner(depth, widths, i)
+        _write_run_file(runs_dir, depth, i, report, test_acc, cell_norms[(depth, i)][0])
+    _grad_flow(config, cell_norms)
     return rows_from_run_files(runs_dir)
 
 
@@ -253,35 +253,34 @@ def _write_run_file(
 
 
 def rows_from_run_files(runs_dir) -> list[SweepRow]:
-    """Aggregate persisted run JSONs into sweep rows, in depth order, so reports
-    can be regenerated without retraining: each metric's mean over a depth's
-    runs that finished, or over all of them when every run diverged."""
+    """Aggregate persisted run JSONs, one per cell, into sweep rows in depth
+    order, so reports can be regenerated without retraining: each metric's
+    mean over a depth's runs that finished, or over all when every run diverged."""
     runs_dir = Path(runs_dir)
     files = sorted(runs_dir.glob("*_*.json"))
     if not files:
         raise InputError(f"no run files found under {runs_dir}")
-    by_depth: dict[int, dict[int, tuple[TrainReport, float]]] = {}
-    norms: dict[int, float] = {}
+    by_depth: dict[int, dict[int, tuple[TrainReport, float, float]]] = {}
     for path in files:
         doc = _read_run_file(path)
-        depth, repeat = doc["depth"], doc["repeat"]
         report = TrainReport.from_json_dict(doc["train_report"])
-        by_depth.setdefault(depth, {})[repeat] = (report, float(doc["test_accuracy_pct"]))
-        norms[depth] = float(doc["first_layer_grad_norm_init"])
-    mean = lambda vals: float(sum(vals) / len(vals))
+        by_depth.setdefault(doc["depth"], {})[doc["repeat"]] = (
+            report, float(doc["test_accuracy_pct"]), float(doc["first_layer_grad_norm_init"]))
+    # Running sums in repeat order, as _grad_flow's (sum() compensates from Python 3.12).
+    mean = lambda vals: float(np.cumsum(vals)[-1] / len(vals))
     rows = []
     for depth in sorted(by_depth):
         cells = [by_depth[depth][i] for i in sorted(by_depth[depth])]
-        live = [(r, t) for r, t in cells if not r.diverged]
+        live = [cell for cell in cells if not cell[0].diverged]
         pool = live if live else cells
         rows.append(SweepRow(
             depth=depth,
-            train_time_seconds=mean([r.wall_time_seconds for r, _ in pool]),
-            train_accuracy_pct=mean([r.final_train_accuracy for r, _ in pool]),
-            validation_accuracy_pct=mean([r.final_validation_accuracy for r, _ in pool]),
-            test_accuracy_pct=mean([t for _, t in pool]),
+            train_time_seconds=mean([r.wall_time_seconds for r, _, _ in pool]),
+            train_accuracy_pct=mean([r.final_train_accuracy for r, _, _ in pool]),
+            validation_accuracy_pct=mean([r.final_validation_accuracy for r, _, _ in pool]),
+            test_accuracy_pct=mean([t for _, t, _ in pool]),
             diverged_runs=len(cells) - len(live),
-            first_layer_grad_norm_init=norms[depth],
+            first_layer_grad_norm_init=mean([n for _, _, n in cells]),  # all runs, as grad_flow.csv
         ))
     return rows
 

@@ -489,3 +489,22 @@ class TestInterrupt:
             pytest.fail("KeyboardInterrupt escaped parse_and_dispatch")
         assert code == 130
         assert capsys.readouterr().err == "interrupted\n"
+
+    def test_ctrl_c_keeps_the_cells_that_finished(self, tmp_path, capsys, monkeypatch):
+        import qdelnet.experiment as experiment
+
+        real, calls = experiment.train, []
+
+        def interrupted_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", interrupted_second)
+        capsys.readouterr()
+        code = run("sweep", "--synthetic", *TINY_SYNTH, "--depths", "1,2", "--repeats", "1",
+                   "--epochs", "1", "--out", str(tmp_path / "sweep"))
+        assert code == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert [p.name for p in (tmp_path / "sweep" / "runs").iterdir()] == ["1_0.json"]

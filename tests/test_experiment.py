@@ -1,3 +1,4 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -210,6 +211,110 @@ class TestRunDepthSweep:
                 assert (tmp_path / "runs" / f"{depth}_{repeat}.json").exists()
         rebuilt = rows_from_run_files(tmp_path / "runs")
         assert rebuilt == rows
+
+
+def per_cell_runner(cells):
+    """A stub runner over {(depth, repeat): (report, test accuracy, layer-0 norm)}
+    that profiles every layer after the first at 1.0."""
+    return lambda depth, widths, i: (*cells[(depth, i)][:2], [cells[(depth, i)][2]] + [1.0] * depth)
+
+
+class TestOneRecordPerCell:
+    CELLS = {
+        (1, 0): (make_report(1.0, 80.0, 70.0), 60.0, 0.5),
+        (1, 1): (make_report(9.0, 50.0, 50.0, diverged=True, epoch=3), 50.0, 0.25),
+        (1, 2): (make_report(3.0, 90.0, 80.0), 70.0, 1.5),
+        (2, 0): (make_report(5.0, 88.0, 78.0), 68.0, 0.0598750956555908),
+        (2, 1): (make_report(7.0, 98.0, 88.0), 78.0, 0.0836077141185587),
+        (2, 2): (make_report(6.0, 93.0, 83.0), 73.0, 0.125),
+    }
+
+    def test_a_run_file_holds_its_own_cell(self, tmp_path):
+        """Each file holds its cell's own layer-0 norm; the row averages the
+        norm over all cells, diverged ones included, and every other column
+        over the cells that finished."""
+        config = tiny_sweep_config(tmp_path, depths=(1, 2), repeats=3)
+        rows = run_depth_sweep(config, runner=per_cell_runner(self.CELLS))
+        for (depth, i), (_, _, norm) in self.CELLS.items():
+            doc = json.loads((tmp_path / "runs" / f"{depth}_{i}.json").read_text())
+            assert doc["first_layer_grad_norm_init"] == norm
+        r1, r2 = rows
+        assert r1.first_layer_grad_norm_init == (0.5 + 0.25 + 1.5) / 3 == 0.75
+        assert r1.diverged_runs == 1
+        assert (r1.train_time_seconds, r1.train_accuracy_pct) == (2.0, 85.0)
+        assert (r1.validation_accuracy_pct, r1.test_accuracy_pct) == (75.0, 65.0)
+        assert r2.first_layer_grad_norm_init == (0.0 + 0.0598750956555908 + 0.0836077141185587
+                                                 + 0.125) / 3
+        flow = (tmp_path / "grad_flow.csv").read_text().splitlines()
+        layer0 = {int(d): float(n) for d, li, n in (ln.split(",") for ln in flow[1:]) if li == "0"}
+        assert layer0 == {1: r1.first_layer_grad_norm_init, 2: r2.first_layer_grad_norm_init}
+
+    def test_a_failed_sweep_keeps_the_cells_that_finished(self, tmp_path):
+        """A runner that raises at cell 3 of 4 leaves the run files of cells
+        1 and 2, byte-identical to an uninterrupted sweep's, and no
+        grad_flow.csv."""
+        cells = {cell: self.CELLS[cell] for cell in [(1, 0), (1, 1), (2, 0), (2, 1)]}
+        runner = per_cell_runner(cells)
+        run_depth_sweep(tiny_sweep_config(tmp_path / "whole", depths=(1, 2)), runner=runner)
+
+        def failing(depth, widths, i):
+            if (depth, i) == (2, 0):
+                raise RuntimeError("cell 3 failed")
+            return runner(depth, widths, i)
+
+        with pytest.raises(RuntimeError, match="cell 3 failed"):
+            run_depth_sweep(tiny_sweep_config(tmp_path / "failed", depths=(1, 2)), runner=failing)
+        kept = sorted(p.name for p in (tmp_path / "failed" / "runs").iterdir())
+        assert kept == ["1_0.json", "1_1.json"]
+        for name in kept:
+            whole = (tmp_path / "whole" / "runs" / name).read_bytes()
+            assert (tmp_path / "failed" / "runs" / name).read_bytes() == whole
+        assert not (tmp_path / "failed" / "grad_flow.csv").exists()
+
+
+def write_run_files(runs_dir, norms):
+    """Hand-written run files: {depth: [layer-0 norm of each repeat]}."""
+    runs_dir.mkdir(parents=True)
+    for depth, by_repeat in norms.items():
+        for i, norm in enumerate(by_repeat):
+            doc = {
+                "depth": depth,
+                "repeat": i,
+                "test_accuracy_pct": 60.0 + i,
+                "first_layer_grad_norm_init": norm,
+                "train_report": make_report(1.0 + i, 80.0 + i, 70.0 + i).to_json_dict(),
+            }
+            (runs_dir / f"{depth}_{i}.json").write_text(json.dumps(doc, indent=2) + "\n")
+
+
+class TestReaderOnHandWrittenRuns:
+    @pytest.mark.parametrize("norms, last_column", [
+        # One cell's own norm per file: the row holds their mean, where a
+        # reader that kept the last file's value would give 0.0836077 and 2.
+        ({1: [0.0598750956555908, 0.0836077141185587], 3: [0.5, 0.25, 2.0]},
+         ["0.0717414", "0.916667"]),
+        # Run files that each hold their depth's mean, as sweeps wrote them
+        # before each file held its own cell: (0.1 + 0.1 + 0.1) / 3 is not
+        # 0.1, but sweep.csv's 6 significant digits are the same.
+        ({1: [0.07174140488707476] * 2, 3: [0.1] * 3}, ["0.0717414", "0.1"]),
+    ], ids=["per-cell", "per-depth-mean"])
+    def test_report_averages_each_depths_norms(self, tmp_path, norms, last_column):
+        from qdelnet.cli import parse_and_dispatch
+
+        write_run_files(tmp_path / "sweep" / "runs", norms)
+        rows = rows_from_run_files(tmp_path / "sweep" / "runs")
+        for row, by_repeat in zip(rows, norms.values()):
+            total = 0.0
+            for norm in by_repeat:
+                total += norm
+            assert row.first_layer_grad_norm_init == total / len(by_repeat)
+        assert parse_and_dispatch(
+            ["report", "--runs", str(tmp_path / "sweep"), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == (
+            f"{SWEEP_CSV_HEADER}\n"
+            f"1,1.5,80.50,70.50,60.50,0,{last_column[0]}\n"
+            f"3,2.0,81.00,71.00,61.00,0,{last_column[1]}\n"
+        ).encode()
 
 
 class TestSweepCsv:
