@@ -25,8 +25,8 @@ from .experiment import (
     grad_flow_report,
     load_source,
     render_plots,
-    rows_from_run_files,
     run_depth_sweep,
+    write_outputs,
     write_sweep_csv,
 )
 from .features import (

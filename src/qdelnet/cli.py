@@ -22,10 +22,8 @@ from .experiment import (
     SweepConfig,
     SyntheticSource,
     load_source,
-    render_plots,
-    rows_from_run_files,
     run_depth_sweep,
-    write_sweep_csv,
+    write_outputs,
 )
 from .features import load_embeddings, save_embeddings
 from .nn import ModelConfig, build_model, load_model, save_model, taper_widths
@@ -122,8 +120,8 @@ _OPTIONS: dict[str, list[tuple]] = {
         ("out", str, None, "output directory (required)"),
     ],
     "report": [
-        ("runs", str, None, "directory of a finished sweep (contains runs/) (required)"),
-        ("out", str, None, "where to write sweep.csv and the SVGs (default: --runs)"),
+        ("runs", str, None, "directory of a sweep (contains runs/) (required)"),
+        ("out", str, None, "where to write sweep.csv, SVGs and grad_flow.csv (default: --runs)"),
     ],
 }
 
@@ -148,8 +146,8 @@ def _build_parser() -> _Parser:
         "gen-synth": "generate a synthetic corpus and embedding table",
         "train": "train one model and save a checkpoint plus its report",
         "evaluate": "score a saved model on a corpus",
-        "sweep": "run the full depth sweep and emit CSV/SVG reports",
-        "report": "regenerate sweep.csv and the SVGs from persisted run files",
+        "sweep": "run the depth sweep; write run files, sweep.csv, the SVGs and grad_flow.csv",
+        "report": "regenerate sweep.csv, the SVGs and grad_flow.csv from a sweep's run files",
     }
     for name, spec in _OPTIONS.items():
         p = sub.add_parser(name, help=helps[name])
@@ -321,9 +319,6 @@ def _cmd_sweep(opts: dict) -> int:
         output_dir=str(out),
     )
     rows = run_depth_sweep(config)
-    write_sweep_csv(rows, out / "sweep.csv")
-    if len(rows) >= 2:
-        render_plots(rows, out)
     _persist_config(out, "sweep", opts)
     for row in rows:
         print(
@@ -337,13 +332,9 @@ def _cmd_sweep(opts: dict) -> int:
 def _cmd_report(opts: dict) -> int:
     _require(opts, "runs")
     base = Path(opts["runs"])
-    rows = rows_from_run_files(base / "runs")
     out = Path(opts["out"]) if opts["out"] else base
-    out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(rows, out / "sweep.csv")
-    if len(rows) >= 2:
-        render_plots(rows, out)
-    print(f"regenerated sweep.csv and plots for {len(rows)} depths in {out}")
+    rows = write_outputs(base / "runs", out)
+    print(f"regenerated the outputs of {len(rows)} depths in {out}")
     return 0
 
 

@@ -7,9 +7,9 @@ Fixed output names under the sweep's output directory:
     fig_test_acc.svg, grad_flow.csv, runs/<depth>_<repeat>.json
 
 run_depth_sweep prepares the data once; each cell trains a model, profiles
-its initial gradients and writes its own run file as soon as it ends, and
-grad_flow.csv follows the last cell. The rows are then read back from the
-run files by rows_from_run_files, as `qdelnet report` reads them.
+its initial gradients and writes its run file, the cell's whole record, as
+soon as it ends. After the last cell, write_outputs writes every other
+output from the run files alone, as `qdelnet report` does.
 grad_flow_report writes the same grad_flow.csv without training anything.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence, Union
@@ -40,7 +41,7 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "run_depth_sweep",
-    "rows_from_run_files",
+    "write_outputs",
     "write_sweep_csv",
     "render_plots",
     "grad_flow_report",
@@ -49,6 +50,7 @@ __all__ = [
 SWEEP_CSV_HEADER = "depth,train_time_s,train_acc,val_acc,test_acc,diverged,grad_norm_l1"
 GRAD_FLOW_HEADER = "depth,layer_index,mean_norm"
 PLOT_FILES = ("fig_time.svg", "fig_train_acc.svg", "fig_val_acc.svg", "fig_test_acc.svg")
+_OUTPUT_FILES = ("sweep.csv", "grad_flow.csv", *PLOT_FILES)  # what write_outputs writes
 # A runner's result: (report, test accuracy, initial gradient norms by layer).
 CellResult = tuple[TrainReport, float, list[float]]
 
@@ -213,10 +215,9 @@ def run_depth_sweep(
 ) -> list[SweepRow]:
     """Run `repeats` train+evaluate cycles per depth (seeds seed+i), writing
     each cell's run file, which holds that cell alone, under output_dir/runs/
-    as soon as the cell ends; earlier run files are removed first. Each cell
-    also profiles the initial gradients of the model it trains: each depth's
-    mean over its cells goes into output_dir/grad_flow.csv after the last
-    cell. Returns the rows that rows_from_run_files reads back from the files.
+    as soon as the cell ends; the last sweep's files are removed first. Each
+    cell also profiles the initial gradients of the model it trains into its
+    run file. Returns the rows of write_outputs, which runs after the last cell.
 
     `runner` exists for unit-level stubbing; by default it trains, scores and
     profiles a real model on the configured data source, prepared once.
@@ -226,63 +227,80 @@ def run_depth_sweep(
     runner = runner or _default_runner(config)
     runs_dir = Path(config.output_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    for stale in runs_dir.glob("*_*.json"):  # rows_from_run_files would mix them with this sweep's
-        stale.unlink()
-
-    cell_norms = {}
+    # Old run files would mix with this sweep's, and old outputs would outlive a failed sweep.
+    for stale in [*runs_dir.glob("*_*.json"), *(runs_dir.parent / f for f in _OUTPUT_FILES)]:
+        stale.unlink(missing_ok=True)
     for depth, widths, i in cells:
-        report, test_acc, cell_norms[(depth, i)] = runner(depth, widths, i)
-        _write_run_file(runs_dir, depth, i, report, test_acc, cell_norms[(depth, i)][0])
-    _grad_flow(config, cell_norms)
-    return rows_from_run_files(runs_dir)
+        _write_run_file(runs_dir, depth, i, runner(depth, widths, i))
+    return write_outputs(runs_dir, config.output_dir)
 
 
-def _write_run_file(
-    runs_dir: Path, depth: int, repeat: int, report: TrainReport, test_acc: float, first_norm: float
-) -> None:
+def _write_run_file(runs_dir: Path, depth: int, repeat: int, cell: CellResult) -> None:
+    """Write one cell's run file; a write that fails leaves no file behind."""
+    report, test_acc, norms = cell
     doc = {
         "depth": depth,
         "repeat": repeat,
         "test_accuracy_pct": test_acc,
-        "first_layer_grad_norm_init": first_norm,
+        "first_layer_grad_norm_init": norms[0],
+        "initial_grad_norms": norms,
         "train_report": report.to_json_dict(),
     }
-    with open(runs_dir / f"{depth}_{repeat}.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    tmp = runs_dir / f"{depth}_{repeat}.json.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, tmp.with_suffix(""))
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def rows_from_run_files(runs_dir) -> list[SweepRow]:
-    """Aggregate persisted run JSONs, one per cell, into sweep rows in depth
-    order, so reports can be regenerated without retraining: each metric's
-    mean over a depth's runs that finished, or over all when every run diverged."""
-    runs_dir = Path(runs_dir)
+def write_outputs(runs_dir, out_dir) -> list[SweepRow]:
+    """Write sweep.csv, the SVGs (for 2 or more depths) and grad_flow.csv to
+    out_dir from the run files under runs_dir, one per cell; older run files,
+    without per-layer norms, give no grad_flow.csv. Returns the rows in depth
+    order: each metric's mean over a depth's runs that finished, or over all
+    when every run diverged, and the initial norm's mean over all runs."""
+    runs_dir, out = Path(runs_dir), Path(out_dir)
     files = sorted(runs_dir.glob("*_*.json"))
     if not files:
         raise InputError(f"no run files found under {runs_dir}")
-    by_depth: dict[int, dict[int, tuple[TrainReport, float, float]]] = {}
+    by_depth: dict[int, dict[int, tuple[TrainReport, float, float, list | None]]] = {}
     for path in files:
         doc = _read_run_file(path)
-        report = TrainReport.from_json_dict(doc["train_report"])
         by_depth.setdefault(doc["depth"], {})[doc["repeat"]] = (
-            report, float(doc["test_accuracy_pct"]), float(doc["first_layer_grad_norm_init"]))
-    # Running sums in repeat order, as _grad_flow's (sum() compensates from Python 3.12).
-    mean = lambda vals: float(np.cumsum(vals)[-1] / len(vals))
-    rows = []
+            TrainReport.from_json_dict(doc["train_report"]), doc["test_accuracy_pct"],
+            doc["first_layer_grad_norm_init"], doc.get("initial_grad_norms"))
+    rows, norms = [], {}
     for depth in sorted(by_depth):
         cells = [by_depth[depth][i] for i in sorted(by_depth[depth])]
         live = [cell for cell in cells if not cell[0].diverged]
         pool = live if live else cells
         rows.append(SweepRow(
             depth=depth,
-            train_time_seconds=mean([r.wall_time_seconds for r, _, _ in pool]),
-            train_accuracy_pct=mean([r.final_train_accuracy for r, _, _ in pool]),
-            validation_accuracy_pct=mean([r.final_validation_accuracy for r, _, _ in pool]),
-            test_accuracy_pct=mean([t for _, t, _ in pool]),
+            train_time_seconds=_mean([r.wall_time_seconds for r, *_ in pool]),
+            train_accuracy_pct=_mean([r.final_train_accuracy for r, *_ in pool]),
+            validation_accuracy_pct=_mean([r.final_validation_accuracy for r, *_ in pool]),
+            test_accuracy_pct=_mean([t for _, t, *_ in pool]),
             diverged_runs=len(cells) - len(live),
-            first_layer_grad_norm_init=mean([n for _, _, n in cells]),  # all runs, as grad_flow.csv
+            first_layer_grad_norm_init=_mean([n for _, _, n, _ in cells]),
         ))
+        norms[depth] = [profile for *_, profile in cells]
+    out.mkdir(parents=True, exist_ok=True)
+    write_sweep_csv(rows, out / "sweep.csv")
+    if len(rows) >= 2:
+        render_plots(rows, out)
+    if all(None not in by_repeat for by_repeat in norms.values()):
+        _grad_flow(out, norms)
+    else:
+        print(f"note: no per-layer norms in {runs_dir}; grad_flow.csv not written")
     return rows
+
+
+def _mean(vals):
+    """The mean over axis 0 as a running sum (sum() compensates from Python 3.12)."""
+    return (np.cumsum(vals, axis=0, dtype=float)[-1] / len(vals)).tolist()
 
 
 _NUMBER = (int, float)
@@ -292,6 +310,7 @@ _RUN_FIELDS = {
     "repeat": int,
     "test_accuracy_pct": _NUMBER,
     "first_layer_grad_norm_init": _NUMBER,
+    "initial_grad_norms": list,
     "train_report": dict,
 }
 _REPORT_FIELDS = {
@@ -303,13 +322,14 @@ _REPORT_FIELDS = {
     "diverged": bool,
     "diverged_epoch": (int, type(None)),
 }
-_OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch")  # TrainReport defaults
+# TrainReport's defaults, and the norms that run files written before them lack.
+_OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch", "initial_grad_norms")
 
 
 def _read_run_file(path: Path) -> dict:
-    """A run file's document; raises ParseError naming the file if it is not
-    a JSON object, a field is missing or of the wrong type, a number is not
-    finite, depth is below 1 or repeat below 0."""
+    """A run file's document; raises ParseError naming the file if it is not a JSON
+    object, a field is missing or of the wrong type, a number is not finite, depth < 1,
+    repeat < 0, or initial_grad_norms is not depth + 1 norms from first_layer_grad_norm_init."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -323,6 +343,16 @@ def _read_run_file(path: Path) -> dict:
     for key, low in (("depth", 1), ("repeat", 0)):
         if doc[key] < low:
             raise ParseError(f"run file {path}: field {key} must be >= {low}, got {doc[key]}")
+    norms = doc.get("initial_grad_norms")
+    if norms is not None:
+        if len(norms) != doc["depth"] + 1:
+            raise ParseError(f"run file {path}: field initial_grad_norms holds {len(norms)} "
+                             f"norms, not depth + 1 = {doc['depth'] + 1}")
+        _check_fields(path, dict(enumerate(norms)), dict.fromkeys(range(len(norms)), _NUMBER),
+                      "initial_grad_norms.")
+        if norms[0] != doc["first_layer_grad_norm_init"]:
+            raise ParseError(f"run file {path}: field initial_grad_norms.0 differs from "
+                             "first_layer_grad_norm_init")
     return doc
 
 
@@ -488,27 +518,18 @@ def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     """
     cells = _cells(config)
     initial_model, profile = _prepare(config, not isinstance(config.source, FileSource))[3:]
-    cell_norms = {  # each model is freed before the next is built
-        (depth, i): profile(initial_model(widths, config.train_config.seed + i))
-        for depth, widths, i in cells
-    }
-    return _grad_flow(config, cell_norms)
+    norms = {depth: [] for depth in config.depths}
+    for depth, widths, i in cells:  # each model is freed before the next is built
+        norms[depth].append(profile(initial_model(widths, config.train_config.seed + i)))
+    return _grad_flow(Path(config.output_dir), norms)
 
 
-def _grad_flow(
-    config: SweepConfig, cell_norms: dict[tuple[int, int], list[float]]
-) -> list[tuple[int, int, float]]:
-    """Average each depth's per-layer norms over its cells, in repeat order,
-    and write them as long-format CSV (depth, layer_index, mean_norm) to
-    output_dir/grad_flow.csv. Returns the records."""
-    records = []
-    for depth in config.depths:
-        totals = np.zeros(len(cell_norms[(depth, 0)]))
-        for i in range(config.repeats):
-            totals += cell_norms[(depth, i)]
-        means = (totals / config.repeats).tolist()
-        records.extend((depth, layer, norm) for layer, norm in enumerate(means))
-    out = Path(config.output_dir)
+def _grad_flow(out: Path, norms: dict[int, list[list[float]]]) -> list[tuple[int, int, float]]:
+    """Write each depth's per-layer mean over its repeats' norms, in depth
+    order, as long-format CSV (depth, layer_index, mean_norm) to
+    out/grad_flow.csv. Returns the records."""
+    records = [(depth, layer, norm) for depth, by_repeat in norms.items()
+               for layer, norm in enumerate(_mean(by_repeat))]
     out.mkdir(parents=True, exist_ok=True)
     lines = [GRAD_FLOW_HEADER]
     lines.extend(f"{d},{li},{norm!r}" for d, li, norm in records)

@@ -16,6 +16,8 @@ def run(*argv):
 
 
 TINY_SYNTH = ["--n", "40", "--vocab", "12", "--dim", "3", "--max-words", "4", "--seed", "3"]
+# The top-level outputs of a sweep, each rebuilt from its run files by `report`.
+OUTPUTS = ("sweep.csv", "grad_flow.csv", *experiment.PLOT_FILES)
 
 
 class TestUsageErrors:
@@ -366,7 +368,7 @@ class TestSweepAndReport:
                    "--epochs", "2", "--out", str(out)) == 0
         originals = {
             name: (out / name).read_bytes()
-            for name in ("sweep.csv", "fig_time.svg", "fig_train_acc.svg",
+            for name in ("sweep.csv", "grad_flow.csv", "fig_time.svg", "fig_train_acc.svg",
                          "fig_val_acc.svg", "fig_test_acc.svg")
         }
         for name in originals:
@@ -397,6 +399,7 @@ class TestSweepAndReport:
         assert run("sweep", *files) == 0
         runs = {p.name: p.read_bytes() for p in (out / "runs").iterdir()}
         assert sorted(runs) == ["1_0.json", "2_0.json"]
+        outputs = {name: (out / name).read_bytes() for name in OUTPUTS}
 
         def loaded(path):
             raise AssertionError(f"{path} was loaded")
@@ -414,6 +417,30 @@ class TestSweepAndReport:
             assert run("sweep", *files, *bad) == 2, bad
             assert capsys.readouterr().err == f"error: {message}\n"
             assert {p.name: p.read_bytes() for p in (out / "runs").iterdir()} == runs
+            assert {name: (out / name).read_bytes() for name in OUTPUTS} == outputs
+
+    def test_a_failed_sweep_leaves_none_of_the_previous_outputs(self, tmp_path, monkeypatch):
+        """A sweep that fails in its second cell, run into a finished sweep's
+        --out, leaves its first cell's run file and none of that sweep's
+        top-level outputs."""
+        out = tmp_path / "sweep"
+        sweep = ["sweep", "--synthetic", *TINY_SYNTH, "--train-count", "30", "--test-count", "10",
+                 "--depths", "1,2", "--repeats", "1", "--epochs", "1", "--out", str(out)]
+        assert run(*sweep) == 0
+        assert all((out / name).is_file() for name in OUTPUTS)
+        real, calls = experiment.train, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("cell 2 failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", failing_second)
+        with pytest.raises(RuntimeError, match="cell 2 failed"):
+            run(*sweep)
+        assert [p.name for p in (out / "runs").iterdir()] == ["1_0.json"]
+        assert [name for name in OUTPUTS if (out / name).exists()] == []
 
     @pytest.mark.parametrize(
         "split, message",

@@ -16,8 +16,8 @@ from qdelnet.experiment import (
     SyntheticSource,
     grad_flow_report,
     render_plots,
-    rows_from_run_files,
     run_depth_sweep,
+    write_outputs,
     write_sweep_csv,
 )
 from qdelnet.train import TrainConfig, TrainReport
@@ -120,7 +120,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(2, 4), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [0.5 / depth]),
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [0.5 / depth] * (depth + 1)),
         )
         assert [r.depth for r in rows] == [2, 4]
         r2, r4 = rows
@@ -140,7 +140,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0]),
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0] * (depth + 1)),
         )
         assert rows[0].diverged_runs == 1
         assert rows[0].train_accuracy_pct == 80.0
@@ -154,7 +154,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0]),
+            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0] * (depth + 1)),
         )
         assert rows[0].diverged_runs == 2
         assert rows[0].train_accuracy_pct == 54.0
@@ -187,9 +187,9 @@ class TestRunDepthSweep:
         assert rows[0].test_accuracy_pct == evaluate(model, test_set, table)
 
     def test_a_non_finite_norm_is_refused_as_report_refuses_it(self, tmp_path):
-        """The rows are read back from the run files, so a norm that
+        """The outputs are written from the run files, so a norm that
         overflowed fails the sweep with the reader's error, after the run
-        files and grad_flow.csv are written."""
+        files are written and before any output is."""
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=1)
         with pytest.raises(ParseError) as swept:
             run_depth_sweep(
@@ -197,10 +197,10 @@ class TestRunDepthSweep:
                 runner=lambda depth, widths, i: (make_report(1.0, 80.0, 70.0), 60.0, [math.inf]),
             )
         with pytest.raises(ParseError) as reported:
-            rows_from_run_files(tmp_path / "runs")
+            write_outputs(tmp_path / "runs", tmp_path)
         assert str(swept.value) == str(reported.value)
         assert "1_0.json" in str(swept.value) and "not finite" in str(swept.value)
-        assert (tmp_path / "grad_flow.csv").read_text().splitlines()[1] == "1,0,inf"
+        assert not (tmp_path / "grad_flow.csv").exists()
 
     def test_end_to_end_persists_run_files(self, tmp_path):
         config = tiny_sweep_config(tmp_path)
@@ -209,7 +209,7 @@ class TestRunDepthSweep:
         for depth in (1, 2):
             for repeat in (0, 1):
                 assert (tmp_path / "runs" / f"{depth}_{repeat}.json").exists()
-        rebuilt = rows_from_run_files(tmp_path / "runs")
+        rebuilt = write_outputs(tmp_path / "runs", tmp_path / "report")
         assert rebuilt == rows
 
 
@@ -252,7 +252,9 @@ class TestOneRecordPerCell:
     def test_a_failed_sweep_keeps_the_cells_that_finished(self, tmp_path):
         """A runner that raises at cell 3 of 4 leaves the run files of cells
         1 and 2, byte-identical to an uninterrupted sweep's, and no
-        grad_flow.csv."""
+        grad_flow.csv; `report` then rebuilds its depth-1 lines from them."""
+        from qdelnet.cli import parse_and_dispatch
+
         cells = {cell: self.CELLS[cell] for cell in [(1, 0), (1, 1), (2, 0), (2, 1)]}
         runner = per_cell_runner(cells)
         run_depth_sweep(tiny_sweep_config(tmp_path / "whole", depths=(1, 2)), runner=runner)
@@ -270,6 +272,39 @@ class TestOneRecordPerCell:
             whole = (tmp_path / "whole" / "runs" / name).read_bytes()
             assert (tmp_path / "failed" / "runs" / name).read_bytes() == whole
         assert not (tmp_path / "failed" / "grad_flow.csv").exists()
+        assert parse_and_dispatch(["report", "--runs", str(tmp_path / "failed")]) == 0
+        flows = [(tmp_path / name / "grad_flow.csv").read_text().splitlines()
+                 for name in ("whole", "failed")]
+        assert flows[1] == [line for line in flows[0] if not line.startswith("2,")]
+        assert len(flows[1]) == 1 + 2
+
+    def test_a_failed_write_leaves_no_run_file(self, tmp_path, monkeypatch):
+        """A json.dump that writes half of cell 3's document and then raises
+        leaves neither its run file nor the temporary file, and the run files
+        of cells 1 and 2 as an uninterrupted sweep writes them."""
+        from qdelnet.cli import parse_and_dispatch
+
+        cells = {cell: self.CELLS[cell] for cell in [(1, 0), (1, 1), (2, 0), (2, 1)]}
+        runner = per_cell_runner(cells)
+        run_depth_sweep(tiny_sweep_config(tmp_path / "whole", depths=(1, 2)), runner=runner)
+        real = json.dump
+
+        def half(doc, fh, **kwargs):
+            if doc["depth"] == 2:
+                fh.write(json.dumps(doc, **kwargs)[:40])
+                raise OSError("no space left on device")
+            real(doc, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", half)
+        with pytest.raises(OSError, match="no space left"):
+            run_depth_sweep(tiny_sweep_config(tmp_path / "failed", depths=(1, 2)), runner=runner)
+        monkeypatch.undo()
+        kept = sorted(p.name for p in (tmp_path / "failed" / "runs").iterdir())
+        assert kept == ["1_0.json", "1_1.json"]
+        for name in kept:
+            whole = (tmp_path / "whole" / "runs" / name).read_bytes()
+            assert (tmp_path / "failed" / "runs" / name).read_bytes() == whole
+        assert parse_and_dispatch(["report", "--runs", str(tmp_path / "failed")]) == 0
 
 
 def write_run_files(runs_dir, norms):
@@ -298,18 +333,27 @@ class TestReaderOnHandWrittenRuns:
         # 0.1, but sweep.csv's 6 significant digits are the same.
         ({1: [0.07174140488707476] * 2, 3: [0.1] * 3}, ["0.0717414", "0.1"]),
     ], ids=["per-cell", "per-depth-mean"])
-    def test_report_averages_each_depths_norms(self, tmp_path, norms, last_column):
+    def test_report_averages_each_depths_norms(self, tmp_path, capsys, norms, last_column):
+        """Run files written before they held per-layer norms: report writes
+        sweep.csv and the SVGs, and says that it skips grad_flow.csv."""
         from qdelnet.cli import parse_and_dispatch
 
         write_run_files(tmp_path / "sweep" / "runs", norms)
-        rows = rows_from_run_files(tmp_path / "sweep" / "runs")
+        rows = write_outputs(tmp_path / "sweep" / "runs", tmp_path / "sweep")
         for row, by_repeat in zip(rows, norms.values()):
             total = 0.0
             for norm in by_repeat:
                 total += norm
             assert row.first_layer_grad_norm_init == total / len(by_repeat)
+        capsys.readouterr()
         assert parse_and_dispatch(
             ["report", "--runs", str(tmp_path / "sweep"), "--out", str(tmp_path / "out")]) == 0
+        runs_dir = tmp_path / "sweep" / "runs"
+        assert capsys.readouterr().out == (
+            f"note: no per-layer norms in {runs_dir}; grad_flow.csv not written\n"
+            f"regenerated the outputs of 2 depths in {tmp_path / 'out'}\n")
+        assert not (tmp_path / "out" / "grad_flow.csv").exists()
+        assert (tmp_path / "out" / "fig_test_acc.svg").is_file()
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == (
             f"{SWEEP_CSV_HEADER}\n"
             f"1,1.5,80.50,70.50,60.50,0,{last_column[0]}\n"

@@ -20,7 +20,7 @@ from qdelnet import cli
 from qdelnet.cli import parse_and_dispatch
 from qdelnet.data import Dataset, gen_synthetic, load_dataset, save_dataset
 from qdelnet.errors import NumericError, ParseError, ValidationError
-from qdelnet.experiment import rows_from_run_files
+from qdelnet.experiment import write_outputs
 from qdelnet.features import load_embeddings, save_embeddings
 from qdelnet.nn import ModelConfig, build_model, load_model, save_model
 
@@ -308,7 +308,7 @@ def assert_report_agrees(runs):
     report` exits 0, or they raise a package error whose message `qdelnet
     report` prints before exiting 2."""
     try:
-        rows_from_run_files(runs["copy"] / "runs")
+        write_outputs(runs["copy"] / "runs", runs["out"])
     except PACKAGE_ERRORS as exc:
         assert run_cli("report", "--runs", runs["copy"], "--out", runs["out"]) == (
             2, f"error: {exc}\n")
@@ -321,7 +321,7 @@ class TestMalformedRunFile:
     def test_deeply_nested_json_is_parse_error(self, runs):
         runs["bad"].write_text("[" * 100_000)
         with pytest.raises(ParseError) as info:
-            rows_from_run_files(runs["copy"] / "runs")
+            write_outputs(runs["copy"] / "runs", runs["out"])
         assert str(info.value) == f"run file {runs['bad']}: not JSON (nested too deeply)"
         assert run_cli("report", "--runs", runs["copy"], "--out", runs["out"]) == (
             2, f"error: {info.value}\n")
@@ -339,16 +339,25 @@ class TestMalformedRunFile:
             (("depth",), 10**400, "field depth is not finite"),
             (("train_report", "wall_time_seconds"), 10**400,
              "field train_report.wall_time_seconds is not finite"),
+            (("initial_grad_norms",), [0.5, 0.5, 0.5],
+             "field initial_grad_norms holds 3 norms, not depth + 1 = 2"),
+            (("initial_grad_norms", 1), "0.5", "field initial_grad_norms.1 is a str"),
+            (("initial_grad_norms", 1), True, "field initial_grad_norms.1 is a bool"),
+            (("initial_grad_norms", 1), float("inf"), "field initial_grad_norms.1 is not finite"),
+            (("initial_grad_norms", 0), 0.5,
+             "field initial_grad_norms.0 differs from first_layer_grad_norm_init"),
         ],
         ids=["depth-0", "depth-negative", "repeat-negative", "accuracy-nan", "accuracy-inf",
-             "norm-minus-inf", "depth-beyond-float", "wall-time-beyond-float"],
+             "norm-minus-inf", "depth-beyond-float", "wall-time-beyond-float",
+             "norms-wrong-length", "norms-string", "norms-true", "norms-infinity",
+             "norms-first-differs"],
     )
     def test_unreportable_value_is_parse_error(self, runs, path, value, message):
         """Values of the right JSON type that no sweep writes and that
         `report` cannot chart or average."""
         runs["bad"].write_text(json.dumps(replaced(runs["doc"], path, value)))
         with pytest.raises(ParseError) as info:
-            rows_from_run_files(runs["copy"] / "runs")
+            write_outputs(runs["copy"] / "runs", runs["out"])
         assert str(info.value) == f"run file {runs['bad']}: {message}"
         assert run_cli("report", "--runs", runs["copy"], "--out", runs["out"]) == (
             2, f"error: {info.value}\n")

@@ -10,7 +10,8 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
 - a synthetic sweep (the default 2,000-question source) of depths
   1,3,10,50, 2 repeats of 2 epochs each, and `report` on its run files,
   written to a directory of its own; the script exits with an error unless
-  each synthetic-report/ line equals its synthetic-sweep/ line;
+  each synthetic-report/ line (sweep.csv, grad_flow.csv and the SVGs) equals
+  its synthetic-sweep/ line;
 - a file sweep of depths 1,3 at the paper's input width (240 words x 300
   dims + 1 = 72,001 inputs), 1 epoch, on a 100/20-question corpus written
   by gen-synth; hidden widths taper from 64, to keep memory small; run
@@ -32,11 +33,7 @@ line shows that a table cache hit scores the same, and an evaluate-warm.txt
 equal to it shows the same for a corpus cache hit. Likewise the first wide
 sweep parses its table and both corpora, and the second reads the three
 caches; the script exits with an error unless each wide-sweep-warm/ line
-equals its wide-sweep/ line. It also exits with an error unless, for each
-depth of synthetic-sweep/ and of wide-sweep/, the run files'
-first_layer_grad_norm_init values, summed in repeat order from 0.0 and
-divided by their count, equal grad_flow.csv's layer-0 mean_norm to the bit.
-The qdelnet it imported goes to stderr.
+equals its wide-sweep/ line. The qdelnet it imported goes to stderr.
 """
 
 import contextlib
@@ -91,27 +88,6 @@ def digest(base: Path, path: Path) -> str:
     return f"{hashlib.sha256(text.encode()).hexdigest()}  {name}"
 
 
-def check_first_layer_norms(sweep: Path) -> None:
-    """Exit unless each depth's run files average to grad_flow.csv's layer 0."""
-    norms: dict[int, dict[int, float]] = {}
-    for path in (sweep / "runs").glob("*_*.json"):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        norms.setdefault(doc["depth"], {})[doc["repeat"]] = doc["first_layer_grad_norm_init"]
-    flow = csv.DictReader(io.StringIO((sweep / "grad_flow.csv").read_text(encoding="utf-8")))
-    layer0 = {int(r["depth"]): float(r["mean_norm"]) for r in flow if r["layer_index"] == "0"}
-    if not norms or norms.keys() != layer0.keys():
-        sys.exit(f"{sweep.name}: run-file depths {sorted(norms)} "
-                 f"!= grad_flow.csv's {sorted(layer0)}")
-    for depth, by_repeat in sorted(norms.items()):
-        mean = 0.0
-        for repeat in sorted(by_repeat):
-            mean += by_repeat[repeat]
-        mean /= len(by_repeat)
-        if mean != layer0[depth]:
-            sys.exit(f"{sweep.name}: depth {depth} run files' mean first-layer norm {mean!r} "
-                     f"!= grad_flow.csv layer 0 {layer0[depth]!r}")
-
-
 def main() -> None:
     if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
@@ -156,8 +132,6 @@ def main() -> None:
         sys.exit("synthetic-report/ differs from synthetic-sweep/")
     if not cold or warm != cold:
         sys.exit("wide-sweep-warm/ differs from wide-sweep/")
-    for name in ("synthetic-sweep", "wide-sweep"):
-        check_first_layer_norms(base / name)
 
 
 if __name__ == "__main__":
