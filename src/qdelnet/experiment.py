@@ -6,10 +6,10 @@ Fixed output names under the sweep's output directory:
     sweep.csv, fig_time.svg, fig_train_acc.svg, fig_val_acc.svg,
     fig_test_acc.svg, grad_flow.csv, runs/<depth>_<repeat>.json
 
-run_depth_sweep prepares the data once; each cell trains a model, profiles
-its initial gradients and writes its run file, the cell's whole record, as
-soon as it ends. After the last cell, write_outputs writes every other
-output from the run files alone, as `qdelnet report` does.
+run_depth_sweep prepares the data once; each cell trains a model (train()
+profiles its initial gradients first) and writes its run file, the cell's
+whole record, as soon as it ends. After the last cell, write_outputs writes
+every other output from the run files alone, as `qdelnet report` does.
 grad_flow_report writes the same grad_flow.csv without training anything.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
-from .errors import ConfigError, InputError, ParseError
+from .errors import ConfigError, InputError, NumericError, ParseError
 from .features import EmbeddingTable, featurize_batch, load_embeddings
 from .nn import MlpModel, ModelConfig, build_model, taper_widths
 from .train import (TrainConfig, TrainReport, evaluate, initial_gradient_profile,
@@ -51,7 +51,7 @@ SWEEP_CSV_HEADER = "depth,train_time_s,train_acc,val_acc,test_acc,diverged,grad_
 GRAD_FLOW_HEADER = "depth,layer_index,mean_norm"
 PLOT_FILES = ("fig_time.svg", "fig_train_acc.svg", "fig_val_acc.svg", "fig_test_acc.svg")
 _OUTPUT_FILES = ("sweep.csv", "grad_flow.csv", *PLOT_FILES)  # what write_outputs writes
-# A runner's result: (report, test accuracy, initial gradient norms by layer).
+# A runner's result: (report, test accuracy, initial gradient norms by layer from train()).
 CellResult = tuple[TrainReport, float, list[float]]
 
 
@@ -160,8 +160,8 @@ def load_source(
 
 def _prepare(config: SweepConfig, need_test: bool):
     """load_source, plus two functions over its data: the initial model of a cell's
-    widths and seed, and a model's profile on the first training batch, which it
-    featurizes at each call so that no sample is alive while a cell trains."""
+    widths and seed, and, for grad_flow_report, a model's profile on the first
+    training batch as train() takes it, featurizing the batch at each call."""
     train_set, test_set, table, max_words = load_source(
         config.source, config.train_config.seed, need_test=need_test
     )
@@ -200,11 +200,11 @@ def _default_runner(config: SweepConfig):
 
     def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
         seed = config.train_config.seed + repeat
-        initial = initial_model(widths, seed)
-        model, report = train(initial, train_set, replace(config.train_config, seed=seed), table)
-        test_acc = evaluate(model, test_set, table)
-        del model  # train() leaves `initial` as built, so profile that
-        return report, test_acc, profile(initial)
+        model, report = train(initial_model(widths, seed), train_set,
+                              replace(config.train_config, seed=seed), table)
+        if report.initial_grad_norms is None:
+            raise NumericError(f"depth {depth}: the initial model's gradients are not finite")
+        return report, evaluate(model, test_set, table), report.initial_grad_norms
 
     return runner
 
@@ -244,7 +244,8 @@ def _write_run_file(runs_dir: Path, depth: int, repeat: int, cell: CellResult) -
         "test_accuracy_pct": test_acc,
         "first_layer_grad_norm_init": norms[0],
         "initial_grad_norms": norms,
-        "train_report": report.to_json_dict(),
+        "train_report": {k: v for k, v in report.to_json_dict().items()
+                         if k != "initial_grad_norms"},
     }
     tmp = runs_dir / f"{depth}_{repeat}.json.tmp"
     try:
@@ -321,6 +322,7 @@ _REPORT_FIELDS = {
     "grad_norm_history": (list, type(None)),
     "diverged": bool,
     "diverged_epoch": (int, type(None)),
+    "initial_grad_norms": (list, type(None)),
 }
 # TrainReport's defaults, and the norms that run files written before them lack.
 _OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch", "initial_grad_norms")

@@ -131,8 +131,9 @@ class MlpModel:
     Layer k maps [input_dim, *hidden_widths, 1][k] inputs to the next
     width; hidden layers are ReLU and the last is the sigmoid, by position.
     `weights[k]` (out x in) and `biases[k]` (1 x out) are read-only views of
-    `params`, whose owner may still rewrite it (train() does) and the views
-    see that. Anything but a float64 vector of this size raises ShapeError.
+    `params`, whose owner may still rewrite it (train() rewrites the model it
+    is given) and the views see that. Anything but a float64 vector of this
+    size raises ShapeError.
     Parameters come from build_model, from_arrays, like, sgd_step and backward.
     """
 

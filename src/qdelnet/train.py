@@ -1,10 +1,12 @@
 """Training protocol: stratified validation split, mini-batch SGD epoch loop,
 accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
-Wall time covers the epoch loop only; corpus loading, any up-front feature
-caching and the step buffers happen off the clock. train() owns those
-buffers: an activation workspace, which also holds the dropout masks, two
-parameter sets (MlpModel.like()) and, when features are not cached, one
+train() profiles the initial gradients of the model it is given, then
+trains that model in place. Wall time covers the epoch loop only; corpus
+loading, the profile, any up-front feature caching and the step buffers
+happen off the clock. train() owns those buffers: an activation workspace,
+which also holds the dropout masks, one parameter set (MlpModel.like()) that
+takes turns with the given vector and, when features are not cached, one
 batch feature buffer that every batch is featurized into. Each step writes
 its gradients, then the updated parameters over them, into the set that is
 not the live model; that set becomes the live model only if every parameter
@@ -89,6 +91,8 @@ class TrainReport:
     grad_norm_history: list[list[float]] | None = None
     diverged: bool = False
     diverged_epoch: int | None = None
+    # initial_gradient_profile of the given model, or None if it raised NumericError.
+    initial_grad_norms: list[float] | None = None
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -130,19 +134,27 @@ def train(
     config: TrainConfig,
     table: EmbeddingTable,
 ) -> tuple[MlpModel, TrainReport]:
-    """Run the full training protocol and return (final model, report).
+    """Run the full training protocol on `model`, in place, and return
+    (model, report); the model ends with its last finite parameters.
 
-    A validation split of config.validation_fraction is carved out of
-    train_set first. Each epoch reshuffles the remaining examples with a
-    seeded generator and applies one SGD step per mini-batch. The fit set's
-    feature matrix is precomputed when it takes at most _CACHE_LIMIT_BYTES;
-    otherwise every batch is featurized in the loop. Both paths produce
-    identical results.
+    Its initial gradients are profiled first, on train_set's first
+    batch_size questions, into report.initial_grad_norms. A validation split
+    of config.validation_fraction is carved out of train_set. Each epoch
+    reshuffles the remaining examples with a seeded generator and applies
+    one SGD step per mini-batch. The fit set's feature matrix is precomputed
+    when it takes at most _CACHE_LIMIT_BYTES; otherwise every batch is
+    featurized in the loop. Both paths produce identical results.
     """
     if len(train_set) == 0:
         raise InputError("cannot train on an empty dataset")
     max_words = _derive_max_words(model, table)
     fit_set, val_set = split_train_val(train_set, config.validation_fraction, config.seed)
+    sample = train_set.questions[: config.batch_size]
+    try:  # before the first step overwrites the initial parameters
+        initial_norms = initial_gradient_profile(model, featurize_batch(sample, table, max_words),
+                                                 train_set.labels()[: config.batch_size, None])
+    except NumericError:
+        initial_norms = None
 
     n = len(fit_set)
     questions = fit_set.questions
@@ -157,8 +169,9 @@ def train(
     grad_history: list[list[float]] | None = [] if config.record_grad_norms else None
     diverged_epoch: int | None = None
     # Each step writes its gradients, then the update over them, into sets[0];
-    # the sets swap roles after a finite update. The caller's model is only read.
-    sets = [model.like(), model.like()]
+    # the sets swap roles after a finite update. The caller's vector is one of them.
+    owner = model
+    sets = [model.like(), owner]
     workspace = activation_buffers(model, min(config.batch_size, n))
     batch_features = None if cached is not None else np.empty((workspace.rows, model.input_dim))
 
@@ -198,6 +211,9 @@ def train(
         if grad_history is not None:
             grad_history.append((norm_sums / max(batch_count, 1)).tolist())
     wall_time = time.perf_counter() - t0
+    if model is not owner:  # an odd number of finite steps: the live set is the fresh one
+        np.copyto(owner.params, model.params)
+        model = owner
     # Release the step buffers and cached features; the evaluates need only the live model.
     sets = workspace = batch_features = cached = xb = grads = trace = preds = None
 
@@ -217,6 +233,7 @@ def train(
         grad_norm_history=grad_history,
         diverged=diverged_epoch is not None,
         diverged_epoch=diverged_epoch,
+        initial_grad_norms=initial_norms,
     )
     return model, report
 

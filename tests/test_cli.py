@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,9 +7,11 @@ import pytest
 
 from qdelnet import cli, experiment
 from qdelnet.cli import parse_and_dispatch
-from qdelnet.data import load_dataset
-from qdelnet.experiment import SweepRow
-from qdelnet.features import load_embeddings
+from qdelnet.data import gen_synthetic, load_dataset
+from qdelnet.experiment import SweepRow, SyntheticSource
+from qdelnet.features import featurize_batch, load_embeddings
+from qdelnet.nn import build_model, load_model
+from qdelnet.train import initial_gradient_profile
 
 
 def run(*argv):
@@ -69,6 +72,13 @@ class TestTrain:
         report = json.loads((out / "train_report.json").read_text())
         assert len(report["loss_curve"]) == 3
         assert not report["diverged"]
+        # The initial norms of a fresh build of the same model, on the first batch.
+        corpus, table = gen_synthetic(40, 12, 3, 4, SyntheticSource.noise, 3)
+        initial = build_model(load_model(out / "model.json").config)
+        assert report["initial_grad_norms"] == initial_gradient_profile(
+            initial, featurize_batch(corpus.questions[:32], table, 4), corpus.labels()[:32, None])
+        assert len(report["initial_grad_norms"]) == 2 + 1
+        assert all(math.isfinite(norm) for norm in report["initial_grad_norms"])
 
     def test_defaults_follow_protocol(self, tmp_path, monkeypatch):
         """With no protocol flags, the persisted resolved config carries the

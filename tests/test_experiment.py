@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdelnet.errors import ConfigError, InputError, ParseError
+from qdelnet.errors import ConfigError, InputError, NumericError, ParseError
 from qdelnet.experiment import (
     PLOT_FILES,
     FileSource,
@@ -361,6 +361,22 @@ class TestReaderOnHandWrittenRuns:
         ).encode()
 
 
+    def test_a_report_that_carries_its_norms_is_read(self, tmp_path):
+        """train() reports its model's initial norms; a run file whose
+        train_report keeps them, as to_json_dict() gives them, reads back."""
+        runs_dir = tmp_path / "sweep" / "runs"
+        write_run_files(runs_dir, {1: [0.5], 3: [0.25]})
+        for path in runs_dir.iterdir():
+            doc = json.loads(path.read_text())
+            norms = [doc["first_layer_grad_norm_init"]] + [1.0] * doc["depth"]
+            doc["initial_grad_norms"] = doc["train_report"]["initial_grad_norms"] = norms
+            path.write_text(json.dumps(doc))
+        rows = write_outputs(runs_dir, tmp_path / "sweep")
+        assert [row.first_layer_grad_norm_init for row in rows] == [0.5, 0.25]
+        assert (tmp_path / "sweep" / "grad_flow.csv").read_text().splitlines()[1:] == [
+            "1,0,0.5", "1,1,1.0", "3,0,0.25", "3,1,1.0", "3,2,1.0", "3,3,1.0"]
+
+
 class TestSweepCsv:
     def test_header_and_formats(self, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -508,18 +524,22 @@ class TestGradFlowReport:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the profile and corpus-generation calls experiment makes."""
-    import qdelnet.experiment as experiment
+    """Counts of the profile and corpus-generation calls that experiment and
+    train (which profiles each model it trains) make."""
+    import importlib
 
     counts = {"initial_gradient_profile": 0, "gen_synthetic": 0}
-    for name in counts:
-        real = getattr(experiment, name)
+    for module in ("qdelnet.experiment", "qdelnet.train"):
+        module = importlib.import_module(module)
+        for name in counts:
+            if hasattr(module, name):
+                real = getattr(module, name)
 
-        def counted(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
+                def counted(*args, _name=name, _real=real, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, name, counted)
+                monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -557,6 +577,20 @@ class TestOnePass:
                     monkeypatch.setattr(module, name, counted)
         run_depth_sweep(tiny_sweep_config(tmp_path, depths=(1, 2), repeats=2, epochs=1))
         assert counts == {"build_model": 4, "initial_gradient_profile": 4}
+
+    def test_a_cell_without_initial_norms_is_refused(self, tmp_path, monkeypatch):
+        """train() reports no norms when its profile raises NumericError; the
+        cell then raises it too and leaves no run file."""
+        import importlib
+
+        def raising(*args):
+            raise NumericError("backward: non-finite gradient in layer 0")
+
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "initial_gradient_profile",
+                            raising)
+        with pytest.raises(NumericError, match="depth 1: the initial model's gradients"):
+            run_depth_sweep(tiny_sweep_config(tmp_path, depths=(1, 2), repeats=1, epochs=1))
+        assert list((tmp_path / "runs").iterdir()) == []
 
     def test_sweep_writes_the_grad_flow_report_would(self, tmp_path):
         run_depth_sweep(tiny_sweep_config(tmp_path / "sweep", depths=(1, 3), repeats=2))

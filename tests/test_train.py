@@ -206,6 +206,18 @@ class TestTrain:
         assert np.isfinite(model.params).all()
         assert 0.0 <= report.final_train_accuracy <= 100.0
 
+    def test_a_profile_that_raises_reports_no_norms(self):
+        """A model poised at the float ceiling overflows in the initial
+        profile's forward pass as well: the report holds None, not norms."""
+        ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
+        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(16, 8), dropout_rate=0.0, seed=3)
+        base = build(config)
+        poisoned = MlpModel.from_arrays(config, [w * 1e160 for w in base.weights], base.biases)
+        _, report = train(poisoned, ds, TrainConfig(epochs=1, seed=3), table)
+        assert report.initial_grad_norms is None
+        _, report = train(base, ds, TrainConfig(epochs=1, seed=3), table)
+        assert len(report.initial_grad_norms) == 3
+
     def test_divergence_in_the_update_keeps_the_last_finite_model(self):
         """Large first-layer weights give output-layer gradients far above 1
         while the forward pass stays finite; at a learning rate of 1e308 the
@@ -223,33 +235,44 @@ class TestTrain:
         assert report.loss_curve == []
         assert param_bytes(out) == before
 
-    def test_callers_model_arrays_unchanged(self):
+    def test_trains_the_callers_model_in_place(self):
+        """The returned model is the caller's object, and its vector holds
+        hand_loop's final parameters bit for bit (9 steps: an odd count)."""
         ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=9)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8, 4), dropout_rate=0.05, seed=9)
         model = build(config)
-        before = param_bytes(model)
-        trained, _ = train(model, ds, TrainConfig(epochs=3, seed=9), table)
-        assert param_bytes(model) == before
-        assert param_bytes(trained) != before
+        train_config = TrainConfig(epochs=3, seed=9)
+        trained, _ = train(model, ds, train_config, table)
+        expected, _, _ = hand_loop(build(config), ds, train_config, table, 4)
+        assert trained is model
+        assert model.params.tobytes() == expected.params.tobytes()
 
     @pytest.mark.parametrize("learning_rate", [0.1, 1e308])
-    def test_callers_parameter_vector_never_written(self, learning_rate):
-        """Neither a finished nor a diverged run writes the caller's vector;
-        the returned model views a vector of its own."""
+    def test_callers_vector_holds_the_last_finite_parameters(self, learning_rate):
+        """A finished run leaves hand_loop's final parameters in the caller's
+        vector; a run that diverges at its first update leaves the vector
+        bit-unchanged. Either way the returned model is the caller's."""
         ds, table = gen_synthetic(80, 10, 3, 4, 0.1, seed=3)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.1, seed=3)
         base = build(config)
-        model = MlpModel.from_arrays(config, [base.weights[0] * 1e3, base.weights[1]], base.biases)
+        weights = [base.weights[0] * 1e3, base.weights[1]]
+        model = MlpModel.from_arrays(config, weights, base.biases)
         before = model.params.tobytes()
-        out, report = train(model, ds, TrainConfig(epochs=2, learning_rate=learning_rate, seed=3), table)
+        train_config = TrainConfig(epochs=2, learning_rate=learning_rate, seed=3)
+        out, report = train(model, ds, train_config, table)
+        assert out is model
         assert report.diverged == (learning_rate > 1.0)
-        assert model.params.tobytes() == before
-        if not report.diverged:
-            assert not np.shares_memory(out.params, model.params)
+        if report.diverged:
+            assert model.params.tobytes() == before
+        else:
+            initial = MlpModel.from_arrays(config, weights, base.biases)
+            expected, _, _ = hand_loop(initial, ds, train_config, table, 4)
+            assert model.params.tobytes() == expected.params.tobytes()
 
     def test_step_objects_are_built_before_the_loop(self, monkeypatch):
         """No parameter set is built per step: one epoch and five build the
-        same two, train()'s step buffers."""
+        same two, the initial profile's gradient set and train()'s one step
+        buffer."""
         import qdelnet.nn as nn
 
         built = []
@@ -285,16 +308,18 @@ class TestTrain:
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
         train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table)
         steps = 3 * 4  # 36 fit rows in batches of 10
-        assert len(outs) > steps  # the final evaluates come after the steps
-        assert outs[0] is not None
-        assert all(out is outs[0] for out in outs[:steps])
-        assert all(out is not outs[0] for out in outs[steps:])
+        assert len(outs) > 1 + steps  # the final evaluates come after the steps
+        assert outs[0] is None  # the initial profile's sample comes before them
+        assert outs[1] is not None
+        assert all(out is outs[1] for out in outs[1 : 1 + steps])
+        assert all(out is not outs[1] for out in outs[1 + steps :])
 
     @pytest.mark.parametrize("below", [0, 1], ids=["at-limit", "one-byte-below"])
     def test_features_are_cached_up_to_the_limit(self, monkeypatch, below):
         """36 fit rows x 13 inputs of 8 bytes: a limit of exactly that size
         caches them (one featurize of the whole fit set), one byte less
-        streams them (one featurize per batch)."""
+        streams them (one featurize per batch). Either way the initial
+        profile's sample of batch_size questions is featurized first."""
         train_module = importlib.import_module("qdelnet.train")
         sizes = []
 
@@ -308,16 +333,22 @@ class TestTrain:
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
         train(build(config), ds, TrainConfig(epochs=2, batch_size=10, seed=9), table)
         before_evaluates = [36] if below == 0 else [10, 10, 10, 6] * 2
-        assert sizes == before_evaluates + [36, 4]  # then the fit and validation sets
+        assert sizes == [10] + before_evaluates + [36, 4]  # then the fit and validation sets
 
-    @pytest.mark.parametrize("record_grad_norms", [False, True])
-    def test_matches_hand_loop_over_public_functions(self, record_grad_norms):
+    @pytest.mark.parametrize("record_grad_norms, epochs", [
+        pytest.param(False, 4, id="False"),
+        pytest.param(True, 4, id="True"),
+        pytest.param(False, 3, id="odd-steps"),
+    ])
+    def test_matches_hand_loop_over_public_functions(self, record_grad_norms, epochs):
         """train() updates in buffers it owns; its loss curve, gradient norms
         and final parameters must equal, bit for bit, those of the same
-        protocol run over the allocating public functions."""
+        protocol run over the allocating public functions. 4 epochs of 9
+        steps end with the live set in the caller's vector; 3 epochs end in
+        the other set, which train() copies back."""
         ds, table = gen_synthetic(150, 16, 4, 5, 0.2, seed=11)
         config = ModelConfig(input_dim=5 * 4 + 1, hidden_widths=(12, 6, 3), dropout_rate=0.1, seed=11)
-        train_config = TrainConfig(epochs=4, batch_size=16, learning_rate=0.2, seed=11,
+        train_config = TrainConfig(epochs=epochs, batch_size=16, learning_rate=0.2, seed=11,
                                    record_grad_norms=record_grad_norms)
         model, report = train(build(config), ds, train_config, table)
         expected_model, curve, norms = hand_loop(build(config), ds, train_config, table, 5)
@@ -345,6 +376,25 @@ class TestTrain:
         t_long = train(build(config), ds, TrainConfig(epochs=20, seed=3), table)[1].wall_time_seconds
         assert t_short > 0
         assert t_long >= 1.5 * t_short
+
+    def test_holds_one_parameter_set_beside_the_callers(self):
+        """At 5,001 inputs and widths (256,) a parameter set is 10.2 MB; the
+        54 fit rows' cached features and the evaluate buffer stay under a
+        quarter of that. With the caller holding its model through the call,
+        as a timing wrapper does, the memory traced during train() peaks
+        below 1.5 sets: the profile's gradient set and then the one step
+        buffer, never two sets at once."""
+        ds, table = gen_synthetic(60, 50, 25, 200, 0.15, seed=3)
+        model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(256,), seed=3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, report = train(model, ds, TrainConfig(epochs=1, seed=3), table)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert not report.diverged
+        assert peak < 1.5 * model.params.nbytes
 
     def test_report_json_round_trip(self):
         report = TrainReport(

@@ -10,12 +10,10 @@ thread, as above, matches the benchmark. Linux only.
 
 - sweep-wide (the default): the depth-1 cell of the 72,001-wide file source
   (vocab 10,000, dim 300, max_words 240, 2,400 train / 600 test questions,
-  1 epoch at learning rate 0.05). Phases: imports, load_source (which keeps
-  the questions and labels of the gradient profile's sample, the first
-  training batch), build_model, train() (which includes its fit and
-  validation evaluates), the test-set evaluate, and profile: the trained
-  model is dropped, and the sample is featurized and the initial model
-  profiled on it, as each sweep cell ends.
+  1 epoch at learning rate 0.05). Phases: imports, load_source, build_model,
+  train() (which profiles the initial gradients on the first training batch
+  before its first step, trains the built model in place and includes its
+  fit and validation evaluates) and the test-set evaluate.
 - sweep-narrow: the depth-50 cell of the 193-wide synthetic source (n 2,000,
   vocab 200, dim 16, max_words 12, 1,600 train / 400 test questions, 2
   epochs at learning rate 0.01), generated in load_source as the sweep does.
@@ -69,25 +67,19 @@ def write_inputs(workload: str, seed: int, out: Path) -> None:
 
 
 def run_cell(source, seed: int, depth: int, train_config) -> None:
-    from qdelnet import (ModelConfig, build_model, evaluate, featurize_batch,
-                         initial_gradient_profile, load_source, taper_widths, train)
+    from qdelnet import ModelConfig, build_model, evaluate, load_source, taper_widths, train
 
     report("imports")
     train_set, test_set, table, max_words = load_source(source, seed, need_test=True)
-    batch = train_config.batch_size
-    questions, labels = train_set.questions[:batch], train_set.labels()[:batch, None]
     report("load_source")
     config = ModelConfig(input_dim=max_words * table.dim + 1,
                          hidden_widths=tuple(taper_widths(depth)), dropout_rate=0.05, seed=seed)
-    initial = build_model(config)
+    model = build_model(config)
     report("build_model")
-    model, _ = train(initial, train_set, train_config, table)
+    model, _ = train(model, train_set, train_config, table)
     report("train()")
     evaluate(model, test_set, table)
     report("evaluate")
-    del model
-    initial_gradient_profile(initial, featurize_batch(questions, table, max_words), labels)
-    report("profile")
 
 
 def run_score(tmp: str) -> None:
