@@ -360,7 +360,6 @@ class TestReaderOnHandWrittenRuns:
             f"3,2.0,81.00,71.00,61.00,0,{last_column[1]}\n"
         ).encode()
 
-
     def test_a_report_that_carries_its_norms_is_read(self, tmp_path):
         """train() reports its model's initial norms; a run file whose
         train_report keeps them, as to_json_dict() gives them, reads back."""
