@@ -395,9 +395,10 @@ def backward(
     layout: its `weights` and `biases` hold dW and db.
 
     Without `out` the gradients go into a fresh set (model.like()), and a
-    non-finite one raises NumericError naming its layer. With `out`, a set
-    of the model's layout owned by the caller, they are written there
-    unchecked and `out` is returned: sgd_step checks the parameters it
+    non-finite one raises NumericError naming its layer; each layer is
+    checked as it is written, in blocks, as sgd_step checks its update. With
+    `out`, a set of the model's layout owned by the caller, they are written
+    there unchecked and `out` is returned: sgd_step checks the parameters it
     computes from them, which covers them.
     """
     depth = len(model.weights)
@@ -421,13 +422,16 @@ def backward(
     # d(mean BCE)/dz at the sigmoid output.
     delta = np.subtract(preds, labels)
     np.divide(delta, trace.inputs.shape[0], out=delta)
+    stop = out.params.size  # layer k's weights and bias are out.params[start:stop]
     for k in range(depth - 1, -1, -1):
         a_prev = trace.post_activations[k - 1] if k > 0 else trace.inputs
         dw, db = out._arrays[k]
         np.matmul(delta.T, a_prev, out=dw)
         np.add.reduce(delta, axis=0, keepdims=True, out=db)
-        if checked and not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise NumericError(f"backward: non-finite gradient in layer {k}")
+        start = stop - dw.size - db.size
+        if checked:
+            _require_finite(out, "backward: non-finite gradient", start, stop)
+        stop = start
         if k > 0:
             grad_h = np.matmul(delta, model.weights[k])
             mask = trace.dropout_masks[k - 1]
@@ -464,10 +468,21 @@ def sgd_step(
         block = updated[start:stop]
         np.multiply(step[start:stop], learning_rate, out=block)
         np.subtract(theta[start:stop], block, out=block)
-        if not np.isfinite(block).all():
-            layer = _layer_of(start + int(np.argmin(np.isfinite(block))), model._shapes)
-            raise NumericError(f"sgd_step: parameter update is non-finite in layer {layer}")
+        _require_finite(out, "sgd_step: parameter update is non-finite", start, stop)
     return out
+
+
+def _require_finite(params: MlpModel, what: str, start: int = 0, stop: int | None = None) -> None:
+    """Raise NumericError, "{what} in layer K", naming the layer of the
+    first non-finite element of params.params[start:stop] (the whole vector
+    by default). The slice is tested _UPDATE_BLOCK elements at a time, so
+    no temporary is larger than a block whatever the width of a layer."""
+    flat = params.params[start:stop]
+    for offset in range(0, flat.size, _UPDATE_BLOCK):
+        finite = np.isfinite(flat[offset : offset + _UPDATE_BLOCK])
+        if not finite.all():
+            layer = _layer_of(start + offset + int(np.argmin(finite)), params._shapes)
+            raise NumericError(f"{what} in layer {layer}")
 
 
 def gradient_layer_norms(grads: MlpModel) -> list[float]:

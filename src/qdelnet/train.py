@@ -3,17 +3,21 @@ accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
 train() profiles the initial gradients of the model it is given, then
 trains that model in place. Wall time covers the epoch loop only; corpus
-loading, the profile, any up-front feature caching and the step buffers
-happen off the clock. train() owns those buffers: an activation workspace,
-which also holds the dropout masks, one parameter set (MlpModel.like()) that
-takes turns with the given vector and, when features are not cached, one
-batch feature buffer that every batch is featurized into. Each step writes
-its gradients, then the updated parameters over them, into the set that is
-not the live model; that set becomes the live model only if every parameter
-is finite, so no parameter set is built per step. A run that produces a
-non-finite loss, gradient or parameter thus aborts with the last finite
-model kept, and the report is flagged as diverged at that epoch (overflow is
-reported there, not warned).
+loading, the step buffers, the profile and any up-front feature caching
+happen off the clock. train() owns those buffers and allocates them first:
+an activation workspace, which also holds the dropout masks, one parameter
+set (MlpModel.like()) that takes turns with the given vector, and one batch
+feature buffer. The profile runs in them: its sample is featurized into the
+batch buffer, its forward pass runs in the workspace and its gradients go
+into the parameter set, so it holds no buffer the loop does not. When the
+fit set's features are cached, the batch buffer is released before the
+cached matrix is built; otherwise every batch is featurized into it. Each
+step writes its gradients, then the updated parameters over them, into the
+set that is not the live model; that set becomes the live model only if
+every parameter is finite, so no parameter set is built per step. A run that
+produces a non-finite loss, gradient or parameter thus aborts with the last
+finite model kept, and the report is flagged as diverged at that epoch
+(overflow is reported there, not warned).
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from .data import Dataset, _stratified_split
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .features import EmbeddingTable, featurize_batch
 from .nn import (
+    Activations,
     MlpModel,
+    _require_finite,
     activation_buffers,
     backward,
     bce_loss,
@@ -91,7 +97,8 @@ class TrainReport:
     grad_norm_history: list[list[float]] | None = None
     diverged: bool = False
     diverged_epoch: int | None = None
-    # initial_gradient_profile of the given model, or None if it raised NumericError.
+    # initial_gradient_profile of the given model, run in train()'s step buffers
+    # (the same norms as in fresh ones), or None if it raised NumericError.
     initial_grad_norms: list[float] | None = None
 
     def to_json_dict(self) -> dict:
@@ -137,30 +144,44 @@ def train(
     """Run the full training protocol on `model`, in place, and return
     (model, report); the model ends with its last finite parameters.
 
-    Its initial gradients are profiled first, on train_set's first
-    batch_size questions, into report.initial_grad_norms. A validation split
-    of config.validation_fraction is carved out of train_set. Each epoch
-    reshuffles the remaining examples with a seeded generator and applies
-    one SGD step per mini-batch. The fit set's feature matrix is precomputed
-    when it takes at most _CACHE_LIMIT_BYTES; otherwise every batch is
-    featurized in the loop. Both paths produce identical results.
+    A validation split of config.validation_fraction is carved out of
+    train_set. The step buffers come next, sized for batch_size rows or all
+    of train_set if it is smaller. Then the initial gradients are profiled
+    in those buffers, on train_set's first batch_size questions, into
+    report.initial_grad_norms. Each epoch reshuffles the remaining examples
+    with a seeded generator and applies one SGD step per mini-batch. The fit
+    set's feature matrix is precomputed, after the batch feature buffer is
+    released, when it takes at most _CACHE_LIMIT_BYTES; otherwise every
+    batch is featurized in the loop. Both paths produce identical results.
     """
     if len(train_set) == 0:
         raise InputError("cannot train on an empty dataset")
     max_words = _derive_max_words(model, table)
     fit_set, val_set = split_train_val(train_set, config.validation_fraction, config.seed)
-    sample = train_set.questions[: config.batch_size]
+    # Each step writes its gradients, then the update over them, into sets[0];
+    # the sets swap roles after a finite update. The caller's vector is one of them.
+    # The initial profile runs in these buffers too; its sample is never
+    # smaller than a fit batch.
+    owner = model
+    sets = [model.like(), owner]
+    workspace = activation_buffers(model, min(config.batch_size, len(train_set)))
+    batch_features = np.empty((workspace.rows, model.input_dim))
+    sample = featurize_batch(train_set.questions[: config.batch_size], table, max_words,
+                             out=batch_features)
     try:  # before the first step overwrites the initial parameters
-        initial_norms = initial_gradient_profile(model, featurize_batch(sample, table, max_words),
-                                                 train_set.labels()[: config.batch_size, None])
+        initial_norms = initial_gradient_profile(model, sample,
+                                                 train_set.labels()[: config.batch_size, None],
+                                                 workspace=workspace, grads=sets[0])
     except NumericError:
         initial_norms = None
 
     n = len(fit_set)
     questions = fit_set.questions
     labels = fit_set.labels()[:, None]
-    cache_features = n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES
-    cached = featurize_batch(questions, table, max_words) if cache_features else None
+    cached = None
+    if n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES:
+        sample = batch_features = None  # no step needs them beside the cached matrix
+        cached = featurize_batch(questions, table, max_words)
 
     shuffle_rng = stream_rng(config.seed, SHUFFLE)
     dropout_rng = stream_rng(config.seed, DROPOUT)
@@ -168,12 +189,6 @@ def train(
     loss_curve: list[float] = []
     grad_history: list[list[float]] | None = [] if config.record_grad_norms else None
     diverged_epoch: int | None = None
-    # Each step writes its gradients, then the update over them, into sets[0];
-    # the sets swap roles after a finite update. The caller's vector is one of them.
-    owner = model
-    sets = [model.like(), owner]
-    workspace = activation_buffers(model, min(config.batch_size, n))
-    batch_features = None if cached is not None else np.empty((workspace.rows, model.input_dim))
 
     t0 = time.perf_counter()
     for epoch in range(config.epochs):
@@ -215,7 +230,7 @@ def train(
         np.copyto(owner.params, model.params)
         model = owner
     # Release the step buffers and cached features; the evaluates need only the live model.
-    sets = workspace = batch_features = cached = xb = grads = trace = preds = None
+    sets = workspace = batch_features = sample = cached = xb = grads = trace = preds = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;
@@ -274,14 +289,30 @@ def evaluate(model: MlpModel, dataset: Dataset, table: EmbeddingTable) -> float:
 
 
 def initial_gradient_profile(
-    model: MlpModel, sample: np.ndarray, labels: np.ndarray
+    model: MlpModel,
+    sample: np.ndarray,
+    labels: np.ndarray,
+    *,
+    workspace: Activations | None = None,
+    grads: MlpModel | None = None,
 ) -> list[float]:
     """Per-layer weight-gradient norms of one model on one batch, first layer
     first, from one train-mode forward (dropout from the PROFILE stream of
     the model's seed) and backward. At initialization this is the diagnostic
-    that shows backpropagated signal shrinking in early layers as depth grows."""
-    _, trace = forward(model, sample, mode="train", rng=stream_rng(model.config.seed, PROFILE))
-    grads = backward(model, trace, labels)
+    that shows backpropagated signal shrinking in early layers as depth grows.
+
+    The forward runs in `workspace` (activation_buffers of at least the
+    sample's rows) and the gradients go into `grads` (a parameter set of
+    the model's layout), both owned by the caller, as train() passes its
+    step buffers; each one not given is allocated fresh. The norms are the
+    same to the bit either way. A non-finite gradient raises NumericError
+    naming the first layer that holds one: the set is checked in blocks, as
+    sgd_step checks its update, with no temporary the size of a layer. On
+    return `grads` holds the squared gradients."""
+    rng = stream_rng(model.config.seed, PROFILE)
+    _, trace = forward(model, sample, mode="train", rng=rng, out=workspace)
+    grads = backward(model, trace, labels, out=model.like() if grads is None else grads)
+    _require_finite(grads, "initial_gradient_profile: non-finite gradient")
     # gradient_layer_norms to the bit, with no dW * dW copy: the dW views see the squares.
     np.multiply(grads.params, grads.params, out=grads.params)
     return [float(np.sqrt(np.sum(squared))) for squared in grads.weights]

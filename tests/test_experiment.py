@@ -582,8 +582,8 @@ class TestOnePass:
         cell then raises it too and leaves no run file."""
         import importlib
 
-        def raising(*args):
-            raise NumericError("backward: non-finite gradient in layer 0")
+        def raising(*args, **kwargs):
+            raise NumericError("initial_gradient_profile: non-finite gradient in layer 0")
 
         monkeypatch.setattr(importlib.import_module("qdelnet.train"), "initial_gradient_profile",
                             raising)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from qdelnet.data import Dataset, Question, gen_synthetic, split_train_test
-from qdelnet.errors import ConfigError, InputError
+from qdelnet.errors import ConfigError, InputError, NumericError
 from qdelnet.features import EmbeddingTable, featurize_batch
 from qdelnet.nn import (
     MlpModel,
     ModelConfig,
+    activation_buffers,
     backward,
     bce_loss,
     build_model,
@@ -271,8 +272,8 @@ class TestTrain:
 
     def test_step_objects_are_built_before_the_loop(self, monkeypatch):
         """No parameter set is built per step: one epoch and five build the
-        same two, the initial profile's gradient set and train()'s one step
-        buffer."""
+        same one, train()'s step buffer, which the initial profile's
+        gradients go into as well."""
         import qdelnet.nn as nn
 
         built = []
@@ -290,7 +291,7 @@ class TestTrain:
             built.clear()
             train(model, ds, TrainConfig(epochs=epochs, batch_size=8, seed=7), table)
             counts.append(len(built))
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_streamed_batches_share_one_feature_buffer(self, monkeypatch):
         # The package binds the name qdelnet.train to the function; fetch the module.
@@ -309,10 +310,9 @@ class TestTrain:
         train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table)
         steps = 3 * 4  # 36 fit rows in batches of 10
         assert len(outs) > 1 + steps  # the final evaluates come after the steps
-        assert outs[0] is None  # the initial profile's sample comes before them
-        assert outs[1] is not None
-        assert all(out is outs[1] for out in outs[1 : 1 + steps])
-        assert all(out is not outs[1] for out in outs[1 + steps :])
+        assert outs[0] is not None  # the initial profile's sample comes before the steps
+        assert all(out is outs[0] for out in outs[: 1 + steps])
+        assert all(out is not outs[0] for out in outs[1 + steps :])
 
     @pytest.mark.parametrize("below", [0, 1], ids=["at-limit", "one-byte-below"])
     def test_features_are_cached_up_to_the_limit(self, monkeypatch, below):
@@ -395,6 +395,30 @@ class TestTrain:
             tracemalloc.stop()
         assert not report.diverged
         assert peak < 1.5 * model.params.nbytes
+
+    def test_profile_runs_in_the_step_buffers(self, monkeypatch):
+        """At 5,001 inputs and widths (256,), with every batch streamed, the
+        memory traced during train() peaks below one parameter set (10.2 MB),
+        one batch feature buffer (1.3 MB) and a sixteenth of layer 0: the
+        initial profile featurizes into the batch buffer and writes its
+        gradients into the step set. A gradient set of its own, or a
+        finite-value temporary of layer 0 (1.3 MB of bools), goes past that.
+        The 36 fit rows' evaluate buffer is smaller than the set."""
+        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", 0)
+        ds, table = gen_synthetic(40, 50, 25, 200, 0.15, seed=3)
+        model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(256,), seed=3))
+        config = TrainConfig(epochs=1, seed=3)
+        batch_bytes = config.batch_size * model.input_dim * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, report = train(model, ds, config, table)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert not report.diverged
+        assert report.initial_grad_norms is not None
+        assert peak < model.params.nbytes + batch_bytes + model.weights[0].nbytes // 16
 
     def test_report_json_round_trip(self):
         report = TrainReport(
@@ -604,23 +628,67 @@ class TestInitialGradientProfile:
         y = np.array([[float(q.label)] for q in ds.questions[:batch]])
         return x, y
 
+    @staticmethod
+    def _buffers(model, rows, given):
+        """No buffers, or a workspace with room for more rows than the sample
+        and a gradient set full of NaN, as train() passes its step buffers."""
+        if not given:
+            return {}
+        grads = MlpModel(model.config, np.full_like(model.params, np.nan))
+        return {"workspace": activation_buffers(model, rows + 3), "grads": grads}
+
+    @staticmethod
+    def _overflowing_gradient():
+        """A model, a sample and labels whose forward pass is finite but whose
+        layer-0 weight gradient overflows: every question's one token embeds
+        as 1e308, which layer 0 weighs by zero, while the output weights of
+        1,000 make each label-0 row's backpropagated delta about 1,000 / rows."""
+        ds = balanced_dataset(40)
+        table = EmbeddingTable(1, {q.tokens[0]: [1e308] for q in ds.questions})
+        config = ModelConfig(input_dim=1 * 1 + 1, hidden_widths=(4,), dropout_rate=0.0, seed=0)
+        model = MlpModel.from_arrays(config, [np.array([[0.0, 1.0]] * 4), np.full((1, 4), 1e3)],
+                                     [np.zeros((1, 4)), np.zeros((1, 1))])
+        x = featurize_batch(ds.questions[:16], table, 1)
+        y = ds.labels()[:16, None]
+        return ds, table, model, x, y
+
     def test_profile_length_is_layer_count(self):
         x, y = self._sample()
         config = ModelConfig(input_dim=13, hidden_widths=(8,), dropout_rate=0.05, seed=1)
         assert len(initial_gradient_profile(build_model(config), x, y)) == 2
 
+    @pytest.mark.parametrize("given", [False, True], ids=["fresh", "given-buffers"])
     @pytest.mark.parametrize("widths", [(), (8, 4), *(tuple(taper_widths(d)) for d in (1, 3, 50))])
-    def test_norms_equal_one_backwards_bit_for_bit(self, widths):
-        """The profile squares its own gradient set in place; its norms are
-        those of gradient_layer_norms on one backward's gradients, bit for
-        bit, at every layer shape and offset of a depth-0 to depth-50 model."""
+    def test_norms_equal_one_backwards_bit_for_bit(self, widths, given):
+        """The profile squares its gradient set in place; its norms are those
+        of gradient_layer_norms on one checked backward's gradients, bit for
+        bit, at every layer shape and offset of a depth-0 to depth-50 model,
+        whether it allocates its buffers or is given larger ones."""
         x, y = self._sample()
         config = ModelConfig(input_dim=13, hidden_widths=widths, dropout_rate=0.05, seed=3)
         model = build_model(config)
-        profile = initial_gradient_profile(model, x, y)
+        profile = initial_gradient_profile(model, x, y, **self._buffers(model, len(x), given))
         _, trace = forward(model, x, mode="train", rng=stream_rng(config.seed, PROFILE))
         expected = gradient_layer_norms(backward(model, trace, y))
         assert [v.hex() for v in profile] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("given", [False, True], ids=["fresh", "given-buffers"])
+    def test_a_non_finite_gradient_raises(self, given):
+        """The forward pass is finite, so only the check of the gradient set
+        can raise; numpy's own overflow warning is silenced, as train()
+        silences it."""
+        _, _, model, x, y = self._overflowing_gradient()
+        buffers = self._buffers(model, len(x), given)
+        with np.errstate(over="ignore"):
+            forward(model, x, mode="eval")
+            with pytest.raises(NumericError, match="non-finite gradient in layer 0$"):
+                initial_gradient_profile(model, x, y, **buffers)
+
+    def test_train_reports_no_norms_for_a_non_finite_gradient(self):
+        ds, table, model, _, _ = self._overflowing_gradient()
+        _, report = train(model, ds, TrainConfig(epochs=1, seed=0), table)
+        assert report.initial_grad_norms is None
+        assert report.diverged
 
     def test_deep_models_have_smaller_first_layer_norms(self):
         """First-layer gradient signal at initialization shrinks by orders of

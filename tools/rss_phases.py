@@ -11,9 +11,10 @@ thread, as above, matches the benchmark. Linux only.
 - sweep-wide (the default): the depth-1 cell of the 72,001-wide file source
   (vocab 10,000, dim 300, max_words 240, 2,400 train / 600 test questions,
   1 epoch at learning rate 0.05). Phases: imports, load_source, build_model,
-  train() (which profiles the initial gradients on the first training batch
-  before its first step, trains the built model in place and includes its
-  fit and validation evaluates) and the test-set evaluate.
+  profile (right after train()'s initial_gradient_profile call, which
+  profiles the initial gradients on the first training batch before the
+  first step), train() (which trains the built model in place and includes
+  its fit and validation evaluates) and the test-set evaluate.
 - sweep-narrow: the depth-50 cell of the 193-wide synthetic source (n 2,000,
   vocab 200, dim 16, max_words 12, 1,600 train / 400 test questions, 2
   epochs at learning rate 0.01), generated in load_source as the sweep does.
@@ -29,6 +30,7 @@ process nothing.
 """
 
 import argparse
+import importlib
 import subprocess
 import sys
 import tempfile
@@ -76,7 +78,21 @@ def run_cell(source, seed: int, depth: int, train_config) -> None:
                          hidden_widths=tuple(taper_widths(depth)), dropout_rate=0.05, seed=seed)
     model = build_model(config)
     report("build_model")
-    model, _ = train(model, train_set, train_config, table)
+    # train() looks the profile up in its module, as the benchmark's tracer finds it.
+    train_module = importlib.import_module("qdelnet.train")
+    profile = train_module.initial_gradient_profile
+
+    def reporting(*args, **kwargs):
+        try:
+            return profile(*args, **kwargs)
+        finally:
+            report("profile")
+
+    train_module.initial_gradient_profile = reporting
+    try:
+        model, _ = train(model, train_set, train_config, table)
+    finally:
+        train_module.initial_gradient_profile = profile
     report("train()")
     evaluate(model, test_set, table)
     report("evaluate")
