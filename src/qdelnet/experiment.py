@@ -10,7 +10,8 @@ run_depth_sweep prepares the data once; each cell trains a model (train()
 profiles its initial gradients first) and writes its run file, the cell's
 whole record, as soon as it ends. After the last cell, write_outputs writes
 every other output from the run files alone, as `qdelnet report` does.
-grad_flow_report writes the same grad_flow.csv without training anything.
+grad_flow_report writes the same grad_flow.csv at 0 epochs, through the
+sweep's cell.
 
 Depth x repeat cells run one at a time, so that their wall-clock training
 times can be compared across depths.
@@ -29,10 +30,9 @@ import numpy as np
 
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, NumericError, ParseError
-from .features import EmbeddingTable, featurize_batch, load_embeddings
-from .nn import MlpModel, ModelConfig, build_model, taper_widths
-from .train import (TrainConfig, TrainReport, evaluate, initial_gradient_profile,
-                    split_train_val, train)
+from .features import EmbeddingTable, load_embeddings
+from .nn import ModelConfig, build_model, taper_widths
+from .train import TrainConfig, TrainReport, evaluate, split_train_val, train
 
 __all__ = [
     "SyntheticSource",
@@ -50,9 +50,10 @@ __all__ = [
 SWEEP_CSV_HEADER = "depth,train_time_s,train_acc,val_acc,test_acc,diverged,grad_norm_l1"
 GRAD_FLOW_HEADER = "depth,layer_index,mean_norm"
 PLOT_FILES = ("fig_time.svg", "fig_train_acc.svg", "fig_val_acc.svg", "fig_test_acc.svg")
-_OUTPUT_FILES = ("sweep.csv", "grad_flow.csv", *PLOT_FILES)  # what write_outputs writes
-# A runner's result: (report, test accuracy, initial gradient norms by layer from train()).
-CellResult = tuple[TrainReport, float, list[float]]
+# What write_outputs writes, and the CLI's copy of the options: a sweep's top-level files.
+_OUTPUT_FILES = ("sweep.csv", "grad_flow.csv", *PLOT_FILES, "resolved_config.json")
+# A runner's result: (report, test accuracy); the report carries the initial norms.
+CellResult = tuple[TrainReport, float]
 
 
 @dataclass(frozen=True)
@@ -154,32 +155,34 @@ def load_source(
         train_count = round(len(corpus) * 5 / 6)
     if test_count is None:
         test_count = len(corpus) - train_count
+        if test_count < 1:
+            raise ConfigError(f"train_count {train_count} leaves no test questions in a corpus of "
+                              f"{len(corpus)} (test_count defaults to the rest, {test_count})")
     train_set, test_set = split_train_test(corpus, train_count, test_count, seed)
     return train_set, test_set, table, source.max_words
 
 
 def _prepare(config: SweepConfig, need_test: bool):
-    """load_source, plus two functions over its data: the initial model of a cell's
-    widths and seed, and, for grad_flow_report, a model's profile on the first
-    training batch as train() takes it, featurizing the batch at each call."""
+    """load_source's test set and table, and the sweep's cell over its train set:
+    cell(depth, widths, repeat, epochs) trains the cell's model (seed = base seed
+    + repeat) and returns (model, report), or raises NumericError if train() has
+    no initial norms. A train set too small for the validation split is refused."""
     train_set, test_set, table, max_words = load_source(
         config.source, config.train_config.seed, need_test=need_test
     )
-    batch = config.train_config.batch_size
-    questions, labels = train_set.questions[:batch], train_set.labels()[:batch, None]
+    split_train_val(train_set, config.train_config.validation_fraction, config.train_config.seed)
 
-    def initial_model(widths: Sequence[int], seed: int) -> MlpModel:
-        return build_model(ModelConfig(
-            input_dim=max_words * table.dim + 1,
-            hidden_widths=tuple(widths),
-            dropout_rate=config.dropout_rate,
-            seed=seed,
-        ))
+    def cell(depth: int, widths: Sequence[int], repeat: int, epochs: int):
+        seed = config.train_config.seed + repeat
+        arch = ModelConfig(input_dim=max_words * table.dim + 1, hidden_widths=tuple(widths),
+                           dropout_rate=config.dropout_rate, seed=seed)
+        model, report = train(build_model(arch), train_set,
+                              replace(config.train_config, seed=seed, epochs=epochs), table)
+        if report.initial_grad_norms is None:
+            raise NumericError(f"depth {depth}: the initial model's gradients are not finite")
+        return model, report
 
-    def profile(model: MlpModel) -> list[float]:
-        return initial_gradient_profile(model, featurize_batch(questions, table, max_words), labels)
-
-    return train_set, test_set, table, initial_model, profile
+    return test_set, table, cell
 
 
 def _cells(config: SweepConfig) -> list[tuple[int, list[int], int]]:
@@ -192,39 +195,28 @@ def _cells(config: SweepConfig) -> list[tuple[int, list[int], int]]:
     return cells
 
 
-def _default_runner(config: SweepConfig):
-    """Prepare the sweep's data once and return the default runner over it;
-    a train set too small for the validation split is refused here."""
-    train_set, test_set, table, initial_model, profile = _prepare(config, need_test=True)
-    split_train_val(train_set, config.train_config.validation_fraction, config.train_config.seed)
-
-    def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
-        seed = config.train_config.seed + repeat
-        model, report = train(initial_model(widths, seed), train_set,
-                              replace(config.train_config, seed=seed), table)
-        if report.initial_grad_norms is None:
-            raise NumericError(f"depth {depth}: the initial model's gradients are not finite")
-        return report, evaluate(model, test_set, table), report.initial_grad_norms
-
-    return runner
-
-
 def run_depth_sweep(
     config: SweepConfig,
     runner: Callable[[int, Sequence[int], int], CellResult] | None = None,
 ) -> list[SweepRow]:
     """Run `repeats` train+evaluate cycles per depth (seeds seed+i), writing
     each cell's run file, which holds that cell alone, under output_dir/runs/
-    as soon as the cell ends; the last sweep's files are removed first. Each
-    cell also profiles the initial gradients of the model it trains into its
-    run file. Returns the rows of write_outputs, which runs after the last cell.
+    as soon as the cell ends; the last sweep's run files, outputs and
+    resolved_config.json are removed first. Returns the rows of write_outputs,
+    which runs after the last cell.
 
-    `runner` exists for unit-level stubbing; by default it trains, scores and
-    profiles a real model on the configured data source, prepared once.
-    Nothing is removed before the widths are worked out and the data prepared.
-    """
+    `runner(depth, widths, repeat)`, for stubbing, returns (report, test accuracy),
+    the report holding the initial norms the run file keeps. By default it runs
+    the sweep's cell at its epochs, then scores the test set; the data is
+    prepared once, before anything is removed."""
     cells = _cells(config)
-    runner = runner or _default_runner(config)
+    if runner is None:
+        test_set, table, cell = _prepare(config, need_test=True)
+
+        def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
+            model, report = cell(depth, widths, repeat, config.train_config.epochs)
+            return report, evaluate(model, test_set, table)
+
     runs_dir = Path(config.output_dir) / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     # Old run files would mix with this sweep's, and old outputs would outlive a failed sweep.
@@ -237,13 +229,13 @@ def run_depth_sweep(
 
 def _write_run_file(runs_dir: Path, depth: int, repeat: int, cell: CellResult) -> None:
     """Write one cell's run file; a write that fails leaves no file behind."""
-    report, test_acc, norms = cell
+    report, test_acc = cell
     doc = {
         "depth": depth,
         "repeat": repeat,
         "test_accuracy_pct": test_acc,
-        "first_layer_grad_norm_init": norms[0],
-        "initial_grad_norms": norms,
+        "first_layer_grad_norm_init": report.initial_grad_norms[0],
+        "initial_grad_norms": report.initial_grad_norms,
         "train_report": {k: v for k, v in report.to_json_dict().items()
                          if k != "initial_grad_norms"},
     }
@@ -331,7 +323,8 @@ _OPTIONAL_FIELDS = ("grad_norm_history", "diverged", "diverged_epoch", "initial_
 def _read_run_file(path: Path) -> dict:
     """A run file's document; raises ParseError naming the file if it is not a JSON
     object, a field is missing or of the wrong type, a number is not finite, depth < 1,
-    repeat < 0, or initial_grad_norms is not depth + 1 norms from first_layer_grad_norm_init."""
+    repeat < 0, the file is not named <depth>_<repeat>.json, or initial_grad_norms is
+    not depth + 1 norms from first_layer_grad_norm_init."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8 or not JSON
@@ -345,6 +338,9 @@ def _read_run_file(path: Path) -> dict:
     for key, low in (("depth", 1), ("repeat", 0)):
         if doc[key] < low:
             raise ParseError(f"run file {path}: field {key} must be >= {low}, got {doc[key]}")
+    if path.name != f"{doc['depth']}_{doc['repeat']}.json":  # or it replaces another cell's
+        raise ParseError(f"run file {path}: holds depth {doc['depth']} repeat {doc['repeat']}, "
+                         f"so its name must be {doc['depth']}_{doc['repeat']}.json")
     norms = doc.get("initial_grad_norms")
     if norms is not None:
         if len(norms) != doc["depth"] + 1:
@@ -512,17 +508,18 @@ def render_plots(rows: Sequence[SweepRow], output_dir) -> list[Path]:
 
 
 def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
-    """Profile each cell's initial model as run_depth_sweep does, without
-    training, and write the same output_dir/grad_flow.csv. Returns its rows.
+    """Profile each cell's initial model as run_depth_sweep does, at 0 epochs,
+    through the sweep's cell, and write the same output_dir/grad_flow.csv.
 
-    Only the training set is sampled: a file source's test file is not read
-    and may be absent, and a synthetic corpus is split as a sweep splits it.
+    Only the training set is read: a file source's test file is not read and
+    may be absent, a synthetic corpus is split as a sweep splits it, and a
+    train set too small for the validation split is refused. Returns the rows.
     """
     cells = _cells(config)
-    initial_model, profile = _prepare(config, not isinstance(config.source, FileSource))[3:]
+    cell = _prepare(config, not isinstance(config.source, FileSource))[2]
     norms = {depth: [] for depth in config.depths}
     for depth, widths, i in cells:  # each model is freed before the next is built
-        norms[depth].append(profile(initial_model(widths, config.train_config.seed + i)))
+        norms[depth].append(cell(depth, widths, i, 0)[1].initial_grad_norms)
     return _grad_flow(Path(config.output_dir), norms)
 
 

@@ -151,8 +151,8 @@ def train(
     report.initial_grad_norms. Each epoch reshuffles the remaining examples
     with a seeded generator and applies one SGD step per mini-batch. The fit
     set's feature matrix is precomputed, after the batch feature buffer is
-    released, when it takes at most _CACHE_LIMIT_BYTES; otherwise every
-    batch is featurized in the loop. Both paths produce identical results.
+    released, when it takes at most _CACHE_LIMIT_BYTES (at 0 epochs, never);
+    otherwise every batch is featurized in the loop. Same results either way.
     """
     if len(train_set) == 0:
         raise InputError("cannot train on an empty dataset")
@@ -179,7 +179,7 @@ def train(
     questions = fit_set.questions
     labels = fit_set.labels()[:, None]
     cached = None
-    if n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES:
+    if config.epochs and n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES:
         sample = batch_features = None  # no step needs them beside the cached matrix
         cached = featurize_batch(questions, table, max_words)
 

@@ -200,6 +200,22 @@ class TestSplitCounts:
             assert one.read_bytes() == both_.read_bytes(), rel
         assert len(load_dataset(tmp_path / "g" / "one" / "train.jsonl")) == 30
 
+    @pytest.mark.parametrize("train_count", ["40", "50"])
+    def test_a_train_count_that_leaves_no_test_questions_is_refused(self, tmp_path, capsys,
+                                                                   train_count):
+        """The test count left out defaults to the rest, so the error names
+        the train count and the corpus size, not a test count nobody set."""
+        rest = 40 - int(train_count)
+        message = (f"error: train_count {train_count} leaves no test questions in a corpus of 40 "
+                   f"(test_count defaults to the rest, {rest})\n")
+        for command in (["gen-synth"], ["train", "--synthetic"],
+                        ["sweep", "--synthetic", "--depths", "1", "--repeats", "1"]):
+            capsys.readouterr()
+            assert run(*command, *TINY_SYNTH, "--train-count", train_count,
+                       "--out", str(tmp_path / command[0])) == 2
+            assert capsys.readouterr().err == message
+            assert not (tmp_path / command[0] / "runs").exists()
+
     def test_no_count_trains_on_whole_corpus_and_sweeps_on_five_sixths(self, tmp_path):
         assert run("train", "--synthetic", *TINY_SYNTH, "--epochs", "1", "--depth", "1",
                    "--out", str(tmp_path / "t")) == 0
@@ -451,6 +467,30 @@ class TestSweepAndReport:
             run(*sweep)
         assert [p.name for p in (out / "runs").iterdir()] == ["1_0.json"]
         assert [name for name in OUTPUTS if (out / name).exists()] == []
+
+    def test_a_failed_sweep_leaves_no_resolved_config(self, tmp_path, capsys, monkeypatch):
+        """The previous sweep's resolved_config.json goes with its other
+        outputs, so a sweep that exits 2 in its second cell leaves none."""
+        from qdelnet.errors import NumericError
+
+        out = tmp_path / "sweep"
+        sweep = ["sweep", "--synthetic", *TINY_SYNTH, "--train-count", "30", "--test-count", "10",
+                 "--depths", "1,2", "--repeats", "1", "--epochs", "1", "--out", str(out)]
+        assert run(*sweep) == 0
+        assert (out / "resolved_config.json").is_file()
+        real, calls = experiment.train, []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericError("cell 2 failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "train", failing_second)
+        capsys.readouterr()
+        assert run(*sweep) == 2
+        assert capsys.readouterr().err == "error: cell 2 failed\n"
+        assert sorted(p.name for p in out.iterdir()) == ["runs"]
 
     @pytest.mark.parametrize(
         "split, message",

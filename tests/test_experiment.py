@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,12 @@ def make_report(wall, train_acc, val_acc, diverged=False, epoch=None):
     )
 
 
+def cell_result(report, test_acc, norms):
+    """A stub runner's (report, test accuracy), the report carrying the
+    cell's initial norms as train()'s does."""
+    return replace(report, initial_grad_norms=norms), test_acc
+
+
 class TestSweepConfig:
     def test_depths_must_increase(self):
         with pytest.raises(ConfigError):
@@ -120,7 +127,8 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(2, 4), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [0.5 / depth] * (depth + 1)),
+            runner=lambda depth, widths, i: cell_result(*reports[(depth, i)],
+                                                    [0.5 / depth] * (depth + 1)),
         )
         assert [r.depth for r in rows] == [2, 4]
         r2, r4 = rows
@@ -140,7 +148,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0] * (depth + 1)),
+            runner=lambda depth, widths, i: cell_result(*reports[(depth, i)], [1.0] * (depth + 1)),
         )
         assert rows[0].diverged_runs == 1
         assert rows[0].train_accuracy_pct == 80.0
@@ -154,7 +162,7 @@ class TestRunDepthSweep:
         config = tiny_sweep_config(tmp_path, depths=(1,), repeats=2)
         rows = run_depth_sweep(
             config,
-            runner=lambda depth, widths, i: (*reports[(depth, i)], [1.0] * (depth + 1)),
+            runner=lambda depth, widths, i: cell_result(*reports[(depth, i)], [1.0] * (depth + 1)),
         )
         assert rows[0].diverged_runs == 2
         assert rows[0].train_accuracy_pct == 54.0
@@ -194,7 +202,8 @@ class TestRunDepthSweep:
         with pytest.raises(ParseError) as swept:
             run_depth_sweep(
                 config,
-                runner=lambda depth, widths, i: (make_report(1.0, 80.0, 70.0), 60.0, [math.inf]),
+                runner=lambda depth, widths, i: cell_result(make_report(1.0, 80.0, 70.0), 60.0,
+                                                            [math.inf]),
             )
         with pytest.raises(ParseError) as reported:
             write_outputs(tmp_path / "runs", tmp_path)
@@ -216,7 +225,8 @@ class TestRunDepthSweep:
 def per_cell_runner(cells):
     """A stub runner over {(depth, repeat): (report, test accuracy, layer-0 norm)}
     that profiles every layer after the first at 1.0."""
-    return lambda depth, widths, i: (*cells[(depth, i)][:2], [cells[(depth, i)][2]] + [1.0] * depth)
+    return lambda depth, widths, i: cell_result(*cells[(depth, i)][:2],
+                                                [cells[(depth, i)][2]] + [1.0] * depth)
 
 
 class TestOneRecordPerCell:
@@ -496,8 +506,6 @@ class TestGradFlowReport:
     def test_bad_width_pair_refused_before_any_data_is_read(
         self, tmp_path, monkeypatch, synthetic, file_source
     ):
-        from dataclasses import replace
-
         import qdelnet.experiment as experiment
 
         def loaded(*args, **kwargs):
@@ -510,6 +518,20 @@ class TestGradFlowReport:
             config = replace(config, source=file_source)
         with pytest.raises(ConfigError, match=r"need width_max >= width_min >= 1, got 8, 16"):
             grad_flow_report(config)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_train_set_too_small_for_the_validation_split_is_refused(self, tmp_path):
+        """As a sweep refuses it, before anything is written: 4 training
+        questions leave no validation question."""
+        config = replace(tiny_sweep_config(tmp_path / "out", depths=(1,), repeats=1),
+                         source=SyntheticSource(n=10, vocab_size=20, dim=4, max_words=5,
+                                                noise=0.15, train_count=4, test_count=6))
+        with pytest.raises(ConfigError) as reported:
+            grad_flow_report(config)
+        with pytest.raises(ConfigError) as swept:
+            run_depth_sweep(config)
+        assert str(reported.value) == str(swept.value) == (
+            "fraction 0.1 yields an empty validation split (n=4)")
         assert not (tmp_path / "out").exists()
 
     def test_matches_sweep_first_layer_norm(self, tmp_path):
@@ -604,7 +626,6 @@ class TestOnePass:
         profile's sample is featurized only when a cell profiles."""
         import inspect
         import tracemalloc
-        from dataclasses import replace
 
         import qdelnet.experiment as experiment
         import qdelnet.features as features
@@ -639,7 +660,7 @@ class TestOnePass:
     def test_stubbed_profiler_layers_reach_grad_flow_csv(self, tmp_path):
         run_depth_sweep(
             tiny_sweep_config(tmp_path, depths=(2,), repeats=1),
-            runner=lambda depth, widths, i: (
+            runner=lambda depth, widths, i: cell_result(
                 make_report(1.0, 80.0, 70.0), 60.0, [0.5, 0.25, 0.125]
             ),
         )
@@ -649,7 +670,7 @@ class TestOnePass:
     def test_grad_flow_holds_each_depth_mean_over_its_cells(self, tmp_path):
         rows = run_depth_sweep(
             tiny_sweep_config(tmp_path, depths=(1,), repeats=2),
-            runner=lambda depth, widths, i: (
+            runner=lambda depth, widths, i: cell_result(
                 make_report(1.0, 80.0, 70.0), 60.0, [[0.5, 3.0], [1.0, 1.0]][i]
             ),
         )
@@ -706,8 +727,6 @@ class TestGradFlowReportOnFiles:
         assert loaded == ["train.jsonl"]
 
     def test_needs_no_test_file_and_matches_the_sweep(self, tmp_path, file_source):
-        from dataclasses import replace
-
         run_depth_sweep(file_sweep_config(file_source, tmp_path / "sweep"))
         no_test = replace(file_source, test_path=None)
         grad_flow_report(file_sweep_config(no_test, tmp_path / "report"))
@@ -715,8 +734,6 @@ class TestGradFlowReportOnFiles:
         assert flow == (tmp_path / "report" / "grad_flow.csv").read_bytes()
 
     def test_sweep_still_requires_the_test_file(self, tmp_path, file_source):
-        from dataclasses import replace
-
         no_test = replace(file_source, test_path=None)
         with pytest.raises(ConfigError, match="test file"):
             run_depth_sweep(file_sweep_config(no_test, tmp_path / "sweep"))

@@ -346,11 +346,13 @@ class TestMalformedRunFile:
             (("initial_grad_norms", 1), float("inf"), "field initial_grad_norms.1 is not finite"),
             (("initial_grad_norms", 0), 0.5,
              "field initial_grad_norms.0 differs from first_layer_grad_norm_init"),
+            # 1_0.json holding another cell would replace that cell's file.
+            (("repeat",), 1, "holds depth 1 repeat 1, so its name must be 1_1.json"),
         ],
         ids=["depth-0", "depth-negative", "repeat-negative", "accuracy-nan", "accuracy-inf",
              "norm-minus-inf", "depth-beyond-float", "wall-time-beyond-float",
              "norms-wrong-length", "norms-string", "norms-true", "norms-infinity",
-             "norms-first-differs"],
+             "norms-first-differs", "cell-not-its-name"],
     )
     def test_unreportable_value_is_parse_error(self, runs, path, value, message):
         """Values of the right JSON type that no sweep writes and that

@@ -314,12 +314,14 @@ class TestTrain:
         assert all(out is outs[0] for out in outs[: 1 + steps])
         assert all(out is not outs[0] for out in outs[1 + steps :])
 
-    @pytest.mark.parametrize("below", [0, 1], ids=["at-limit", "one-byte-below"])
-    def test_features_are_cached_up_to_the_limit(self, monkeypatch, below):
+    @pytest.mark.parametrize("below, epochs", [(0, 2), (1, 2), (0, 0)],
+                             ids=["at-limit", "one-byte-below", "zero-epochs"])
+    def test_features_are_cached_up_to_the_limit(self, monkeypatch, below, epochs):
         """36 fit rows x 13 inputs of 8 bytes: a limit of exactly that size
         caches them (one featurize of the whole fit set), one byte less
-        streams them (one featurize per batch). Either way the initial
-        profile's sample of batch_size questions is featurized first."""
+        streams them (one featurize per batch), and at 0 epochs no step reads
+        them, so they are not featurized before the evaluates. Either way the
+        initial profile's sample of batch_size questions is featurized first."""
         train_module = importlib.import_module("qdelnet.train")
         sizes = []
 
@@ -331,8 +333,8 @@ class TestTrain:
         monkeypatch.setattr(train_module, "_CACHE_LIMIT_BYTES", 36 * 13 * 8 - below)
         ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
-        train(build(config), ds, TrainConfig(epochs=2, batch_size=10, seed=9), table)
-        before_evaluates = [36] if below == 0 else [10, 10, 10, 6] * 2
+        train(build(config), ds, TrainConfig(epochs=epochs, batch_size=10, seed=9), table)
+        before_evaluates = [] if epochs == 0 else [36] if below == 0 else [10, 10, 10, 6] * 2
         assert sizes == [10] + before_evaluates + [36, 4]  # then the fit and validation sets
 
     @pytest.mark.parametrize("record_grad_norms, epochs", [

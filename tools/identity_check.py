@@ -12,6 +12,9 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
   written to a directory of its own; the script exits with an error unless
   each synthetic-report/ line (sweep.csv, grad_flow.csv and the SVGs) equals
   its synthetic-sweep/ line;
+- the same synthetic sweep at 0 epochs, into synthetic-profile/; the script
+  exits with an error unless its grad_flow.csv line equals synthetic-sweep/'s,
+  since the initial gradient profile does not depend on training;
 - a file sweep of depths 1,3 at the paper's input width (240 words x 300
   dims + 1 = 72,001 inputs), 1 epoch, on a 100/20-question corpus written
   by gen-synth; hidden widths taper from 64, to keep memory small; run
@@ -99,6 +102,8 @@ def main() -> None:
     run("sweep", "--synthetic", "--depths", "1,3,10,50", "--repeats", "2", "--epochs", "2",
         "--out", base / "synthetic-sweep")
     run("report", "--runs", base / "synthetic-sweep", "--out", base / "synthetic-report")
+    run("sweep", "--synthetic", "--depths", "1,3,10,50", "--repeats", "2", "--epochs", "0",
+        "--out", base / "synthetic-profile")
 
     data = base / "wide-data"
     run("gen-synth", "--n", "120", "--train-count", "100", "--test-count", "20", "--vocab", "300",
@@ -125,11 +130,15 @@ def main() -> None:
              if path.is_file() and path.name not in skipped
              and not path.match("*.qdelnet-cache.npz")]
     print("\n".join(lines))
-    swept, reported, cold, warm = (
+    swept, reported, profiled, cold, warm = (
         [line.replace(f"  {name}/", "  ") for line in lines if f"  {name}/" in line]
-        for name in ("synthetic-sweep", "synthetic-report", "wide-sweep", "wide-sweep-warm"))
+        for name in ("synthetic-sweep", "synthetic-report", "synthetic-profile", "wide-sweep",
+                     "wide-sweep-warm"))
     if not reported or not set(reported) <= set(swept):
         sys.exit("synthetic-report/ differs from synthetic-sweep/")
+    flow = [line for line in swept if line.endswith("  grad_flow.csv")]
+    if not flow or not set(flow) <= set(profiled):
+        sys.exit("synthetic-profile/grad_flow.csv differs from synthetic-sweep/'s")
     if not cold or warm != cold:
         sys.exit("wide-sweep-warm/ differs from wide-sweep/")
 
