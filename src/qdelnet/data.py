@@ -18,6 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,22 +57,23 @@ class Question:
             raise ValidationError(f"question {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if type(self.label) is not int:  # e.g. np.int64(1), which save_dataset cannot write
             object.__setattr__(self, "label", int(self.label))
-        try:
-            a = float(self.weak_annotation)
-        except OverflowError:  # an integer beyond the float range
-            a = math.inf
-        if not math.isfinite(a):
-            raise ValidationError(f"question {self.id!r}: weak_annotation must be finite")
-        if a < 0.0 or a > 1.0:
-            clamped = min(max(a, 0.0), 1.0)
-            warnings.warn(
-                f"question {self.id!r}: weak_annotation {a} outside [0, 1], clamped to {clamped}",
-                stacklevel=2,
-            )
-            a = clamped
-        object.__setattr__(self, "weak_annotation", a)
-        toks = tokenize(self.text) if self.tokens is None else self.tokens
-        object.__setattr__(self, "tokens", tuple(toks))
+        a = self.weak_annotation
+        if type(a) is not float or not 0.0 <= a <= 1.0:  # a field is written only to change it
+            try:
+                a = float(a)
+            except OverflowError:  # an integer beyond the float range
+                a = math.inf
+            if not math.isfinite(a):
+                raise ValidationError(f"question {self.id!r}: weak_annotation must be finite")
+            if a < 0.0 or a > 1.0:
+                clamped = min(max(a, 0.0), 1.0)
+                warnings.warn(f"question {self.id!r}: weak_annotation {a} outside [0, 1], "
+                              f"clamped to {clamped}", stacklevel=2)
+                a = clamped
+            object.__setattr__(self, "weak_annotation", a)
+        if type(self.tokens) is not tuple:
+            toks = tokenize(self.text) if self.tokens is None else self.tokens
+            object.__setattr__(self, "tokens", tuple(toks))
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,16 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        qs = tuple(self.questions)
-        object.__setattr__(self, "questions", qs)
-        seen = set()
-        for q in qs:
-            if q.id in seen:
-                raise ValidationError(f"duplicate question id {q.id!r} in dataset {self.name!r}")
-            seen.add(q.id)
+        if type(self.questions) is not tuple:
+            object.__setattr__(self, "questions", tuple(self.questions))
+        qs = self.questions
+        if len(set(map(attrgetter("id"), qs))) < len(qs):  # walk them only to name the duplicate
+            seen = set()
+            for q in qs:
+                if q.id in seen:
+                    raise ValidationError(
+                        f"duplicate question id {q.id!r} in dataset {self.name!r}")
+                seen.add(q.id)
 
     def __len__(self) -> int:
         return len(self.questions)

@@ -164,23 +164,20 @@ def load_source(
 
 def _prepare(config: SweepConfig, need_test: bool):
     """load_source's test set and table, and the sweep's cell over its train set:
-    cell(depth, widths, repeat, epochs) trains the cell's model (seed = base seed
-    + repeat) and returns (model, report), or raises NumericError if train() has
-    no initial norms. A train set too small for the validation split is refused."""
+    cell(widths, repeat, epochs) trains the cell's model (seed = base seed +
+    repeat) and returns (model, report). A train set too small for the
+    validation split is refused."""
     train_set, test_set, table, max_words = load_source(
         config.source, config.train_config.seed, need_test=need_test
     )
     split_train_val(train_set, config.train_config.validation_fraction, config.train_config.seed)
 
-    def cell(depth: int, widths: Sequence[int], repeat: int, epochs: int):
+    def cell(widths: Sequence[int], repeat: int, epochs: int):
         seed = config.train_config.seed + repeat
         arch = ModelConfig(input_dim=max_words * table.dim + 1, hidden_widths=tuple(widths),
                            dropout_rate=config.dropout_rate, seed=seed)
-        model, report = train(build_model(arch), train_set,
-                              replace(config.train_config, seed=seed, epochs=epochs), table)
-        if report.initial_grad_norms is None:
-            raise NumericError(f"depth {depth}: the initial model's gradients are not finite")
-        return model, report
+        return train(build_model(arch), train_set,
+                     replace(config.train_config, seed=seed, epochs=epochs), table)
 
     return test_set, table, cell
 
@@ -206,15 +203,16 @@ def run_depth_sweep(
     which runs after the last cell.
 
     `runner(depth, widths, repeat)`, for stubbing, returns (report, test accuracy),
-    the report holding the initial norms the run file keeps. By default it runs
-    the sweep's cell at its epochs, then scores the test set; the data is
-    prepared once, before anything is removed."""
+    the report holding the initial norms the run file keeps; a report without
+    them raises NumericError naming the cell, and the cells before it keep their
+    run files. By default it runs the sweep's cell at its epochs, then scores
+    the test set; the data is prepared once, before anything is removed."""
     cells = _cells(config)
     if runner is None:
         test_set, table, cell = _prepare(config, need_test=True)
 
         def runner(depth: int, widths: Sequence[int], repeat: int) -> CellResult:
-            model, report = cell(depth, widths, repeat, config.train_config.epochs)
+            model, report = cell(widths, repeat, config.train_config.epochs)
             return report, evaluate(model, test_set, table)
 
     runs_dir = Path(config.output_dir) / "runs"
@@ -227,15 +225,26 @@ def run_depth_sweep(
     return write_outputs(runs_dir, config.output_dir)
 
 
+def _initial_norms(report: TrainReport, depth: int, repeat: int) -> list[float]:
+    """A cell's initial norms, or NumericError when its report has none (train()'s
+    profile was not finite): the one check for every runner and for grad_flow_report."""
+    if report.initial_grad_norms is None:
+        raise NumericError(f"depth {depth}: the initial model's gradients are not finite "
+                           f"(repeat {repeat})")
+    return report.initial_grad_norms
+
+
 def _write_run_file(runs_dir: Path, depth: int, repeat: int, cell: CellResult) -> None:
-    """Write one cell's run file; a write that fails leaves no file behind."""
+    """Write one cell's run file; a write that fails leaves no file behind, and a
+    report without initial norms raises NumericError before any file is opened."""
     report, test_acc = cell
+    norms = _initial_norms(report, depth, repeat)
     doc = {
         "depth": depth,
         "repeat": repeat,
         "test_accuracy_pct": test_acc,
-        "first_layer_grad_norm_init": report.initial_grad_norms[0],
-        "initial_grad_norms": report.initial_grad_norms,
+        "first_layer_grad_norm_init": norms[0],
+        "initial_grad_norms": norms,
         "train_report": {k: v for k, v in report.to_json_dict().items()
                          if k != "initial_grad_norms"},
     }
@@ -519,7 +528,7 @@ def grad_flow_report(config: SweepConfig) -> list[tuple[int, int, float]]:
     cell = _prepare(config, not isinstance(config.source, FileSource))[2]
     norms = {depth: [] for depth in config.depths}
     for depth, widths, i in cells:  # each model is freed before the next is built
-        norms[depth].append(cell(depth, widths, i, 0)[1].initial_grad_norms)
+        norms[depth].append(_initial_norms(cell(widths, i, 0)[1], depth, i))
     return _grad_flow(Path(config.output_dir), norms)
 
 

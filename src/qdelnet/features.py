@@ -10,12 +10,13 @@ indistinguishable. featurize_batch builds the features by copying rows of
 that matrix, into a fresh array or into a buffer its caller reuses, and
 returns them as a read-only float64 array.
 
-load_embeddings and data.load_dataset hand _parse_once a line parser and a
-cache decoder. It keeps what a parser makes of a regular file in
-`<file>.qdelnet-cache.npz`, with the file's permissions, keyed by
-_CACHE_VERSION and the SHA-256 of the bytes parsed, and decodes that while
-both match. What fails to parse, or the parser will not cache, is never
-cached; a cache that cannot be read or written, or fails decoding, is ignored.
+load_embeddings, data.load_dataset and nn.load_model hand _parse_once a
+parser of the text and a cache decoder. It keeps what a parser makes of a
+regular file in `<file>.qdelnet-cache.npz`, with the file's permissions,
+keyed by _CACHE_VERSION and the SHA-256 of the bytes parsed, and decodes
+that while both match. What fails to parse, or the parser will not cache, is
+never cached; a cache that cannot be read or written, or fails decoding, is
+ignored.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ _FIRST_ROWS = 1 << 10
 _CACHE_SUFFIX = ".qdelnet-cache.npz"
 # A cache hit's finite check runs over blocks of this many rows: its temporary is a byte a value.
 _FINITE_CHECK_ROWS = 1 << 12
-# Kept in each cache and compared on reading. Raise it with any change in what load_embeddings
-# or data.load_dataset makes of a file (see tokenize), so that what was cached is parsed again.
+# Kept in each cache and compared on reading. Raise it with any change in what load_embeddings,
+# data.load_dataset or nn.load_model makes of a file (see tokenize), so that what was cached is
+# parsed again.
 _CACHE_VERSION = 1
 
 

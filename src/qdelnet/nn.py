@@ -27,8 +27,8 @@ from .errors import (
     ParseError,
     ShapeError,
     ValidationError,
-    not_utf8,
 )
+from .features import _parse_once
 from .seeding import INIT, stream_rng
 
 __all__ = [
@@ -553,12 +553,20 @@ def load_model(path) -> MlpModel:
     ValidationError if its config breaks a ModelConfig constraint or its
     layers contradict its config: layer count, weight shapes or activations
     (relu on hidden layers, sigmoid on the output).
+
+    load_model is the third loader behind features._parse_once: a regular
+    file's model is cached beside it as the features module docstring says,
+    as its parameter vector, its config's integers and its dropout rate.
     """
+    return _parse_once(path, _cached_model, _parse_checkpoint)
+
+
+def _parse_checkpoint(fh):
+    """load_model's parse of the text of `fh`: the model and its cache members, or None
+    for a config they cannot hold exactly (an integer dropout rate, or an integer beyond
+    int64)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+        doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid checkpoint JSON: {exc.msg}") from None
     except RecursionError:
@@ -605,4 +613,32 @@ def load_model(path) -> MlpModel:
         raise ParseError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
     except ConfigError as exc:
         raise ValidationError(f"checkpoint config: {exc}") from None
-    return MlpModel.from_arrays(config, weights, biases)
+    model = MlpModel.from_arrays(config, weights, biases)
+    if type(rate) is not float:  # a JSON 0 would come back from the cache as 0.0
+        return model, None
+    try:
+        ints = np.array([config.input_dim, config.seed, *config.hidden_widths], np.int64)
+    except OverflowError:
+        return model, None
+    return model, [("params", model.params), ("config", ints), ("dropout", np.float64(rate))]
+
+
+def _cached_model(npz) -> MlpModel | None:
+    """The model of a cache whose key matched, or None if it fails its check: an int64
+    config that ModelConfig takes, a float64 dropout rate and a finite float64 vector of
+    the config's size, tested _UPDATE_BLOCK elements at a time."""
+    params, ints, rate = npz["params"], npz["config"], npz["dropout"]
+    if not (ints.dtype == np.int64 and ints.ndim == 1 and ints.size >= 2
+            and rate.dtype == np.float64 and rate.ndim == 0):
+        return None
+    input_dim, seed, *widths = ints.tolist()
+    try:
+        config = ModelConfig(input_dim, tuple(widths), rate.item(), seed)
+    except ConfigError:
+        return None
+    size = sum(rows * (cols + 1) for rows, cols in _layer_shapes(config))
+    if not (params.dtype == np.float64 and params.shape == (size,)
+            and all(np.isfinite(params[i : i + _UPDATE_BLOCK]).all()
+                    for i in range(0, size, _UPDATE_BLOCK))):
+        return None
+    return MlpModel(config, params)

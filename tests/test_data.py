@@ -99,6 +99,41 @@ class TestQuestion:
         with pytest.raises(ValidationError, match="^question 'a': weak_annotation must be finite$"):
             Question(id="a", text="x", weak_annotation=value, label=0)
 
+    @pytest.mark.parametrize(
+        "field, given, stored",
+        [
+            ("weak_annotation", np.float64(0.25), 0.25),
+            ("weak_annotation", 1, 1.0),
+            ("label", np.int64(1), 1),
+            ("tokens", ["hello", "x"], ("hello", "x")),
+            ("tokens", None, ("hello", "world")),
+        ],
+        ids=["np.float64-annotation", "int-annotation", "np.int64-label", "list-tokens",
+             "no-tokens"],
+    )
+    def test_a_field_that_is_not_normalized_is_normalized(self, field, given, stored):
+        q = Question(id="a", text="Hello, world!", **{field: given})
+        assert (type(getattr(q, field)), getattr(q, field)) == (type(stored), stored)
+
+    def test_a_normalized_field_keeps_its_own_object(self):
+        toks, annotation, label = ("hello", "x"), float("0.75"), int("1")
+        q = Question(id="a", text="Hello, world!", weak_annotation=annotation, label=label,
+                     tokens=toks)
+        assert q.tokens is toks and q.weak_annotation is annotation and q.label is label
+        assert q.weak_annotation == 0.75 and q.label == 1
+
+
+class TestDataset:
+    def test_a_duplicate_id_is_named(self):
+        qs = [Question(id=qid, text="x") for qid in ("a", "b", "c", "b", "a")]
+        with pytest.raises(ValidationError, match="^duplicate question id 'b' in dataset 'd'$"):
+            Dataset(tuple(qs), name="d")
+
+    def test_questions_become_a_tuple_and_a_tuple_is_kept(self):
+        qs = tuple(Question(id=qid, text="x") for qid in ("a", "b"))
+        assert Dataset(list(qs)).questions == qs
+        assert Dataset(qs).questions is qs
+
 
 class TestLoadDataset:
     def test_deleted_question_line(self, tmp_path):

@@ -211,6 +211,23 @@ class TestRunDepthSweep:
         assert "1_0.json" in str(swept.value) and "not finite" in str(swept.value)
         assert not (tmp_path / "grad_flow.csv").exists()
 
+    def test_a_runner_report_without_initial_norms_is_refused(self, tmp_path):
+        """A caller's runner fails at cell 3 with the default runner's error,
+        naming the cell; cells 1-2 keep their run files and cell 3 leaves none."""
+        cells = [(1, 0), (1, 1), (2, 0), (2, 1)]
+
+        def runner(depth, widths, i):
+            report = make_report(1.0, 80.0, 70.0)
+            if (depth, i) == cells[2]:
+                return report, 60.0
+            return cell_result(report, 60.0, [1.0] * (depth + 1))
+
+        config = tiny_sweep_config(tmp_path, depths=(1, 2), repeats=2)
+        with pytest.raises(NumericError, match=r"^depth 2: the initial model's gradients are "
+                                               r"not finite \(repeat 0\)$"):
+            run_depth_sweep(config, runner=runner)
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["1_0.json", "1_1.json"]
+
     def test_end_to_end_persists_run_files(self, tmp_path):
         config = tiny_sweep_config(tmp_path)
         rows = run_depth_sweep(config)

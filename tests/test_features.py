@@ -8,6 +8,7 @@ import pytest
 
 import qdelnet.data
 import qdelnet.features
+import qdelnet.nn
 from qdelnet.data import Question, load_dataset
 from qdelnet.errors import ConfigError, ParseError, ShapeError
 from qdelnet.features import (
@@ -17,6 +18,7 @@ from qdelnet.features import (
     save_embeddings,
     tokenize,
 )
+from qdelnet.nn import load_model
 
 
 class TestTokenize:
@@ -421,6 +423,15 @@ LOADERS = [
         load_dataset, qdelnet.data, "_parse_corpus",
         lambda a, b: (a.name, a.questions) == (b.name, b.questions)),
         id="load_dataset"),
+    pytest.param(Loader(
+        "model.json", '{"format":"qdelnet-mlp","version":1,"note":"cat","config":{"input_dim":2,'
+                      '"hidden_widths":[1],"dropout_rate":0.05,"seed":3},"layers":[{"activation":'
+                      '"relu","rows":1,"cols":2,"weights":[0.5,-1.25],"bias":[-0.0]},{"activation"'
+                      ':"sigmoid","rows":1,"cols":1,"weights":[2.0],"bias":[5e-324]}]}\n',
+        load_model, qdelnet.nn, "_parse_checkpoint",
+        lambda a, b: (a.config, a.params.dtype, a.params.tobytes()) == (
+            b.config, b.params.dtype, b.params.tobytes())),
+        id="load_model"),
 ]
 
 
@@ -430,7 +441,7 @@ def refuse_to_parse(*args, **kwargs):
 
 @pytest.mark.parametrize("loader", LOADERS)
 class TestParseOnce:
-    """Both loaders keep what they parse beside the file, keyed by the SHA-256 of
+    """Every loader keeps what it parses beside the file, keyed by the SHA-256 of
     the file's bytes, through features._parse_once."""
 
     def write(self, tmp_path, loader, text=None, where="a"):

@@ -8,6 +8,7 @@ same examples."""
 import contextlib
 import io
 import json
+import re
 import shutil
 import warnings
 
@@ -204,6 +205,16 @@ class TestMalformedCheckpoint:
             load_model(files["bad"])
         assert str(info.value) == message
         assert evaluate_cli(files, model=files["bad"]) == (2, f"error: {info.value}\n")
+
+    @pytest.mark.parametrize("path, value, error, message", CHECKPOINT_ERRORS)
+    def test_a_malformed_checkpoint_leaves_no_cache(self, files, tmp_path, path, value, error,
+                                                    message):
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(replaced(files["doc"], path, value)))
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                load_model(bad)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_version_true_is_not_version_1(self, files):
         files["bad"].write_text(json.dumps(replaced(files["doc"], ("version",), True)))

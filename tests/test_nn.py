@@ -571,15 +571,18 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("source", ["build_model", "from_arrays", "sgd_step", "backward", "train"])
-    def test_every_reachable_model_round_trips(self, tmp_path, source):
+    def test_every_reachable_model_round_trips(self, tmp_path, monkeypatch, source):
+        """Cold (a parse) and warm (a hit on the cache the parse wrote)."""
         model = reachable_model(source)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(model, p1)
-        loaded = load_model(p1)
-        save_model(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert loaded.config == model.config
-        assert loaded.params.tobytes() == model.params.tobytes()
+        for _ in range(2):
+            loaded = load_model(p1)
+            save_model(loaded, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert loaded.config == model.config
+            assert loaded.params.tobytes() == model.params.tobytes()
+            monkeypatch.setattr(nn, "_parse_checkpoint", None)  # the next load is a hit
 
     def test_activations_are_written_by_position(self, tmp_path):
         save_model(build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2))), tmp_path / "m")
@@ -635,6 +638,77 @@ class TestCheckpoint:
     def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, error):
         with pytest.raises(error):
             load_model(self._checkpoint(tmp_path, corrupt))
+
+
+def cache_of(path):
+    return path.with_name(path.name + ".qdelnet-cache.npz")
+
+
+def cached_arrays(path):
+    with np.load(cache_of(path)) as npz:
+        return dict(npz)
+
+
+def assert_same_model(a, b):
+    assert (a.config, type(a.config.dropout_rate)) == (b.config, type(b.config.dropout_rate))
+    assert (a.params.dtype, a.params.tobytes()) == (b.params.dtype, b.params.tobytes())
+
+
+class TestCheckpointCache:
+    """What load_model keeps in its cache: test_features.TestParseOnce covers
+    the protocol."""
+
+    @staticmethod
+    def save(tmp_path, model=None):
+        path = tmp_path / "model.json"
+        save_model(model or build_model(ModelConfig(input_dim=4, hidden_widths=(3, 2), seed=5)),
+                   path)
+        return path
+
+    @pytest.mark.parametrize("cache", ["wrong-length", "nan-parameter", "float32-parameters",
+                                       "refused-config", "float-config", "float32-dropout",
+                                       "missing-member"])
+    def test_a_bad_cache_is_ignored_and_replaced(self, tmp_path, cache):
+        path = self.save(tmp_path)
+        expected = load_model(path)
+        arrays = cached_arrays(path)
+        params, config = arrays["params"], arrays["config"]
+        edits = {
+            "wrong-length": {"params": params[:-1]},
+            "nan-parameter": {"params": np.concatenate([params[:-1], [np.nan]])},
+            "float32-parameters": {"params": params.astype(np.float32)},
+            "refused-config": {"config": config[[0, 1, 3, 2]]},  # widths 2, 3 increase
+            "float-config": {"config": config.astype(np.float64)},
+            "float32-dropout": {"dropout": arrays["dropout"].astype(np.float32)},
+        }
+        kept = {k: v for k, v in arrays.items() if (k, cache) != ("params", "missing-member")}
+        with open(cache_of(path), "wb") as fh:
+            np.savez(fh, **{**kept, **edits.get(cache, {})})
+        assert_same_model(load_model(path), expected)
+        assert {k: v.tobytes() for k, v in cached_arrays(path).items()} == {
+            k: v.tobytes() for k, v in arrays.items()}
+
+    def test_a_nan_past_the_first_block_is_found(self, tmp_path, monkeypatch):
+        """The finite check runs block by block: with 4-element blocks, the
+        NaN in the last of 26 parameters sits in the seventh block."""
+        monkeypatch.setattr(nn, "_UPDATE_BLOCK", 4)
+        self.test_a_bad_cache_is_ignored_and_replaced(tmp_path, "nan-parameter")
+
+    @pytest.mark.parametrize("field, value", [("dropout_rate", 0), ("seed", 2**63)])
+    def test_a_config_the_cache_cannot_hold_is_parsed_each_time(self, tmp_path, field, value):
+        """A JSON 0 would come back from the cache as 0.0, and 2**63 does not
+        fit the cache's int64 config, so neither checkpoint is cached."""
+        path = self.save(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["config"][field] = value
+        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        for _ in range(2):
+            model = load_model(path)
+            assert getattr(model.config, field) == value
+            assert type(getattr(model.config, field)) is int
+            save_model(model, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        assert not cache_of(path).exists()
 
 
 def layer_param_count(shapes):

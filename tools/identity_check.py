@@ -21,19 +21,22 @@ Every command goes through qdelnet.cli.parse_and_dispatch:
   twice, into wide-sweep/ and wide-sweep-warm/;
 - evaluate of a depth-10 checkpoint that `qdelnet train` wrote, on the test
   file of a 600-question gen-synth corpus whose train file it was trained on,
-  run twice: evaluate.txt and evaluate-warm.txt.
+  run twice: evaluate.txt and evaluate-warm.txt; the script exits with an
+  error unless the two lines are equal.
 
 It prints one `sha256  name` line per output, to stdout. Wall-clock times
 are left out: sweep.csv's train_time_s column, the wall_time_seconds of run
 files and of train_report.json, and fig_time.svg. resolved_config.json is
 left out too, as it holds OUT_DIR's paths, and so are the input caches that
-load_embeddings and load_dataset write beside the tables and corpora
-(`*.qdelnet-cache.npz`), which a checkout without those caches does not
-write. The narrow `train` parses its table and writes the table's cache;
-the first `evaluate` then reads that cache and parses the test corpus,
-writing its cache, and the second reads both caches. So the evaluate.txt
-line shows that a table cache hit scores the same, and an evaluate-warm.txt
-equal to it shows the same for a corpus cache hit. Likewise the first wide
+load_embeddings, load_dataset and load_model write beside the tables, corpora
+and checkpoints (`*.qdelnet-cache.npz`), which a checkout without those
+caches does not write. The narrow `train` parses its table and writes the
+table's cache; the first `evaluate` then reads that cache and parses the
+test corpus and the checkpoint, writing their caches, and the second reads
+three caches: the table's, the corpus's and the checkpoint's. So the
+evaluate.txt line shows that a table cache hit scores the same, and the
+evaluate-warm.txt line, which must equal it, shows the same for a corpus and
+a checkpoint cache hit. Likewise the first wide
 sweep parses its table and both corpora, and the second reads the three
 caches; the script exits with an error unless each wide-sweep-warm/ line
 equals its wide-sweep/ line. The qdelnet it imported goes to stderr.
@@ -134,6 +137,8 @@ def main() -> None:
         [line.replace(f"  {name}/", "  ") for line in lines if f"  {name}/" in line]
         for name in ("synthetic-sweep", "synthetic-report", "synthetic-profile", "wide-sweep",
                      "wide-sweep-warm"))
+    evaluated, evaluated_warm = ([line.split()[0] for line in lines if line.endswith(f"  {name}")]
+                                 for name in ("evaluate.txt", "evaluate-warm.txt"))
     if not reported or not set(reported) <= set(swept):
         sys.exit("synthetic-report/ differs from synthetic-sweep/")
     flow = [line for line in swept if line.endswith("  grad_flow.csv")]
@@ -141,6 +146,8 @@ def main() -> None:
         sys.exit("synthetic-profile/grad_flow.csv differs from synthetic-sweep/'s")
     if not cold or warm != cold:
         sys.exit("wide-sweep-warm/ differs from wide-sweep/")
+    if not evaluated or evaluated_warm != evaluated:
+        sys.exit("evaluate-warm.txt differs from evaluate.txt")
 
 
 if __name__ == "__main__":
