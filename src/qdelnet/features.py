@@ -4,11 +4,11 @@ concatenation featurizer.
 A question with tokens w1..wn becomes the concatenation of the per-word
 embedding vectors in order, zero-padded out to `max_words` slots, with the
 question's weak annotation appended as the final element. The table holds
-every vector as a row of one matrix; row 0 is the zero vector, shared by
-words missing from the table and by padding, so the two are
-indistinguishable. featurize_batch builds the features by copying rows of
-that matrix, into a fresh array or into a buffer its caller reuses, and
-returns them as a read-only float64 array.
+every vector as a row of one matrix; row 0 is +0.0 in every table (a cache
+whose row 0 has other bits is not decoded). Padding is literally row 0, as
+is every word missing from the table. featurize_batch runs _lookup, which
+maps tokens to table rows, then _gather, which copies those rows into a
+fresh array or a buffer its caller reuses and returns them read-only.
 
 load_embeddings, data.load_dataset and nn.load_model hand _parse_once a
 parser of the text and a cache decoder. It keeps what a parser makes of a
@@ -57,6 +57,8 @@ _FINITE_CHECK_ROWS = 1 << 12
 # data.load_dataset or nn.load_model makes of a file (see tokenize), so that what was cached is
 # parsed again.
 _CACHE_VERSION = 1
+# _gather's scratch buffer holds at most this many bytes, or one question's slots.
+_GATHER_BYTES = 1 << 18
 
 
 def tokenize(text: str) -> list[str]:
@@ -81,7 +83,7 @@ def tokenize(text: str) -> list[str]:
 class EmbeddingTable:
     """Word -> fixed-dimension vector map, stored as one read-only
     (len + 1) x dim matrix and a word -> row dict keyed by interned words.
-    Row 0 is the zero vector, shared by unknown words and padding, so
+    Row 0 is the +0.0 vector, shared by unknown words and padding, so
     lookups never fail."""
 
     def __init__(self, dim: int, entries: Mapping[str, Sequence[float]]):
@@ -293,47 +295,53 @@ def featurize_batch(
     float64 array, D = max_words * dim + 1. Questions longer than max_words
     are truncated.
 
-    Each token is looked up once. Then, slot by slot, the table rows of the
-    questions that have a token in that slot are copied into a zeroed
-    output, so no temporary is larger than one slot's rows.
-
     Without `out` the features go into a fresh array. With `out`, a
     writable, C-contiguous float64 buffer owned by the caller with at least
     as many rows as the batch and exactly D columns, its leading rows are
-    zeroed and written, and the returned array views them until the next
-    call that writes `out`; any other buffer raises ShapeError.
+    written, and the returned array views them until the next call that
+    writes `out`; any other buffer raises ShapeError.
     """
     if max_words < 1:
         raise ConfigError(f"max_words must be >= 1, got {max_words}")
-    dim = table.dim
     n = len(questions)
-    width = max_words * dim + 1
+    width = max_words * table.dim + 1
     if out is None:
-        out = np.zeros((n, width))
-    elif (
-        not isinstance(out, np.ndarray)
-        or out.dtype != np.float64
-        or out.ndim != 2
-        or not (out.flags.c_contiguous and out.flags.writeable)
-        or out.shape[0] < n
-        or out.shape[1] != width
-    ):
+        out = np.empty((n, width))
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape[1:] == (width,)
+              and len(out) >= n and out.flags.c_contiguous and out.flags.writeable):
         raise ShapeError(
             f"featurize_batch: out must be a writable C-contiguous float64 buffer "
             f"of at least {n} rows and exactly {width} columns"
         )
-    else:
-        out = out[:n]
-        out.fill(0.0)
+    return _gather(_lookup(questions, table, max_words),
+                   [q.weak_annotation for q in questions], table, out)
+
+
+def _lookup(questions: Sequence["Question"], table: EmbeddingTable, max_words: int) -> np.ndarray:
+    """The table rows of the questions' first max_words tokens, (n, max_words), in the
+    smallest unsigned type that holds len(table); padding and unknown words are row 0."""
     lookup = table._rows.get
-    token_rows = [lookup(word, 0) for q in questions for word in q.tokens[:max_words]]
     lengths = np.minimum([len(q.tokens) for q in questions], max_words)
-    slot_rows = np.zeros((n, max_words), dtype=np.intp)
-    slot_rows[np.arange(max_words) < lengths[:, None]] = token_rows
-    slots = out[:, :-1].reshape(n, max_words, dim)  # a view of out
-    for slot in range(int(lengths.max(initial=0))):
-        live = np.flatnonzero(lengths > slot)
-        slots[live, slot] = table._matrix[slot_rows[live, slot]]
-    out[:, -1] = [q.weak_annotation for q in questions]
+    rows = np.zeros((len(questions), max_words), np.min_scalar_type(len(table)))
+    rows[np.arange(max_words) < lengths[:, None]] = [
+        lookup(word, 0) for q in questions for word in q.tokens[:max_words]]
+    return rows
+
+
+def _gather(rows: np.ndarray, annotations, table: EmbeddingTable, out: np.ndarray) -> np.ndarray:
+    """The features of the questions with these _lookup rows and annotations, written
+    once into the leading rows of `out` and returned read-only: one np.take per group
+    of questions into a scratch of _GATHER_BYTES, then one copy. The indices come from
+    the table's dict; mode="raise" would take into a temporary, not the scratch."""
+    n, max_words = rows.shape
+    slots = max_words * table.dim
+    group = max(1, _GATHER_BYTES // (slots * 8))
+    scratch = np.empty((min(group, n), max_words, table.dim))
+    out = out[:n]
+    for start in range(0, n, group):
+        part = scratch[: min(group, n - start)]
+        np.take(table._matrix, rows[start : start + group], axis=0, out=part, mode="clip")
+        out[start : start + len(part), :-1] = part.reshape(len(part), slots)
+    out[:, -1] = annotations
     out.flags.writeable = False  # this array only: a caller's buffer stays writable
     return out

@@ -3,21 +3,22 @@ accuracy metrics, wall-clock timing and gradient-flow diagnostics.
 
 train() profiles the initial gradients of the model it is given, then
 trains that model in place. Wall time covers the epoch loop only; corpus
-loading, the step buffers, the profile and any up-front feature caching
-happen off the clock. train() owns those buffers and allocates them first:
-an activation workspace, which also holds the dropout masks, one parameter
-set (MlpModel.like()) that takes turns with the given vector, and one batch
-feature buffer. The profile runs in them: its sample is featurized into the
-batch buffer, its forward pass runs in the workspace and its gradients go
-into the parameter set, so it holds no buffer the loop does not. When the
-fit set's features are cached, the batch buffer is released before the
-cached matrix is built; otherwise every batch is featurized into it. Each
-step writes its gradients, then the updated parameters over them, into the
-set that is not the live model; that set becomes the live model only if
-every parameter is finite, so no parameter set is built per step. A run that
-produces a non-finite loss, gradient or parameter thus aborts with the last
-finite model kept, and the report is flagged as diverged at that epoch
-(overflow is reported there, not warned).
+loading, the fit set's lookup, the step buffers and the profile happen off
+the clock. The lookup maps the fit set's tokens to table rows once, a small
+integer a word slot: no feature matrix is cached. train() owns the step
+buffers and allocates them next: an activation workspace, which also holds
+the dropout masks, one parameter set (MlpModel.like()) that takes turns
+with the given vector, and one batch feature buffer. The profile runs in
+them: its sample is featurized into the batch buffer, its forward pass runs
+in the workspace and its gradients go into the parameter set, so it holds
+no buffer the loop does not. Each batch is gathered from the looked-up
+rows into the batch buffer. Each step writes its gradients, then the
+updated parameters over them, into the set that is not the live model;
+that set becomes the live model only if every parameter is finite, so no
+parameter set is built per step. A run that produces a non-finite loss,
+gradient or parameter thus aborts with the last finite model kept, and the
+report is flagged as diverged at that epoch (overflow is reported there,
+not warned).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .data import Dataset, _stratified_split
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .features import EmbeddingTable, featurize_batch
+from .features import EmbeddingTable, _gather, _lookup, featurize_batch
 from .nn import (
     Activations,
     MlpModel,
@@ -52,9 +53,6 @@ __all__ = [
     "initial_gradient_profile",
 ]
 
-# train() precomputes a feature matrix of at most this many bytes once; larger
-# fit sets are featurized batch by batch inside the epoch loop.
-_CACHE_LIMIT_BYTES = 1 << 30
 # evaluate() scores this many questions at a time, halving the chunk while
 # one chunk's features would be larger than _EVAL_CHUNK_BYTES.
 _EVAL_CHUNK_ROWS = 512
@@ -145,19 +143,22 @@ def train(
     (model, report); the model ends with its last finite parameters.
 
     A validation split of config.validation_fraction is carved out of
-    train_set. The step buffers come next, sized for batch_size rows or all
-    of train_set if it is smaller. Then the initial gradients are profiled
-    in those buffers, on train_set's first batch_size questions, into
-    report.initial_grad_norms. Each epoch reshuffles the remaining examples
-    with a seeded generator and applies one SGD step per mini-batch. The fit
-    set's feature matrix is precomputed, after the batch feature buffer is
-    released, when it takes at most _CACHE_LIMIT_BYTES (at 0 epochs, never);
-    otherwise every batch is featurized in the loop. Same results either way.
+    train_set, and the remaining fit set's tokens are looked up once (at 0
+    epochs, never). The step buffers come next, sized for batch_size rows or
+    all of train_set if it is smaller. Then the initial gradients are
+    profiled in those buffers, on train_set's first batch_size questions,
+    into report.initial_grad_norms. Each epoch reshuffles the fit set with
+    a seeded generator and applies one SGD step per mini-batch, whose
+    features are gathered from the looked-up rows into the batch buffer:
+    the same bytes featurize_batch makes of those questions.
     """
     if len(train_set) == 0:
         raise InputError("cannot train on an empty dataset")
     max_words = _derive_max_words(model, table)
     fit_set, val_set = split_train_val(train_set, config.validation_fraction, config.seed)
+    if config.epochs:  # before the step buffers: the lookup's temporaries are freed by then
+        fit_rows = _lookup(fit_set.questions, table, max_words)
+        annotations = np.array([q.weak_annotation for q in fit_set.questions])
     # Each step writes its gradients, then the update over them, into sets[0];
     # the sets swap roles after a finite update. The caller's vector is one of them.
     # The initial profile runs in these buffers too; its sample is never
@@ -176,12 +177,7 @@ def train(
         initial_norms = None
 
     n = len(fit_set)
-    questions = fit_set.questions
     labels = fit_set.labels()[:, None]
-    cached = None
-    if config.epochs and n * model.input_dim * 8 <= _CACHE_LIMIT_BYTES:
-        sample = batch_features = None  # no step needs them beside the cached matrix
-        cached = featurize_batch(questions, table, max_words)
 
     shuffle_rng = stream_rng(config.seed, SHUFFLE)
     dropout_rng = stream_rng(config.seed, DROPOUT)
@@ -198,12 +194,7 @@ def train(
         batch_count = 0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if cached is not None:
-                xb = cached[idx]
-            else:
-                xb = featurize_batch(
-                    [questions[i] for i in idx], table, max_words, out=batch_features
-                )
+            xb = _gather(fit_rows[idx], annotations[idx], table, batch_features)
             yb = labels[idx]
             try:
                 preds, trace = forward(model, xb, mode="train", rng=dropout_rng, out=workspace)
@@ -229,8 +220,8 @@ def train(
     if model is not owner:  # an odd number of finite steps: the live set is the fresh one
         np.copyto(owner.params, model.params)
         model = owner
-    # Release the step buffers and cached features; the evaluates need only the live model.
-    sets = workspace = batch_features = sample = cached = xb = grads = trace = preds = None
+    # Release the step buffers and looked-up rows; the evaluates need only the live model.
+    sets = workspace = batch_features = sample = fit_rows = xb = grads = trace = preds = None
 
     def final_accuracy(dataset: Dataset) -> float:
         # A run that diverged can leave a model too saturated to evaluate;

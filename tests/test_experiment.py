@@ -639,16 +639,19 @@ class TestOnePass:
 
     def test_no_featurized_sample_is_alive_while_a_cell_trains(self, tmp_path, monkeypatch):
         """A 5,001-wide source: at the entry of each cell's train(), no
-        numpy buffer that featurize_batch allocated is alive, so the
-        profile's sample is featurized only when a cell profiles."""
+        numpy buffer that featurize_batch, its lookup or its gather allocated
+        is alive, so the profile's sample is featurized only when a cell
+        profiles."""
         import inspect
         import tracemalloc
 
         import qdelnet.experiment as experiment
         import qdelnet.features as features
 
-        lines, first = inspect.getsourcelines(features.featurize_batch)
-        featurize_lines = range(first, first + len(lines))
+        featurize_lines = set()
+        for function in (features.featurize_batch, features._lookup, features._gather):
+            lines, first = inspect.getsourcelines(function)
+            featurize_lines.update(range(first, first + len(lines)))
         held = []
         real = experiment.train
 

@@ -772,6 +772,92 @@ class TestFeaturizeBatchReference:
             featurize_batch(questions, table, 3, out=buffer)
 
 
+def slot_loop_featurize(questions, table, max_words):
+    """The slot-by-slot featurizer that the lookup and gather stages
+    replaced, kept here as their oracle: each token's row is looked up into
+    an intp array, then each slot's live rows are copied into a zeroed
+    output."""
+    dim, n = table.dim, len(questions)
+    out = np.zeros((n, max_words * dim + 1))
+    token_rows = [table._rows.get(word, 0) for q in questions for word in q.tokens[:max_words]]
+    lengths = np.minimum([len(q.tokens) for q in questions], max_words)
+    slot_rows = np.zeros((n, max_words), dtype=np.intp)
+    slot_rows[np.arange(max_words) < lengths[:, None]] = token_rows
+    slots = out[:, :-1].reshape(n, max_words, dim)
+    for slot in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > slot)
+        slots[live, slot] = table._matrix[slot_rows[live, slot]]
+    out[:, -1] = [q.weak_annotation for q in questions]
+    return out
+
+
+def question(i, words, annotation=0.5):
+    return Question(id=str(i), text=" ".join(words), weak_annotation=annotation, label=i % 2)
+
+
+class TestFeaturizeEdgeCases:
+    """featurize_batch against slot_loop_featurize, byte for byte, fresh and
+    into a NaN-filled buffer, so that every element it returns is written."""
+
+    @staticmethod
+    def check(questions, table, max_words):
+        expected = slot_loop_featurize(questions, table, max_words).tobytes()
+        assert featurize_batch(questions, table, max_words).tobytes() == expected
+        buffer = np.full((len(questions) + 2, max_words * table.dim + 1), np.nan)
+        assert featurize_batch(questions, table, max_words, out=buffer).tobytes() == expected
+
+    @pytest.mark.parametrize("words, dtype", [
+        (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32)])
+    def test_index_dtype_boundaries(self, words, dtype):
+        """A table of `words` rows past row 0: the lookup's indices take the
+        smallest unsigned type that holds the last row, which the questions
+        use, beside the first row, unknown words and padding."""
+        rng = np.random.default_rng(words)
+        table = EmbeddingTable(2, {f"w{i}": rng.normal(size=2) for i in range(words)})
+        last = f"w{words - 1}"
+        questions = [question(0, [last, "w0", "unknown", last]), question(1, []),
+                     question(2, ["w1", last])]
+        rows = qdelnet.features._lookup(questions, table, 5)
+        assert rows.dtype == dtype
+        assert rows.tolist() == [[words, 1, 0, words, 0], [0] * 5, [2, words, 0, 0, 0]]
+        self.check(questions, table, 5)
+
+    def test_long_empty_and_unknown_questions(self):
+        rng = np.random.default_rng(71)
+        table = EmbeddingTable(3, {f"w{i}": rng.normal(size=3) for i in range(10)})
+        questions = [
+            question(0, [f"w{i}" for i in range(10)] * 2, 0.25),  # 20 tokens for 4 slots
+            question(1, [], 1.0),  # no tokens
+            question(2, ["nope", "w3", "never", "!!"], 0.0),  # unknown words; "!!" is no token
+            question(3, ["nope"] * 7, 0.75),  # unknown words only, past max_words
+        ]
+        self.check(questions, table, 4)
+        self.check(questions[1:2], table, 4)  # a batch of one empty question
+
+    def test_batch_that_crosses_gather_groups(self):
+        """Two full groups of the gather's scratch buffer and three
+        questions of a third."""
+        dim, max_words = 4, 8
+        group = qdelnet.features._GATHER_BYTES // (max_words * dim * 8)
+        rng = np.random.default_rng(72)
+        questions, table = random_corpus(rng, 2 * group + 3, vocab=40, known=30, dim=dim,
+                                         max_len=12)
+        self.check(questions, table, max_words)
+
+    def test_paper_width_rows_exceed_the_scratch_buffer(self):
+        """At 240 words x 300 dims one question's slots (576,000 bytes) are
+        larger than the scratch budget, so each question is gathered alone."""
+        assert 240 * 300 * 8 > qdelnet.features._GATHER_BYTES
+        rng = np.random.default_rng(73)
+        table = EmbeddingTable(300, {f"w{i}": rng.normal(size=300) for i in range(40)})
+        questions = [
+            question(0, [f"w{j}" for j in rng.integers(0, 50, size=300)]),  # truncated
+            question(1, []),
+            question(2, ["w39", "unknown", "w0"], 0.125),
+        ]
+        self.check(questions, table, 240)
+
+
 class TestNotUtf8:
     def test_load_embeddings_names_the_line(self, tmp_path):
         path = tmp_path / "emb.txt"

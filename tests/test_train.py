@@ -182,16 +182,6 @@ class TestTrain:
         assert r1.final_validation_accuracy == r2.final_validation_accuracy
         assert param_bytes(m1) == param_bytes(m2)
 
-    def test_streaming_and_cached_paths_identical(self, monkeypatch):
-        ds, table = gen_synthetic(100, 12, 3, 4, 0.2, seed=6)
-        config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(8,), dropout_rate=0.05, seed=6)
-        m1, r1 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table)
-        # No feature matrix fits a zero-byte limit, so every batch is featurized in the loop.
-        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", 0)
-        m2, r2 = train(build(config), ds, TrainConfig(epochs=6, seed=6), table)
-        assert r1.loss_curve == r2.loss_curve
-        assert param_bytes(m1) == param_bytes(m2)
-
     def test_divergence_aborts_and_flags(self):
         """A model poised at the float ceiling overflows in its first forward
         pass; training must stop immediately, keep the last finite parameters
@@ -293,49 +283,65 @@ class TestTrain:
             counts.append(len(built))
         assert counts == [1, 1]
 
-    def test_streamed_batches_share_one_feature_buffer(self, monkeypatch):
-        # The package binds the name qdelnet.train to the function; fetch the module.
+    def test_each_gathered_batch_equals_featurize_batch(self, monkeypatch):
+        """Every batch the loop gathers holds the bytes featurize_batch makes
+        of the same questions, in the shuffle order of hand_loop, and all of
+        them are written into one buffer: the one the initial profile's
+        sample went into."""
         train_module = importlib.import_module("qdelnet.train")
+        real_gather = train_module._gather
+        gathered, samples = [], []
 
-        outs = []
+        def recording(*args, **kwargs):
+            out = real_gather(*args, **kwargs)
+            gathered.append((out.tobytes(), out))
+            return out
 
-        def counting(*args, **kwargs):
-            outs.append(kwargs.get("out"))
-            return featurize_batch(*args, **kwargs)
+        def featurizing(*args, **kwargs):
+            out = featurize_batch(*args, **kwargs)
+            samples.append(out)
+            return out
 
-        monkeypatch.setattr(train_module, "featurize_batch", counting)
-        monkeypatch.setattr(train_module, "_CACHE_LIMIT_BYTES", 0)  # stream every batch
+        monkeypatch.setattr(train_module, "_gather", recording)
+        monkeypatch.setattr(train_module, "featurize_batch", featurizing)
         ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
-        train(build(config), ds, TrainConfig(epochs=3, batch_size=10, seed=9), table)
-        steps = 3 * 4  # 36 fit rows in batches of 10
-        assert len(outs) > 1 + steps  # the final evaluates come after the steps
-        assert outs[0] is not None  # the initial profile's sample comes before the steps
-        assert all(out is outs[0] for out in outs[: 1 + steps])
-        assert all(out is not outs[0] for out in outs[1 + steps :])
+        train_config = TrainConfig(epochs=3, batch_size=10, seed=9)
+        train(build(config), ds, train_config, table)
 
-    @pytest.mark.parametrize("below, epochs", [(0, 2), (1, 2), (0, 0)],
-                             ids=["at-limit", "one-byte-below", "zero-epochs"])
-    def test_features_are_cached_up_to_the_limit(self, monkeypatch, below, epochs):
-        """36 fit rows x 13 inputs of 8 bytes: a limit of exactly that size
-        caches them (one featurize of the whole fit set), one byte less
-        streams them (one featurize per batch), and at 0 epochs no step reads
-        them, so they are not featurized before the evaluates. Either way the
-        initial profile's sample of batch_size questions is featurized first."""
+        fit_set, _ = split_train_val(ds, train_config.validation_fraction, train_config.seed)
+        shuffle_rng = stream_rng(train_config.seed, SHUFFLE)
+        expected = []
+        for _ in range(train_config.epochs):
+            order = shuffle_rng.permutation(len(fit_set))
+            for start in range(0, len(fit_set), train_config.batch_size):
+                batch = [fit_set.questions[i] for i in order[start : start + train_config.batch_size]]
+                expected.append(featurize_batch(batch, table, 4).tobytes())
+        assert [got for got, _ in gathered] == expected  # 3 epochs of 36 fit rows in 10s
+        assert all(np.shares_memory(out, samples[0]) for _, out in gathered)
+
+    @pytest.mark.parametrize("epochs", [2, 0])
+    def test_fit_set_is_looked_up_once(self, monkeypatch, epochs):
+        """train() looks up the 36 fit questions once, before it featurizes
+        the initial profile's sample of batch_size questions into its step
+        buffers; at 0 epochs no step reads the rows, so it looks up nothing.
+        Then the evaluates featurize the fit and validation sets."""
         train_module = importlib.import_module("qdelnet.train")
-        sizes = []
+        calls = []
 
-        def counting(questions, *args, **kwargs):
-            sizes.append(len(questions))
-            return featurize_batch(questions, *args, **kwargs)
+        def counting(name, real):
+            def wrapper(questions, *args, **kwargs):
+                calls.append((name, len(questions)))
+                return real(questions, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(train_module, "featurize_batch", counting)
-        monkeypatch.setattr(train_module, "_CACHE_LIMIT_BYTES", 36 * 13 * 8 - below)
+        monkeypatch.setattr(train_module, "_lookup", counting("lookup", train_module._lookup))
+        monkeypatch.setattr(train_module, "featurize_batch", counting("featurize", featurize_batch))
         ds, table = gen_synthetic(40, 12, 3, 4, 0.2, seed=9)
         config = ModelConfig(input_dim=4 * 3 + 1, hidden_widths=(6,), dropout_rate=0.1, seed=9)
         train(build(config), ds, TrainConfig(epochs=epochs, batch_size=10, seed=9), table)
-        before_evaluates = [] if epochs == 0 else [36] if below == 0 else [10, 10, 10, 6] * 2
-        assert sizes == [10] + before_evaluates + [36, 4]  # then the fit and validation sets
+        lookups = [("lookup", 36)] if epochs else []
+        assert calls == lookups + [("featurize", 10), ("featurize", 36), ("featurize", 4)]
 
     @pytest.mark.parametrize("record_grad_norms, epochs", [
         pytest.param(False, 4, id="False"),
@@ -381,8 +387,8 @@ class TestTrain:
 
     def test_holds_one_parameter_set_beside_the_callers(self):
         """At 5,001 inputs and widths (256,) a parameter set is 10.2 MB; the
-        54 fit rows' cached features and the evaluate buffer stay under a
-        quarter of that. With the caller holding its model through the call,
+        54 fit rows' looked-up table rows, the batch buffer and the evaluate
+        buffer stay under a quarter of that. With the caller holding its model through the call,
         as a timing wrapper does, the memory traced during train() peaks
         below 1.5 sets: the profile's gradient set and then the one step
         buffer, never two sets at once."""
@@ -398,15 +404,15 @@ class TestTrain:
         assert not report.diverged
         assert peak < 1.5 * model.params.nbytes
 
-    def test_profile_runs_in_the_step_buffers(self, monkeypatch):
-        """At 5,001 inputs and widths (256,), with every batch streamed, the
-        memory traced during train() peaks below one parameter set (10.2 MB),
-        one batch feature buffer (1.3 MB) and a sixteenth of layer 0: the
-        initial profile featurizes into the batch buffer and writes its
-        gradients into the step set. A gradient set of its own, or a
-        finite-value temporary of layer 0 (1.3 MB of bools), goes past that.
-        The 36 fit rows' evaluate buffer is smaller than the set."""
-        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", 0)
+    def test_profile_runs_in_the_step_buffers(self):
+        """At 5,001 inputs and widths (256,) the memory traced during
+        train() peaks below one parameter set (10.2 MB), one batch feature
+        buffer (1.3 MB) and a sixteenth of layer 0 (0.64 MB), which leaves
+        room for the gather's scratch (0.26 MB at most): the initial profile
+        featurizes into the batch buffer and writes its gradients into the
+        step set. A gradient set of its own, or a finite-value temporary of
+        layer 0 (1.3 MB of bools), goes past that. The 36 fit rows' evaluate
+        buffer is smaller than the set."""
         ds, table = gen_synthetic(40, 50, 25, 200, 0.15, seed=3)
         model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(256,), seed=3))
         config = TrainConfig(epochs=1, seed=3)
@@ -594,32 +600,6 @@ class TestEvalMemory:
         peak_50, accuracy = self._traced_peak(50, ds, table)
         assert peak_50 < peak_1 + 2 * 512 * 256 * 8
         assert 0.0 <= accuracy <= 100.0
-
-    def test_train_releases_cached_features_before_its_evaluates(self, monkeypatch):
-        """A 5,001-wide fit set whose cached feature matrix (180 rows, 7.2 MB)
-        dwarfs the model: at the entry of train()'s fit and validation
-        evaluates, the memory traced since train() began is below that
-        matrix, so it is no longer alive."""
-        train_module = importlib.import_module("qdelnet.train")
-        ds, table = gen_synthetic(200, 50, 25, 200, 0.15, seed=3)
-        model = build(ModelConfig(input_dim=200 * 25 + 1, hidden_widths=(4,), seed=3))
-        config = TrainConfig(epochs=1, seed=3)
-        cached_bytes = (len(ds) - round(config.validation_fraction * len(ds))) * model.input_dim * 8
-        at_entry = []
-        real = train_module.evaluate
-
-        def traced(*args):
-            at_entry.append(tracemalloc.get_traced_memory()[0])
-            return real(*args)
-
-        monkeypatch.setattr(train_module, "evaluate", traced)
-        tracemalloc.start()
-        try:
-            train(model, ds, config, table)
-        finally:
-            tracemalloc.stop()
-        assert len(at_entry) == 2
-        assert max(at_entry) < cached_bytes
 
 
 class TestInitialGradientProfile:

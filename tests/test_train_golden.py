@@ -8,7 +8,6 @@ the arithmetic, the random draws or their order changes them.
 """
 
 import hashlib
-import importlib
 
 import pytest
 
@@ -26,28 +25,17 @@ def param_digest(model) -> str:
 
 
 # 130 questions leave 117 to fit: batch 16 ends on a 5-row batch, 13 divides it.
-# The fit set's feature matrix is 117 rows x 21 inputs of 8 bytes; train()
-# caches it up to train._CACHE_LIMIT_BYTES and streams it one byte above.
-FIT_FEATURE_BYTES = 117 * (5 * 4 + 1) * 8
-
-# name -> (depth, dropout, batch_size, feature cache limit or None for the
-# default, record_grad_norms).
+# name -> (depth, dropout, batch_size, record_grad_norms).
 CASES = {
-    "depth1-dropout": (1, 0.1, 16, None, False),
-    "depth3-dropout": (3, 0.1, 16, None, False),
-    "depth10-dropout": (10, 0.1, 16, None, False),
-    "full-batches-only": (3, 0.1, 13, None, False),
-    "cached-features": (3, 0.05, 16, FIT_FEATURE_BYTES, False),
-    "streamed-features": (3, 0.05, 16, FIT_FEATURE_BYTES - 1, False),
-    "grad-norms": (3, 0.1, 16, None, True),
+    "depth1-dropout": (1, 0.1, 16, False),
+    "depth3-dropout": (3, 0.1, 16, False),
+    "depth10-dropout": (10, 0.1, 16, False),
+    "full-batches-only": (3, 0.1, 13, False),
+    "gathered-features": (3, 0.05, 16, False),
+    "grad-norms": (3, 0.1, 16, True),
 }
 
 EXPECTED = {
-    "cached-features": (
-        ["0x1.6627ccfaaaef4p-1", "0x1.5e9b280368bd1p-1", "0x1.4c5b9a97bc754p-1"],
-        None,
-        "8faa2fcf531072825824cad0127f629ae3cbd956bac52fec5098c5558c5e103a",
-    ),
     "depth1-dropout": (
         ["0x1.5dee052e41bc3p-1", "0x1.2990703447a84p-1", "0x1.e28e4e2a1d556p-2"],
         None,
@@ -68,6 +56,11 @@ EXPECTED = {
         None,
         "b499b9a3e19f70a6058ff7092fd1bcfad78aefb573bbc559a3710d23cb641188",
     ),
+    "gathered-features": (
+        ["0x1.6627ccfaaaef4p-1", "0x1.5e9b280368bd1p-1", "0x1.4c5b9a97bc754p-1"],
+        None,
+        "8faa2fcf531072825824cad0127f629ae3cbd956bac52fec5098c5558c5e103a",
+    ),
     "grad-norms": (
         ["0x1.67112160de9eap-1", "0x1.5e02168ea4ac6p-1", "0x1.4c855cd39b278p-1"],
         [
@@ -77,18 +70,11 @@ EXPECTED = {
         ],
         "2b648388b2ca8c2d8c540193bb11fa998d2515c5ddb76b2c6e6818d294a7973c",
     ),
-    "streamed-features": (
-        ["0x1.6627ccfaaaef4p-1", "0x1.5e9b280368bd1p-1", "0x1.4c5b9a97bc754p-1"],
-        None,
-        "8faa2fcf531072825824cad0127f629ae3cbd956bac52fec5098c5558c5e103a",
-    ),
 }
 
 
-def run_case(name, monkeypatch):
-    depth, dropout, batch_size, cache_limit, norms = CASES[name]
-    if cache_limit is not None:
-        monkeypatch.setattr(importlib.import_module("qdelnet.train"), "_CACHE_LIMIT_BYTES", cache_limit)
+def run_case(name):
+    depth, dropout, batch_size, norms = CASES[name]
     corpus, table = gen_synthetic(130, 24, 4, 5, 0.2, seed=17)
     config = ModelConfig(
         input_dim=5 * 4 + 1,
@@ -103,8 +89,8 @@ def run_case(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_train_matches_golden(name, monkeypatch):
-    model, report = run_case(name, monkeypatch)
+def test_train_matches_golden(name):
+    model, report = run_case(name)
     curve, norms, digest = EXPECTED[name]
     assert [v.hex() for v in report.loss_curve] == curve
     got_norms = report.grad_norm_history
