@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, gen_synthetic, load_dataset, split_train_test
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .features import EmbeddingTable, load_embeddings
-from .nn import ModelConfig, build_model, taper_widths
+from .nn import SEED_LIMIT, ModelConfig, build_model, taper_widths
 from .train import TrainConfig, TrainReport, evaluate, split_train_val, train
 
 __all__ = [
@@ -109,6 +109,10 @@ class SweepConfig:
             raise ConfigError(f"depths must be positive, got {depths}")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        last_seed = self.train_config.seed + self.repeats - 1
+        if last_seed >= SEED_LIMIT:  # found before the first cell, not at the cell of that seed
+            raise ConfigError(f"the last repeat's seed, seed + repeats - 1 = {last_seed}, "
+                              f"must be below 2**63")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
 

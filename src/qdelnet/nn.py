@@ -54,6 +54,9 @@ BCE_EPS = 1e-12
 _PRED_LO = float(np.nextafter(0.0, 1.0))
 _PRED_HI = float(np.nextafter(1.0, 0.0))
 
+# ModelConfig's seeds lie below 2**63, the first integer an int64 cannot hold.
+SEED_LIMIT = 1 << 63
+
 _CHECKPOINT_FORMAT = "qdelnet-mlp"
 _CHECKPOINT_VERSION = 1
 
@@ -71,7 +74,9 @@ class ModelConfig:
     """Shape and initialization recipe for one model.
 
     hidden_widths must be non-increasing; an empty list degenerates to
-    logistic regression (input -> sigmoid), used only for testing.
+    logistic regression (input -> sigmoid), used only for testing. The
+    dropout rate is kept as a float, and the seed must lie in [0, 2**63):
+    a checkpoint's cache keeps it as an int64.
     """
 
     input_dim: int
@@ -92,8 +97,11 @@ class ModelConfig:
                 raise ConfigError(f"hidden widths must be non-increasing, got {widths}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        object.__setattr__(self, "dropout_rate", float(self.dropout_rate))
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if self.seed >= SEED_LIMIT:
+            raise ConfigError(f"seed must be below 2**63, got {self.seed}")
 
 
 def _layer_shapes(config: ModelConfig) -> Shapes:
@@ -554,17 +562,16 @@ def load_model(path) -> MlpModel:
     layers contradict its config: layer count, weight shapes or activations
     (relu on hidden layers, sigmoid on the output).
 
-    load_model is the third loader behind features._parse_once: a regular
+    load_model is the third loader behind features._parse_once: every regular
     file's model is cached beside it as the features module docstring says,
-    as its parameter vector, its config's integers and its dropout rate.
+    as its parameter vector, its config's integers and its dropout rate,
+    which loads as a float also where the file holds an integer.
     """
     return _parse_once(path, _cached_model, _parse_checkpoint)
 
 
 def _parse_checkpoint(fh):
-    """load_model's parse of the text of `fh`: the model and its cache members, or None
-    for a config they cannot hold exactly (an integer dropout rate, or an integer beyond
-    int64)."""
+    """load_model's parse of the text of `fh`: the model and its cache members."""
     try:
         doc = json.load(fh)
     except json.JSONDecodeError as exc:
@@ -614,31 +621,26 @@ def _parse_checkpoint(fh):
     except ConfigError as exc:
         raise ValidationError(f"checkpoint config: {exc}") from None
     model = MlpModel.from_arrays(config, weights, biases)
-    if type(rate) is not float:  # a JSON 0 would come back from the cache as 0.0
-        return model, None
-    try:
-        ints = np.array([config.input_dim, config.seed, *config.hidden_widths], np.int64)
-    except OverflowError:
-        return model, None
-    return model, [("params", model.params), ("config", ints), ("dropout", np.float64(rate))]
+    # Every integer fits: the seed is below SEED_LIMIT, and each dimension is at most the
+    # length of a list that was read.
+    ints = np.array([config.input_dim, config.seed, *config.hidden_widths], np.int64)
+    return model, [("params", model.params), ("config", ints),
+                   ("dropout", np.float64(config.dropout_rate))]
 
 
 def _cached_model(npz) -> MlpModel | None:
-    """The model of a cache whose key matched, or None if it fails its check: an int64
-    config that ModelConfig takes, a float64 dropout rate and a finite float64 vector of
-    the config's size, tested _UPDATE_BLOCK elements at a time."""
+    """The model of a cache whose key matched. Its config must be an int64 vector
+    that ModelConfig takes (else ConfigError) with a float64 dropout rate, and its
+    parameters a vector that fits MlpModel (else ShapeError) and is finite; a cache
+    that fails is None or raises one of those ValueErrors."""
     params, ints, rate = npz["params"], npz["config"], npz["dropout"]
     if not (ints.dtype == np.int64 and ints.ndim == 1 and ints.size >= 2
             and rate.dtype == np.float64 and rate.ndim == 0):
         return None
     input_dim, seed, *widths = ints.tolist()
+    model = MlpModel(ModelConfig(input_dim, tuple(widths), rate.item(), seed), params)
     try:
-        config = ModelConfig(input_dim, tuple(widths), rate.item(), seed)
-    except ConfigError:
+        _require_finite(model, "cached checkpoint: non-finite parameter")
+    except NumericError:
         return None
-    size = sum(rows * (cols + 1) for rows, cols in _layer_shapes(config))
-    if not (params.dtype == np.float64 and params.shape == (size,)
-            and all(np.isfinite(params[i : i + _UPDATE_BLOCK]).all()
-                    for i in range(0, size, _UPDATE_BLOCK))):
-        return None
-    return MlpModel(config, params)
+    return model

@@ -179,6 +179,21 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "model.json").exists()
 
+    def test_a_seed_beyond_int64_exits_2_before_training(self, tmp_path, capsys, monkeypatch):
+        """A checkpoint's cache keeps the seed as an int64: the CLI refuses a
+        larger one before it trains, not when it saves the model."""
+        monkeypatch.setattr(cli, "train", refuse_to_train)
+        out = tmp_path / "run"
+        assert run("train", "--synthetic", *TINY_SYNTH, "--seed", "9223372036854775808",
+                   "--out", str(out)) == 2
+        message = "seed must be below 2**63, got 9223372036854775808"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "model.json").exists()
+
+
+def refuse_to_train(*args, **kwargs):
+    raise AssertionError("train() was called")
+
 
 class TestSplitCounts:
     """One rule for train, sweep and gen-synth: a count left out is 5/6 of

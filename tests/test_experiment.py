@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -106,6 +107,13 @@ class TestSweepConfig:
     def test_repeats_must_be_positive(self):
         with pytest.raises(ConfigError, match="repeats must be >= 1, got 0"):
             SweepConfig(repeats=0)
+
+    def test_the_last_repeats_seed_must_fit_an_int64(self):
+        assert SweepConfig(repeats=2, train_config=TrainConfig(seed=2**63 - 2)).repeats == 2
+        with pytest.raises(ConfigError, match=re.escape(
+                "the last repeat's seed, seed + repeats - 1 = 9223372036854775808, "
+                "must be below 2**63")):
+            SweepConfig(repeats=2, train_config=TrainConfig(seed=2**63 - 1))
 
     def test_defaults_match_protocol(self):
         config = SweepConfig()

@@ -222,7 +222,7 @@ class TestMalformedCheckpoint:
             load_model(files["bad"])
 
     @pytest.mark.parametrize(
-        "field, value", [("seed", -1), ("input_dim", 0), ("dropout_rate", 1.5)]
+        "field, value", [("seed", -1), ("seed", 2**63), ("input_dim", 0), ("dropout_rate", 1.5)]
     )
     def test_config_out_of_range_is_validation_error(self, files, field, value):
         files["bad"].write_text(json.dumps(replaced(files["doc"], ("config", field), value)))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -52,6 +53,19 @@ class TestModelConfig:
     def test_dropout_range(self):
         with pytest.raises(ConfigError):
             ModelConfig(input_dim=4, hidden_widths=(2,), dropout_rate=1.0)
+
+    def test_dropout_rate_is_kept_as_a_float(self):
+        rate = ModelConfig(input_dim=4, dropout_rate=0).dropout_rate
+        assert (rate, type(rate)) == (0.0, float)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (2**63, "seed must be below 2**63, got 9223372036854775808"),
+    ])
+    def test_seed_must_fit_an_int64(self, seed, message):
+        assert ModelConfig(input_dim=4, seed=2**63 - 1).seed == 2**63 - 1
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ModelConfig(input_dim=4, seed=seed)
 
 
 class TestBuildModel:
@@ -694,21 +708,17 @@ class TestCheckpointCache:
         monkeypatch.setattr(nn, "_UPDATE_BLOCK", 4)
         self.test_a_bad_cache_is_ignored_and_replaced(tmp_path, "nan-parameter")
 
-    @pytest.mark.parametrize("field, value", [("dropout_rate", 0), ("seed", 2**63)])
-    def test_a_config_the_cache_cannot_hold_is_parsed_each_time(self, tmp_path, field, value):
-        """A JSON 0 would come back from the cache as 0.0, and 2**63 does not
-        fit the cache's int64 config, so neither checkpoint is cached."""
+    def test_an_integer_dropout_rate_loads_as_a_float_and_is_cached(self, tmp_path,
+                                                                     monkeypatch):
         path = self.save(tmp_path)
         doc = json.loads(path.read_text())
-        doc["config"][field] = value
+        doc["config"]["dropout_rate"] = 0
         path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-        for _ in range(2):
-            model = load_model(path)
-            assert getattr(model.config, field) == value
-            assert type(getattr(model.config, field)) is int
-            save_model(model, tmp_path / "again.json")
-            assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-        assert not cache_of(path).exists()
+        parsed = load_model(path)
+        assert (parsed.config.dropout_rate, type(parsed.config.dropout_rate)) == (0.0, float)
+        assert cached_arrays(path)["dropout"].dtype == np.float64
+        monkeypatch.setattr(nn, "_parse_checkpoint", None)  # the next load is a hit
+        assert_same_model(load_model(path), parsed)
 
 
 def layer_param_count(shapes):
